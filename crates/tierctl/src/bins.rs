@@ -5,9 +5,7 @@
 //! procedure can "iterate over bins to find pages whose sum of access
 //! probability is less than or equal to Δp". [`TierBins`] maintains, for
 //! each tier, `n_bins` sets of pages partitioned by their frequency count;
-//! membership updates are O(1) (swap-remove indexed by a page map).
-
-use std::collections::HashMap;
+//! membership updates are O(1) (swap-remove indexed by a dense page map).
 
 use memsim::{TierId, Vpn};
 
@@ -19,11 +17,28 @@ struct Slot {
     idx: u32,
 }
 
+impl Slot {
+    /// The slot of a page that is not tracked.
+    const UNTRACKED: Slot = Slot {
+        tier: u8::MAX,
+        bin: 0,
+        idx: 0,
+    };
+
+    fn is_tracked(self) -> bool {
+        self.tier != u8::MAX
+    }
+}
+
 /// Page lists per `(tier, frequency bin)`.
 ///
 /// Bin `b` holds pages whose count `c` satisfies
 /// `b = min(c * n_bins / cooling_threshold, n_bins - 1)`; bin 0 is the
 /// coldest, bin `n_bins - 1` the hottest.
+///
+/// Each page's position is kept in a dense array indexed by vpn that grows
+/// on demand to the highest vpn inserted (page ids are packed from 0
+/// machine-wide), with a sentinel for pages that are not tracked.
 ///
 /// # Examples
 ///
@@ -41,7 +56,10 @@ struct Slot {
 pub struct TierBins {
     /// `lists[tier][bin]` = pages.
     lists: Vec<Vec<Vec<Vpn>>>,
-    slots: HashMap<Vpn, Slot>,
+    /// `slots[vpn]`; [`Slot::UNTRACKED`] for pages not tracked.
+    slots: Vec<Slot>,
+    /// Number of tracked pages.
+    len: usize,
     n_bins: usize,
     cooling_threshold: u32,
 }
@@ -54,14 +72,22 @@ impl TierBins {
     ///
     /// Panics if `tiers`, `n_bins` are zero or `cooling_threshold < 2`.
     pub fn new(tiers: usize, n_bins: usize, cooling_threshold: u32) -> Self {
-        assert!(tiers > 0 && n_bins > 0 && n_bins < 256);
+        assert!(tiers > 0 && tiers < 256 && n_bins > 0 && n_bins < 256);
         assert!(cooling_threshold >= 2);
         TierBins {
             lists: vec![vec![Vec::new(); n_bins]; tiers],
-            slots: HashMap::new(),
+            slots: Vec::new(),
+            len: 0,
             n_bins,
             cooling_threshold,
         }
+    }
+
+    fn slot(&self, vpn: Vpn) -> Option<Slot> {
+        self.slots
+            .get(vpn as usize)
+            .copied()
+            .filter(|s| s.is_tracked())
     }
 
     /// The bin a page with frequency `count` belongs to.
@@ -80,31 +106,36 @@ impl TierBins {
     ///
     /// Panics if the page is already tracked.
     pub fn insert(&mut self, vpn: Vpn, tier: TierId, count: u32) {
-        assert!(!self.slots.contains_key(&vpn), "page {vpn} double-tracked");
+        assert!(self.slot(vpn).is_none(), "page {vpn} double-tracked");
         let bin = self.bin_of_count(count);
         let list = &mut self.lists[tier.index()][bin];
         list.push(vpn);
-        self.slots.insert(
-            vpn,
-            Slot {
-                tier: tier.0,
-                bin: bin as u8,
-                idx: (list.len() - 1) as u32,
-            },
-        );
+        let slot = Slot {
+            tier: tier.0,
+            bin: bin as u8,
+            idx: (list.len() - 1) as u32,
+        };
+        let i = vpn as usize;
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, Slot::UNTRACKED);
+        }
+        self.slots[i] = slot;
+        self.len += 1;
     }
 
     /// Removes a page; no-op if untracked.
     pub fn remove(&mut self, vpn: Vpn) {
-        let Some(slot) = self.slots.remove(&vpn) else {
+        let Some(slot) = self.slot(vpn) else {
             return;
         };
+        self.slots[vpn as usize] = Slot::UNTRACKED;
+        self.len -= 1;
         let list = &mut self.lists[slot.tier as usize][slot.bin as usize];
         let idx = slot.idx as usize;
         let last = list.pop().expect("slot points into a non-empty list");
         if idx < list.len() {
             list[idx] = last;
-            self.slots.get_mut(&last).expect("tracked page").idx = slot.idx;
+            self.slots[last as usize].idx = slot.idx;
         } else {
             debug_assert_eq!(last, vpn);
         }
@@ -114,7 +145,7 @@ impl TierBins {
     ///
     /// No-op if the page is untracked (e.g. pinned pages never inserted).
     pub fn update_count(&mut self, vpn: Vpn, count: u32) {
-        let Some(&slot) = self.slots.get(&vpn) else {
+        let Some(slot) = self.slot(vpn) else {
             return;
         };
         let new_bin = self.bin_of_count(count) as u8;
@@ -128,7 +159,7 @@ impl TierBins {
 
     /// Moves a page to a different tier, keeping its bin.
     pub fn move_tier(&mut self, vpn: Vpn, dst: TierId) {
-        let Some(&slot) = self.slots.get(&vpn) else {
+        let Some(slot) = self.slot(vpn) else {
             return;
         };
         if slot.tier == dst.0 {
@@ -142,19 +173,28 @@ impl TierBins {
         let count = (bin as u32 * self.cooling_threshold).div_ceil(self.n_bins as u32);
         self.insert(vpn, dst, count);
         debug_assert_eq!(
-            self.slots[&vpn].bin, bin,
+            self.slots[vpn as usize].bin, bin,
             "bin must be preserved across tier moves"
         );
     }
 
     /// The tier a page is currently filed under, if tracked.
     pub fn tier_of(&self, vpn: Vpn) -> Option<TierId> {
-        self.slots.get(&vpn).map(|s| TierId(s.tier))
+        self.slot(vpn).map(|s| TierId(s.tier))
     }
 
     /// Pages in `tier`'s bin `bin`.
     pub fn pages(&self, tier: TierId, bin: usize) -> &[Vpn] {
         &self.lists[tier.index()][bin]
+    }
+
+    /// Every tracked page, in ascending vpn order.
+    pub fn tracked(&self) -> impl Iterator<Item = Vpn> + '_ {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_tracked())
+            .map(|(v, _)| v as Vpn)
     }
 
     /// Number of pages tracked in `tier`.
@@ -164,21 +204,12 @@ impl TierBins {
 
     /// Total tracked pages.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
     /// True if no pages are tracked.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Rebuilds all bins from `(vpn, count)` pairs after a cooling pass
-    /// halves every count (membership and tiers are preserved).
-    pub fn rebin_all<'a>(&mut self, counts: impl Iterator<Item = (Vpn, u32)> + 'a) {
-        let updates: Vec<(Vpn, u32)> = counts.collect();
-        for (vpn, count) in updates {
-            self.update_count(vpn, count);
-        }
+        self.len == 0
     }
 }
 
@@ -267,22 +298,61 @@ mod tests {
     }
 
     #[test]
-    fn rebin_all_after_cooling() {
+    fn far_vpn_grows_the_slot_array() {
         let mut b = bins();
-        let mut tracker = crate::FreqTracker::new(16);
-        for vpn in 0..20u64 {
-            b.insert(vpn, D, 0);
-            for _ in 0..(vpn % 14) {
-                tracker.record(vpn);
-            }
-            b.update_count(vpn, tracker.count(vpn));
+        let far: Vpn = 1 << 20;
+        b.insert(far, A, 15);
+        b.insert(2, D, 0);
+        assert_eq!(b.tier_of(far), Some(A));
+        assert_eq!(b.tier_of(far - 1), None);
+        assert_eq!(
+            b.tier_of(far + 1),
+            None,
+            "lookups past the end are untracked"
+        );
+        assert_eq!(b.tier_of(u64::MAX), None);
+        assert_eq!(b.pages(A, 4), &[far]);
+        assert_eq!(b.tracked().collect::<Vec<_>>(), vec![2, far]);
+        b.remove(far);
+        assert_eq!(b.tier_of(far), None);
+        assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn remove_then_reinsert() {
+        let mut b = bins();
+        b.insert(5, D, 15);
+        b.insert(6, D, 15);
+        b.remove(5);
+        assert_eq!(b.tier_of(5), None);
+        assert_eq!(b.pages(D, 4), &[6]);
+        // Re-insert on another tier and bin: filed afresh, no stale slot.
+        b.insert(5, A, 0);
+        assert_eq!(b.tier_of(5), Some(A));
+        assert_eq!(b.pages(A, 0), &[5]);
+        assert_eq!(b.pages(D, 4), &[6]);
+        b.update_count(5, 8);
+        assert_eq!(b.pages(A, 2), &[5]);
+        assert!(b.pages(A, 0).is_empty());
+        assert_eq!(b.len(), 2);
+    }
+
+    #[test]
+    fn len_and_is_empty_after_removes() {
+        let mut b = bins();
+        assert!(b.is_empty());
+        for vpn in [9u64, 1, 4] {
+            b.insert(vpn, D, (vpn as u32) * 2);
         }
-        tracker.cool();
-        b.rebin_all(tracker.iter());
-        for (vpn, c) in tracker.iter() {
-            let bin = b.bin_of_count(c);
-            assert!(b.pages(D, bin).contains(&vpn));
-        }
+        assert_eq!((b.len(), b.is_empty()), (3, false));
+        b.remove(1);
+        b.remove(1); // double remove is a no-op
+        b.remove(100); // never tracked, past the end of the slot array
+        assert_eq!((b.len(), b.is_empty()), (2, false));
+        b.remove(9);
+        b.remove(4);
+        assert_eq!((b.len(), b.is_empty()), (0, true));
+        assert_eq!(b.tracked().count(), 0);
     }
 
     #[test]

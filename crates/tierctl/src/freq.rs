@@ -7,11 +7,14 @@
 //! count over all pages — exactly what [`FreqTracker::access_prob`]
 //! computes.
 
-use std::collections::HashMap;
-
 use memsim::Vpn;
 
 /// Per-page access-frequency counts with cooling.
+///
+/// Counts live in a dense array indexed by vpn that grows on demand to the
+/// highest vpn recorded (page ids are packed from 0 machine-wide, like
+/// `Machine`'s placement map), so a record is one array write and a
+/// cooling is one linear halving pass.
 ///
 /// # Examples
 ///
@@ -25,8 +28,12 @@ use memsim::Vpn;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FreqTracker {
-    counts: HashMap<Vpn, u32>,
+    /// `counts[vpn]`; 0 for pages never sampled (or cooled to zero).
+    counts: Vec<u32>,
+    /// Sum of `counts`.
     total: u64,
+    /// Number of non-zero entries in `counts`.
+    nonzero: usize,
     cooling_threshold: u32,
     coolings: u64,
 }
@@ -41,8 +48,9 @@ impl FreqTracker {
     pub fn new(cooling_threshold: u32) -> Self {
         assert!(cooling_threshold >= 2, "cooling threshold must be >= 2");
         FreqTracker {
-            counts: HashMap::new(),
+            counts: Vec::new(),
             total: 0,
+            nonzero: 0,
             cooling_threshold,
             coolings: 0,
         }
@@ -51,7 +59,14 @@ impl FreqTracker {
     /// Records one sampled access to `vpn`; cools if the page's count
     /// reaches the threshold. Returns `true` if a cooling pass ran.
     pub fn record(&mut self, vpn: Vpn) -> bool {
-        let c = self.counts.entry(vpn).or_insert(0);
+        let i = vpn as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        let c = &mut self.counts[i];
+        if *c == 0 {
+            self.nonzero += 1;
+        }
         *c += 1;
         self.total += 1;
         if *c >= self.cooling_threshold {
@@ -62,20 +77,24 @@ impl FreqTracker {
         }
     }
 
-    /// Halves every count (dropping pages that reach zero) — HeMem cooling.
+    /// Halves every count (pages that reach zero stop counting as
+    /// tracked) — HeMem cooling.
     pub fn cool(&mut self) {
-        self.total = 0;
-        self.counts.retain(|_, c| {
+        let mut total = 0u64;
+        let mut nonzero = 0usize;
+        for c in &mut self.counts {
             *c /= 2;
-            self.total += *c as u64;
-            *c > 0
-        });
+            total += u64::from(*c);
+            nonzero += usize::from(*c > 0);
+        }
+        self.total = total;
+        self.nonzero = nonzero;
         self.coolings += 1;
     }
 
     /// Current count of `vpn` (0 if never sampled).
     pub fn count(&self, vpn: Vpn) -> u32 {
-        self.counts.get(&vpn).copied().unwrap_or(0)
+        self.counts.get(vpn as usize).copied().unwrap_or(0)
     }
 
     /// Access probability of `vpn`: its count over the cumulative count.
@@ -96,7 +115,7 @@ impl FreqTracker {
 
     /// Number of pages with a non-zero count.
     pub fn tracked_pages(&self) -> usize {
-        self.counts.len()
+        self.nonzero
     }
 
     /// Number of cooling passes performed.
@@ -109,18 +128,23 @@ impl FreqTracker {
         self.cooling_threshold
     }
 
-    /// Iterates over `(vpn, count)` pairs in unspecified order.
+    /// Iterates over the `(vpn, count)` pairs with a non-zero count, in
+    /// ascending vpn order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, u32)> + '_ {
-        self.counts.iter().map(|(&v, &c)| (v, c))
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(v, &c)| (v as Vpn, c))
     }
 
     /// The `q`-quantile of non-zero counts (used by MEMTIS's dynamic hot
     /// threshold). Returns 0 if nothing is tracked.
     pub fn count_quantile(&self, q: f64) -> u32 {
-        if self.counts.is_empty() {
+        if self.nonzero == 0 {
             return 0;
         }
-        let mut v: Vec<u32> = self.counts.values().copied().collect();
+        let mut v: Vec<u32> = self.iter().map(|(_, c)| c).collect();
         v.sort_unstable();
         let idx = ((q.clamp(0.0, 1.0)) * (v.len() - 1) as f64).round() as usize;
         v[idx]
@@ -193,6 +217,52 @@ mod tests {
         t.cool();
         let recomputed: u64 = t.iter().map(|(_, c)| c as u64).sum();
         assert_eq!(recomputed, t.total());
+    }
+
+    #[test]
+    fn far_vpn_grows_the_array() {
+        let mut t = FreqTracker::new(16);
+        let far: Vpn = 1 << 20;
+        t.record(far);
+        t.record(3);
+        assert_eq!(t.count(far), 1);
+        assert_eq!(t.count(far - 1), 0);
+        assert_eq!(t.count(far + 1), 0, "reads past the end are zero");
+        assert_eq!(t.count(u64::MAX), 0);
+        assert_eq!(t.tracked_pages(), 2);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(3, 1), (far, 1)]);
+    }
+
+    #[test]
+    fn cooling_to_zero_updates_tracked_pages_and_total() {
+        let mut t = FreqTracker::new(8);
+        for vpn in [10u64, 2, 7] {
+            t.record(vpn); // count 1: halves to 0
+        }
+        for _ in 0..3 {
+            t.record(5); // count 3: halves to 1
+        }
+        assert_eq!((t.tracked_pages(), t.total()), (4, 6));
+        t.cool();
+        assert_eq!(t.tracked_pages(), 1);
+        assert_eq!(t.total(), 1);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(5, 1)]);
+        // A page cooled to zero counts as new when sampled again.
+        t.record(2);
+        assert_eq!((t.tracked_pages(), t.total()), (2, 2));
+        t.cool();
+        assert_eq!((t.tracked_pages(), t.total()), (0, 0));
+        assert_eq!(t.count_quantile(0.5), 0);
+    }
+
+    #[test]
+    fn iter_is_ascending_by_vpn() {
+        let mut t = FreqTracker::new(100);
+        for vpn in [40u64, 3, 17, 3, 99, 0] {
+            t.record(vpn);
+        }
+        let vpns: Vec<Vpn> = t.iter().map(|(v, _)| v).collect();
+        assert_eq!(vpns, vec![0, 3, 17, 40, 99]);
     }
 
     #[test]

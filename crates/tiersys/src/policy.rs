@@ -168,8 +168,9 @@ pub trait HotnessPolicy {
     /// The tier a page is filed under, if tracked.
     fn tier_of(&self, vpn: Vpn) -> Option<TierId>;
 
-    /// Every tracked page (unspecified order; use for audits, not
-    /// placement).
+    /// Every tracked page, in ascending vpn order. The order is part of
+    /// the contract: [`HotnessPolicy::heat_total`] sums floating-point
+    /// heats in it, so it must not depend on hash-map iteration.
     fn tracked(&self) -> Vec<Vpn>;
 
     /// Number of tracked pages.
@@ -201,7 +202,8 @@ pub trait HotnessPolicy {
     /// mutate aging state (CLOCK/SIEVE hands clear bits as they sweep).
     fn victims(&mut self, tier: TierId, max: usize) -> Vec<Vpn>;
 
-    /// Sum of `heat_of` over all tracked pages.
+    /// Sum of `heat_of` over all tracked pages, added in ascending vpn
+    /// order so the result is the same on every run.
     fn heat_total(&self) -> f64 {
         self.tracked().iter().map(|&v| self.heat_of(v)).sum()
     }
@@ -250,6 +252,14 @@ pub fn swap_boxed(
     (from, ranking.len() as u64)
 }
 
+/// A hash map's keys in ascending order (the [`HotnessPolicy::tracked`]
+/// order).
+fn sorted_keys<V>(map: &HashMap<Vpn, V>) -> Vec<Vpn> {
+    let mut out: Vec<Vpn> = map.keys().copied().collect();
+    out.sort_unstable();
+    out
+}
+
 // ---------------------------------------------------------------------------
 // FreqBins — extracted from HeMem
 // ---------------------------------------------------------------------------
@@ -282,14 +292,30 @@ impl FreqBins {
         }
     }
 
-    fn all_pages(&self) -> Vec<Vpn> {
-        let mut out = Vec::with_capacity(self.bins.len());
+    /// Re-bins the population after a cooling pass.
+    ///
+    /// HeMem calls `update_count` on every managed vpn in managed-range
+    /// order. Only pages filed in bins >= 1 can move: halving never raises
+    /// a count and `bin_of_count` is monotone, so a bin-0 page stays put
+    /// and its call is a no-op. This visits just those pages, in the same
+    /// order — first managed range containing the page, then vpn — so the
+    /// swap-removes, and with them the bin-list order, are unchanged.
+    fn rebin_after_cooling(&mut self) {
+        // `(index of the first managed range containing the page, vpn)`.
+        let mut rebin: Vec<(usize, Vpn)> = Vec::new();
         for tier in 0..self.n_tiers {
-            for bin in 0..self.bins.n_bins() {
-                out.extend_from_slice(self.bins.pages(TierId(tier as u8), bin));
+            for bin in 1..self.bins.n_bins() {
+                for &vpn in self.bins.pages(TierId(tier as u8), bin) {
+                    if let Some(r) = self.managed.iter().position(|r| r.contains(&vpn)) {
+                        rebin.push((r, vpn));
+                    }
+                }
             }
         }
-        out
+        rebin.sort_unstable();
+        for (_, vpn) in rebin {
+            self.bins.update_count(vpn, self.tracker.count(vpn));
+        }
     }
 }
 
@@ -315,7 +341,7 @@ impl HotnessPolicy for FreqBins {
     }
 
     fn tracked(&self) -> Vec<Vpn> {
-        self.all_pages()
+        self.bins.tracked().collect()
     }
 
     fn tracked_len(&self) -> usize {
@@ -323,9 +349,9 @@ impl HotnessPolicy for FreqBins {
     }
 
     fn record_access(&mut self, vpn: Vpn) {
-        // Verbatim HeMem `ingest_samples` body: unmanaged pages are
-        // ignored; a cooling pass re-bins the whole population in
-        // managed-range order (bin-vector order is digest-visible).
+        // HeMem `ingest_samples` body: unmanaged pages are ignored; a
+        // cooling pass re-bins the population in managed-range order
+        // (bin-vector order is digest-visible).
         if self.bins.tier_of(vpn).is_none() {
             return;
         }
@@ -333,11 +359,7 @@ impl HotnessPolicy for FreqBins {
         let cooled = self.tracker.record(vpn);
         if cooled {
             self.stats.epochs += 1;
-            for range in self.managed.clone() {
-                for vpn in range {
-                    self.bins.update_count(vpn, self.tracker.count(vpn));
-                }
-            }
+            self.rebin_after_cooling();
         } else {
             self.bins.update_count(vpn, self.tracker.count(vpn));
         }
@@ -498,7 +520,7 @@ impl HotnessPolicy for TimeToFault {
     }
 
     fn tracked(&self) -> Vec<Vpn> {
-        self.tiers.keys().copied().collect()
+        sorted_keys(&self.tiers)
     }
 
     fn tracked_len(&self) -> usize {
@@ -663,7 +685,7 @@ impl HotnessPolicy for DensityHistogram {
     }
 
     fn tracked(&self) -> Vec<Vpn> {
-        self.tiers.keys().copied().collect()
+        sorted_keys(&self.tiers)
     }
 
     fn tracked_len(&self) -> usize {
@@ -835,7 +857,7 @@ impl HotnessPolicy for Clock {
     }
 
     fn tracked(&self) -> Vec<Vpn> {
-        self.state.keys().copied().collect()
+        sorted_keys(&self.state)
     }
 
     fn tracked_len(&self) -> usize {
@@ -1064,7 +1086,7 @@ impl HotnessPolicy for Lru {
     }
 
     fn tracked(&self) -> Vec<Vpn> {
-        self.nodes.keys().copied().collect()
+        sorted_keys(&self.nodes)
     }
 
     fn tracked_len(&self) -> usize {
@@ -1260,7 +1282,7 @@ impl HotnessPolicy for Sieve {
     }
 
     fn tracked(&self) -> Vec<Vpn> {
-        self.state.keys().copied().collect()
+        sorted_keys(&self.state)
     }
 
     fn tracked_len(&self) -> usize {
@@ -1750,6 +1772,43 @@ mod tests {
         // Cold victims come from bin 0 (never-sampled pages first).
         let v = f.victims(D, 3);
         assert!(!v.contains(&3));
+    }
+
+    #[test]
+    fn heat_total_sums_in_ascending_vpn_order() {
+        // LRU (`stamp / clock`) and time-to-fault (`1 / ttf`) heats are
+        // not exactly representable, so their sum depends on the order it
+        // is taken in. Each fresh policy gets a freshly keyed hash map.
+        for kind in [PolicyKind::Lru, PolicyKind::TimeToFault] {
+            let run = || {
+                let mut p = build(kind);
+                for vpn in (0..64u64).rev() {
+                    p.insert(vpn, if vpn % 3 == 0 { A } else { D });
+                }
+                for i in 0..500u64 {
+                    let vpn = (i * 37 + i * i) % 64;
+                    if i % 5 == 0 {
+                        p.record_fault(vpn, 1_000.0 + (i * 7_919 % 100_000) as f64);
+                    } else {
+                        p.record_access(vpn);
+                    }
+                }
+                p
+            };
+            let p = run();
+            let tracked = p.tracked();
+            assert!(
+                tracked.windows(2).all(|w| w[0] < w[1]),
+                "{kind:?}: tracked() not ascending"
+            );
+            let ascending: f64 = (0..64u64).map(|v| p.heat_of(v)).sum();
+            assert_eq!(p.heat_total().to_bits(), ascending.to_bits(), "{kind:?}");
+            assert_eq!(
+                run().heat_total().to_bits(),
+                ascending.to_bits(),
+                "{kind:?}: same op stream, different total"
+            );
+        }
     }
 
     #[test]

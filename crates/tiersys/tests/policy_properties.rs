@@ -14,9 +14,13 @@
 //!    under any policy) running on a three-tier machine that suffers a
 //!    mid-run tier-shrink hard fault (forced evacuation) *and* a
 //!    mid-run policy hot-swap never loses, forks, or overflows a page.
+//! 3. **Sparse cooling re-bin** — [`FreqBins`], which re-bins only the
+//!    pages outside bin 0 after a cooling, keeps every bin list identical,
+//!    order included, to HeMem's full managed-range walk.
 //!
 //! [`HotnessPolicy`]: tiersys::HotnessPolicy
 //! [`swap_boxed`]: tiersys::policy::swap_boxed
+//! [`FreqBins`]: tiersys::policy::FreqBins
 
 // `SystemParams::new` genuinely takes a Vec of managed page ranges.
 #![allow(clippy::single_range_in_vec_init)]
@@ -241,6 +245,176 @@ proptest! {
                 Op::Ranked(t) => { let _ = slot.ranked(TierId(t)); }
             }
             check_against_shadow(slot.as_ref(), &shadow, &format!("post-swap op {i}"))?;
+        }
+    }
+}
+
+mod sparse_cooling_rebin {
+    use std::ops::Range;
+
+    use super::*;
+    use tierctl::{FreqTracker, TierBins};
+    use tiersys::policy::{FreqBins, FREQ_BINS_COOLING, FREQ_BINS_N_BINS};
+
+    /// Page ids the streams draw from; managed ranges cover part of it.
+    const DOMAIN: u64 = 56;
+
+    /// HeMem's hotness tracking before the sparse re-bin: a cooling calls
+    /// `update_count` on every managed vpn, range by range.
+    struct FullWalk {
+        tracker: FreqTracker,
+        bins: TierBins,
+        managed: Vec<Range<Vpn>>,
+    }
+
+    impl FullWalk {
+        fn new(n_tiers: usize, managed: Vec<Range<Vpn>>) -> Self {
+            FullWalk {
+                tracker: FreqTracker::new(FREQ_BINS_COOLING),
+                bins: TierBins::new(n_tiers, FREQ_BINS_N_BINS, FREQ_BINS_COOLING),
+                managed,
+            }
+        }
+
+        fn record_access(&mut self, vpn: Vpn) {
+            if self.bins.tier_of(vpn).is_none() {
+                return;
+            }
+            if self.tracker.record(vpn) {
+                for range in self.managed.clone() {
+                    for v in range {
+                        self.bins.update_count(v, self.tracker.count(v));
+                    }
+                }
+            } else {
+                self.bins.update_count(vpn, self.tracker.count(vpn));
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum BinOp {
+        Insert(u64, u8),
+        Remove(u64),
+        MoveTier(u64, u8),
+        /// `n` consecutive samples of one page, so counts reach the
+        /// cooling threshold often.
+        Access(u64, u32),
+    }
+
+    fn bin_op() -> impl Strategy<Value = BinOp> {
+        let vpn = 0u64..DOMAIN;
+        let access = || (0u64..DOMAIN, 1u32..8).prop_map(|(v, n)| BinOp::Access(v, n));
+        prop_oneof![
+            (vpn.clone(), 0u8..3).prop_map(|(v, t)| BinOp::Insert(v, t)),
+            vpn.clone().prop_map(BinOp::Remove),
+            (vpn, 0u8..3).prop_map(|(v, t)| BinOp::MoveTier(v, t)),
+            access(),
+            access(),
+        ]
+    }
+
+    /// One to three managed ranges inside the domain, possibly
+    /// overlapping, listed in either order.
+    fn managed() -> impl Strategy<Value = Vec<Range<Vpn>>> {
+        (
+            prop::collection::vec((0u64..DOMAIN - 8, 1u64..24), 1..=3),
+            prop::bool::ANY,
+        )
+            .prop_map(|(spans, descending)| {
+                let mut ranges: Vec<Range<Vpn>> = spans
+                    .into_iter()
+                    .map(|(start, len)| start..(start + len).min(DOMAIN))
+                    .collect();
+                ranges.sort_by_key(|r| r.start);
+                if descending {
+                    ranges.reverse();
+                }
+                ranges
+            })
+    }
+
+    fn check_same(
+        fast: &FreqBins,
+        slow: &FullWalk,
+        n_tiers: usize,
+        ctx: &str,
+    ) -> Result<(), TestCaseError> {
+        for t in 0..n_tiers as u8 {
+            for b in 0..FREQ_BINS_N_BINS {
+                prop_assert_eq!(
+                    fast.bins.pages(TierId(t), b),
+                    slow.bins.pages(TierId(t), b),
+                    "{}: tier {} bin {} list differs",
+                    ctx,
+                    t,
+                    b
+                );
+            }
+        }
+        for v in 0..DOMAIN {
+            prop_assert_eq!(
+                fast.tracker.count(v),
+                slow.tracker.count(v),
+                "{}: count({})",
+                ctx,
+                v
+            );
+        }
+        prop_assert_eq!(fast.tracker.total(), slow.tracker.total(), "{}: total", ctx);
+        prop_assert_eq!(
+            fast.tracker.coolings(),
+            slow.tracker.coolings(),
+            "{}: coolings",
+            ctx
+        );
+        prop_assert_eq!(
+            fast.stats().epochs,
+            slow.tracker.coolings(),
+            "{}: epochs",
+            ctx
+        );
+        Ok(())
+    }
+
+    proptest! {
+        /// Re-binning only the pages outside bin 0 after a cooling yields
+        /// the same bin lists, in the same order, as the full walk.
+        #[test]
+        fn sparse_rebin_matches_full_walk(
+            n_tiers in 2usize..=3,
+            managed in managed(),
+            ops in prop::collection::vec(bin_op(), 1..400),
+        ) {
+            let mut fast = FreqBins::new(n_tiers, managed.clone());
+            let mut slow = FullWalk::new(n_tiers, managed);
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    BinOp::Insert(v, t) => {
+                        let tier = TierId(t % n_tiers as u8);
+                        if slow.bins.tier_of(v).is_none() {
+                            fast.insert(v, tier);
+                            slow.bins.insert(v, tier, slow.tracker.count(v));
+                        }
+                    }
+                    BinOp::Remove(v) => {
+                        fast.remove(v);
+                        slow.bins.remove(v);
+                    }
+                    BinOp::MoveTier(v, t) => {
+                        let tier = TierId(t % n_tiers as u8);
+                        fast.move_tier(v, tier);
+                        slow.bins.move_tier(v, tier);
+                    }
+                    BinOp::Access(v, n) => {
+                        for _ in 0..n {
+                            fast.record_access(v);
+                            slow.record_access(v);
+                        }
+                    }
+                }
+                check_same(&fast, &slow, n_tiers, &format!("op {i} ({op:?})"))?;
+            }
         }
     }
 }
