@@ -2,8 +2,8 @@
 //! per-tenant sharded systems) and the arbiter's own decision kernels.
 //!
 //! The committed `BENCH_colocation.json` baseline is regenerated by
-//! `cargo run --release --bin colocation -- --bench` (the vendored
-//! Criterion stand-in prints text only).
+//! `cargo run -p experiments --release --bin grid -- colocation --bench`
+//! (the vendored Criterion stand-in prints text only).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use experiments::colocation::{self, ColocationScenario};

@@ -1,7 +1,7 @@
 //! Figure 1 kernel: one steady-state quantum of GUPS under each vanilla
 //! system at 3x contention (the configuration whose gap vs best-case is
 //! the paper's headline). Regenerate the figure's data with
-//! `cargo run -p experiments --release --bin fig1`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 1`.
 
 use colloid_bench::{converged_gups, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,6 +1,6 @@
 //! Figure 10 kernel: the migration engine — enqueueing and draining page
 //! copies through the DMA path. Regenerate the migration-rate timelines
-//! with `cargo run -p experiments --release --bin fig10`.
+//! with `cargo run -p experiments --release --bin all-figs -- --fig 10`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use memsim::{Machine, MachineConfig, TierId};

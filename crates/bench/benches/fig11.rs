@@ -1,7 +1,7 @@
 //! Figure 11 kernel: one steady-state quantum of each real-application
 //! workload under HeMem+Colloid at 2x contention. Regenerate the
 //! per-application tables with
-//! `cargo run -p experiments --release --bin fig11`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 11`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::runner::{run, RunConfig};

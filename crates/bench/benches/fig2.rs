@@ -1,6 +1,6 @@
 //! Figure 2 kernel: the CHA counter read + Little's-Law latency derivation
 //! that root-causes Figure 1, measured on a loaded machine. Regenerate the
-//! figure's data with `cargo run -p experiments --release --bin fig2`.
+//! figure's data with `cargo run -p experiments --release --bin all-figs -- --fig 2`.
 
 use colloid_bench::{converged_gups, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

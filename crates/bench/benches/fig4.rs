@@ -1,6 +1,6 @@
 //! Figure 4 kernel: a single Algorithm 2 step, and a full toy-model
 //! convergence (the paper's conceptual traces). Regenerate the traces with
-//! `cargo run -p experiments --release --bin fig4`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 4`.
 
 use colloid::ShiftController;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

@@ -1,7 +1,7 @@
 //! Figure 5 kernel: one steady-state quantum of GUPS under each
 //! Colloid-integrated system at 3x contention (the paper's headline
 //! recovery). Regenerate the figure's data with
-//! `cargo run -p experiments --release --bin fig5`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 5`.
 
 use colloid_bench::{converged_gups, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,7 +1,7 @@
 //! Figure 6 kernel: the balanced steady state that Figure 6 reports —
 //! one quantum of HeMem+Colloid at 1x, where the hot set is split across
 //! tiers to equalise latencies. Regenerate the figure's data with
-//! `cargo run -p experiments --release --bin fig6`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 6`.
 
 use colloid_bench::{converged_gups, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

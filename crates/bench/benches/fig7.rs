@@ -1,7 +1,7 @@
 //! Figure 7 kernel: one quantum at the sweep's extreme point — alternate
 //! tier at 2.7x the default's unloaded latency, 3x contention, with and
 //! without Colloid. Regenerate the heatmaps with
-//! `cargo run -p experiments --release --bin fig7`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 7`.
 
 use colloid_bench::{converged_scenario, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

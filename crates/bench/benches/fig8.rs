@@ -1,7 +1,7 @@
 //! Figure 8 kernel: one quantum with 4096 B GUPS objects (the prefetcher
 //! raises per-core parallelism and the default tier saturates even at 0x).
 //! Regenerate the heatmaps with
-//! `cargo run -p experiments --release --bin fig8`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 8`.
 
 use colloid_bench::{converged_scenario, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,7 +1,7 @@
 //! Figure 9 kernel: a quantum in the middle of a hot-set transition — the
 //! heaviest moment for every system (sampling, migration and measurement
 //! all active). Regenerate the timelines with
-//! `cargo run -p experiments --release --bin fig9`.
+//! `cargo run -p experiments --release --bin all-figs -- --fig 9`.
 
 use colloid_bench::{converged_scenario, one_quantum};
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -3,8 +3,8 @@
 //! shoot-out cell end to end.
 //!
 //! The committed `BENCH_policy.json` baseline is regenerated by
-//! `cargo run --release --bin policy -- --bench` (the vendored Criterion
-//! stand-in prints text only).
+//! `cargo run -p experiments --release --bin grid -- policy --bench`
+//! (the vendored Criterion stand-in prints text only).
 
 #![allow(clippy::single_range_in_vec_init)]
 
@@ -79,7 +79,7 @@ fn bench(c: &mut Criterion) {
                 SystemKind::Hemem,
                 Some(PolicyKind::Sieve),
             );
-            black_box(cell.resident_pages)
+            black_box(cell.end.resident)
         })
     });
 }

@@ -2,8 +2,8 @@
 //!
 //! Each `benches/figN.rs` measures the simulation kernel at the heart of
 //! paper figure N — typically "one quantum of figure N's central scenario,
-//! at steady state". The *data* behind each figure is regenerated by the
-//! matching binary (`cargo run -p experiments --release --bin figN`), which
+//! at steady state". The *data* behind each figure is regenerated by
+//! `cargo run -p experiments --release --bin all-figs -- --fig N`, which
 //! prints the same rows/series the paper reports; the benches keep those
 //! kernels fast and honest.
 //!

@@ -1,14 +1,16 @@
 //! The perf-trajectory observatory's baseline format.
 //!
-//! Each headline harness (`colocation`, `migration`, `gauntlet`) times a
-//! pinned set of quick cells and writes a committed `BENCH_<name>.json`
-//! at the repo root. The `bench-drift` binary regenerates the same cells
-//! fresh and compares them against the committed files:
+//! Four harnesses (`colocation`, `migration`, `gauntlet`, `policy`) each
+//! name a pinned set of quick cells ([`crate::grid::Harness::bench`]);
+//! the grid driver times them and renders a committed `BENCH_<name>.json`
+//! at the repo root (`grid <name> --bench`). `grid --drift` regenerates
+//! every declared baseline fresh and compares it against the committed
+//! file:
 //!
 //! - **deterministic fields** (latencies, counters, scores) must match
 //!   exactly — the simulator is deterministic, so any drift is a
 //!   behaviour change that either needs a fix or an intentional baseline
-//!   regeneration (`--bench` on the owning binary);
+//!   regeneration;
 //! - **wall-clock** (`wall_ms`) is recorded so the trajectory of real
 //!   run time is visible across PRs, but is only sanity-checked (finite,
 //!   positive) — machines differ, so it never gates.
@@ -22,7 +24,7 @@ pub struct BenchCell {
     pub name: String,
     /// Gross wall-clock of the cell run, in milliseconds (not gated).
     pub wall_ms: f64,
-    /// Deterministic fields, compared exactly by `bench-drift`.
+    /// Deterministic fields, compared exactly by `grid --drift`.
     pub metrics: Vec<(&'static str, f64)>,
 }
 

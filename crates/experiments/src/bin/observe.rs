@@ -1,27 +1,21 @@
 //! Live observatory over the tiered-memory simulator: streams ASCII
 //! dashboard frames (registry counters/gauges/histograms plus the SLO
 //! burn-rate advisories) from the contended `ls-antagonist` colocation
-//! cell, then prints the end-of-run exposition.
+//! cell, then prints the end-of-run exposition and writes
+//! `observe_out/metrics.prom` and `observe_out/observe.ndjson`.
 //!
 //! Flags:
 //!
 //! - `--qos` — run the cell with the QoS arbiter (the latency-sensitive
 //!   tenant holds its target; without it the burn-rate monitor fires);
-//! - `--every <n>` — dashboard frame cadence in ticks (default 50);
-//! - `--smoke` — skip the live stream and enforce the observability
-//!   gates instead: the bare contended cell fires a tenant-tagged
-//!   burn-rate alert while the arbitrated twin and the fault-free
-//!   quickstart stay silent, the Prometheus exposition and NDJSON
-//!   exports validate, and the attached registry stays under the 5%
-//!   wall-clock budget on the Figure 9 quick cell. Non-zero exit on any
-//!   failure. Always writes `observe_out/metrics.prom` and
-//!   `observe_out/observe.ndjson` (the CI job uploads them).
+//! - `--every <n>` — dashboard frame cadence in ticks (default 50).
+//!
+//! The observability gates run as `grid observe --smoke`.
 
 use experiments::observe;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
     let qos = args.iter().any(|a| a == "--qos");
     let every = args
         .iter()
@@ -30,37 +24,6 @@ fn main() {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(50);
 
-    if smoke {
-        println!("observe --smoke: quickstart + ls-antagonist (bare, +qos) + overhead gate");
-        let quickstart = observe::run_quickstart_observed();
-        println!(
-            "quickstart: {} alerts, {} events",
-            quickstart.alerts_fired(),
-            quickstart.events.len()
-        );
-        let bare = observe::run_colocation_observed(false, None);
-        println!(
-            "ls-antagonist (bare): {} alerts, {} slo_alert events",
-            bare.alerts_fired(),
-            bare.alert_events()
-        );
-        let arbitrated = observe::run_colocation_observed(true, None);
-        println!("ls-antagonist (+qos): {} alerts", arbitrated.alerts_fired());
-
-        write_artifacts(&bare);
-
-        let fails = observe::smoke_failures(&quickstart, &bare, &arbitrated);
-        if fails.is_empty() {
-            println!("smoke: ok");
-        } else {
-            for f in &fails {
-                eprintln!("smoke FAIL: {f}");
-            }
-            std::process::exit(1);
-        }
-        return;
-    }
-
     let mut print_frame = |frame: &str| print!("{frame}");
     let obs = observe::run_colocation_observed(qos, Some((&mut print_frame, every)));
     println!(
@@ -68,13 +31,9 @@ fn main() {
         obs.alerts_fired(),
         obs.events.len()
     );
-    write_artifacts(&obs);
-    print!("{}", obs.exposition());
-}
-
-fn write_artifacts(obs: &experiments::observe::Observation) {
     std::fs::create_dir_all("observe_out").expect("create observe_out");
     std::fs::write("observe_out/metrics.prom", obs.exposition()).expect("write exposition");
     std::fs::write("observe_out/observe.ndjson", obs.ndjson()).expect("write ndjson");
     println!("artifacts written to observe_out/{{metrics.prom,observe.ndjson}}");
+    print!("{}", obs.exposition());
 }

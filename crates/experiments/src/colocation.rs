@@ -1,4 +1,4 @@
-//! Multi-tenant colocation grid (binary `colocation`): 2–4 tenants
+//! Multi-tenant colocation grid (`grid colocation`): 2–4 tenants
 //! sharing one two-tier machine, every tiering system ± Colloid ± the
 //! QoS arbiter.
 //!
@@ -28,18 +28,18 @@
 //! one tenant, no arbiter, must be bit-identical to driving the tiering
 //! system directly, and to the committed golden digest.
 
-use memsim::{
-    CoreConfig, Machine, MachineConfig, TickReport, TierId, TrafficClass, Vpn, PAGE_SIZE,
-};
+use memsim::{CoreConfig, Machine, MachineConfig, TickReport, TrafficClass, Vpn, PAGE_SIZE};
 use simkit::SimTime;
 use std::collections::HashMap;
 use tenancy::{
     AdmissionHook, ArbiterConfig, ArbiterMode, Colocation, PingPongSuppressor, QosArbiter, RateCap,
     Slo, SloClass, Tenant, TenantId, TenantSpec, WorkloadKind,
 };
-use tiersys::{build_system, ColloidParams, SystemKind, SystemParams};
+use tiersys::{build_system, ColloidParams, SystemKind};
 
-use crate::report::Table;
+use crate::grid::{Bench, Ctx, EndState, Harness, Opts};
+use crate::report::{fnv1a, p99, Table, FNV_OFFSET};
+use crate::scenario::{fill_down, system_params};
 
 /// First page of the first tenant's range (tenants pack back to back).
 const APP_BASE: Vpn = 1024;
@@ -254,12 +254,6 @@ pub fn build(
     cfg.seed = sc.seed;
     cfg.validate().expect("two-tier preset must validate");
     let mut machine = Machine::new(cfg);
-    let unloaded: Vec<f64> = machine
-        .config()
-        .tiers
-        .iter()
-        .map(|t| t.unloaded_latency().as_ns())
-        .collect();
 
     // Pack tenant ranges back to back.
     let mut base = APP_BASE;
@@ -275,18 +269,7 @@ pub fn build(
 
     // First-touch fill top-down: the fast tier fills first, so earlier
     // tenants start resident there.
-    let mut tier = 0u8;
-    let mut free = machine.free_pages(TierId(tier));
-    for w in &workloads {
-        for vpn in w.range() {
-            while free == 0 {
-                tier += 1;
-                free = machine.free_pages(TierId(tier));
-            }
-            machine.place(vpn, TierId(tier));
-            free -= 1;
-        }
-    }
+    fill_down(&mut machine, workloads.iter().flat_map(|w| w.range()), 0);
 
     let sink = telemetry::Sink::default();
     machine.set_telemetry(sink.clone());
@@ -304,9 +287,11 @@ pub fn build(
                 TrafficClass::App,
             ));
         }
-        let mut params =
-            SystemParams::new(vec![range.clone()], colloid.then(ColloidParams::default));
-        params.unloaded_ns = unloaded.clone();
+        let mut params = system_params(
+            &machine,
+            vec![range.clone()],
+            colloid.then(ColloidParams::default),
+        );
         params.policy = spec.policy;
         let mut system = build_system(kind, params);
         system.set_telemetry(sink.clone());
@@ -359,10 +344,6 @@ pub struct TenantOutcome {
     pub floor: f64,
     /// Declared fast-share ceiling.
     pub ceiling: f64,
-    /// Pages owned.
-    pub pages: u64,
-    /// Pages resident somewhere on the machine at the end.
-    pub resident: u64,
     /// Operations completed during the measurement window.
     pub measure_ops: u64,
     /// Colocated p99 / solo p99 (1.0 = perfect isolation); `None` until
@@ -387,34 +368,17 @@ pub struct ColoResult {
     pub tenants: Vec<TenantOutcome>,
     /// Pages the arbiter's rebalancer demoted over the run.
     pub reclaimed_pages: u64,
+    /// End state over every tenant's pages.
+    pub end: EndState,
 }
 
 impl ColoResult {
-    /// Total pages owned across tenants.
-    pub fn owned_total(&self) -> u64 {
-        self.tenants.iter().map(|t| t.pages).sum()
-    }
-
-    /// Total pages resident across tenants and tiers.
-    pub fn resident_total(&self) -> u64 {
-        self.tenants.iter().map(|t| t.resident).sum()
-    }
-
     /// The latency-sensitive tenants' outcomes.
     pub fn latency_sensitive(&self) -> impl Iterator<Item = &TenantOutcome> {
         self.tenants
             .iter()
             .filter(|t| t.class == SloClass::LatencySensitive.name())
     }
-}
-
-fn p99(samples: &mut [f64]) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).clamp(1, samples.len()) - 1;
-    Some(samples[idx])
 }
 
 /// Runs one cell to completion and measures every tenant.
@@ -455,9 +419,6 @@ pub fn run_cell(
         .iter()
         .enumerate()
         .map(|(i, t)| {
-            let resident = (0..exp.machine.config().tiers.len())
-                .map(|ti| t.resident_in(&exp.machine, TierId(ti as u8)))
-                .sum();
             let (hv, pv) = arb_reports
                 .as_ref()
                 .map(|r| (r[i].hook_vetoes, r[i].policy_vetoes))
@@ -470,8 +431,6 @@ pub fn run_cell(
                 fast_share: t.fast_share(&exp.machine),
                 floor: t.spec.slo.fast_share_floor,
                 ceiling: t.spec.slo.fast_share_ceiling,
-                pages: t.pages(),
-                resident,
                 measure_ops: t.total_ops(&exp.machine) - ops_before[i],
                 isolation: None,
                 hook_vetoes: hv,
@@ -480,12 +439,14 @@ pub fn run_cell(
         })
         .collect();
 
+    let ranges: Vec<_> = exp.colo.tenants.iter().map(|t| t.range.clone()).collect();
     ColoResult {
         mix: sc.name,
         system,
         arbiter,
         tenants,
         reclaimed_pages: exp.colo.arbiter.as_ref().map_or(0, |a| a.reclaimed_pages),
+        end: EndState::of(&exp.machine, &ranges),
     }
 }
 
@@ -504,33 +465,6 @@ fn run_solo(
     };
     let r = run_cell(&solo, kind, colloid, false);
     r.tenants[0].p99_ns
-}
-
-/// Runs the full grid: every mix × system × ±Colloid × ±arbiter, scoring
-/// each tenant's isolation against a cached solo reference.
-pub fn run_grid(scs: &[ColocationScenario]) -> Vec<ColoResult> {
-    let mut solo_cache: HashMap<(&'static str, &'static str, bool), Option<f64>> = HashMap::new();
-    let mut out = Vec::new();
-    for sc in scs {
-        for kind in SystemKind::ALL {
-            for colloid in [false, true] {
-                for arbiter in [false, true] {
-                    let mut r = run_cell(sc, kind, colloid, arbiter);
-                    for (spec, t) in sc.tenants.iter().zip(r.tenants.iter_mut()) {
-                        let solo = *solo_cache
-                            .entry((spec.name, kind.name(), colloid))
-                            .or_insert_with(|| run_solo(sc, spec, kind, colloid));
-                        t.isolation = match (t.p99_ns, solo) {
-                            (Some(c), Some(s)) if s > 0.0 => Some(c / s),
-                            _ => None,
-                        };
-                    }
-                    out.push(r);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Formats the grid as the per-tenant score table.
@@ -574,38 +508,6 @@ pub fn render(results: &[ColoResult]) -> String {
     t.render()
 }
 
-/// The observatory baseline (`BENCH_colocation.json`): one contended-mix
-/// cell per system on the quick axis, so the numbers are comparable no
-/// matter which mode the full grid ran in.
-pub fn bench_baseline() -> String {
-    let sc = &mixes(true)[0];
-    let mut cells = Vec::new();
-    for kind in SystemKind::ALL {
-        let t0 = std::time::Instant::now();
-        let r = run_cell(sc, kind, true, true);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let ls_p99 = r
-            .latency_sensitive()
-            .next()
-            .and_then(|t| t.p99_ns)
-            .unwrap_or(f64::NAN);
-        cells.push(crate::bench::BenchCell {
-            name: format!("{}/{}+qos", sc.name, r.system),
-            wall_ms,
-            metrics: vec![
-                ("ls_p99_ns", ls_p99),
-                ("reclaimed_pages", r.reclaimed_pages as f64),
-            ],
-        });
-    }
-    crate::bench::render(
-        "colocation",
-        &format!("{} (quick axis)", sc.name),
-        sc.warmup_ticks + sc.measure_ticks,
-        &cells,
-    )
-}
-
 // ---------------------------------------------------------------------
 // Single-tenant bit-identity gate.
 // ---------------------------------------------------------------------
@@ -633,26 +535,19 @@ pub fn single_tenant_scenario() -> ColocationScenario {
     }
 }
 
-fn fnv_mix(h: &mut u64, x: u64) {
-    for b in x.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// FNV-1a digest of the machine's end state: every owned page's tier,
 /// every core's completed ops, and the migration counters.
 fn machine_digest(machine: &Machine, ranges: &[std::ops::Range<Vpn>], n_cores: usize) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
+    let mut mix = |x: u64| h = fnv1a(h, &x.to_le_bytes());
     for r in ranges {
         for vpn in r.clone() {
-            let t = machine.tier_of(vpn).map_or(u64::MAX, |t| u64::from(t.0));
-            fnv_mix(&mut h, vpn);
-            fnv_mix(&mut h, t);
+            mix(vpn);
+            mix(machine.tier_of(vpn).map_or(u64::MAX, |t| u64::from(t.0)));
         }
     }
     for core in 0..n_cores {
-        fnv_mix(&mut h, machine.core_ops(core));
+        mix(machine.core_ops(core));
     }
     let m = machine.migration_counters();
     for x in [
@@ -664,7 +559,7 @@ fn machine_digest(machine: &Machine, ranges: &[std::ops::Range<Vpn>], n_cores: u
         m.commit_batches,
         m.batched_pages,
     ] {
-        fnv_mix(&mut h, x);
+        mix(x);
     }
     h
 }
@@ -721,13 +616,10 @@ pub fn golden_digest_path() -> std::path::PathBuf {
         .join("../../tests/golden/colocation_single_digest.txt")
 }
 
-/// The `--smoke` self-validation gates. Returns the failures (empty =
-/// pass):
+/// The harness's own `--smoke` gates (page conservation is the
+/// driver's). Returns the failures (empty = pass):
 ///
-/// 1. **page conservation** — in every cell, every tenant's pages are
-///    all resident somewhere (arbiter reclamation and hook vetoes must
-///    not lose or duplicate pages), and no fast-tier share leaves
-///    `[0, 1]`;
+/// 1. **bounded shares** — no tenant's fast-tier share leaves `[0, 1]`;
 /// 2. **SLO separation** — in the `ls-antagonist` mix, at least one bare
 ///    run violates the KV tenant's p99 target, and every arbitrated run
 ///    whose bare twin violates it meets the target;
@@ -738,16 +630,6 @@ pub fn smoke_failures(results: &[ColoResult]) -> Vec<String> {
     let mut fails = Vec::new();
 
     for r in results {
-        if r.resident_total() != r.owned_total() {
-            fails.push(format!(
-                "{}/{}{}: {} of {} tenant pages resident (pages lost or duplicated)",
-                r.mix,
-                r.system,
-                if r.arbiter { "+qos" } else { "" },
-                r.resident_total(),
-                r.owned_total()
-            ));
-        }
         for t in &r.tenants {
             if !(0.0..=1.0).contains(&t.fast_share) {
                 fails.push(format!(
@@ -815,7 +697,7 @@ pub fn smoke_failures(results: &[ColoResult]) -> Vec<String> {
             if golden != got {
                 fails.push(format!(
                     "single-tenant digest {got} does not match golden {golden} \
-                     (regenerate with --gen-golden only for intended behaviour changes)"
+                     (regenerate with --regen only for intended behaviour changes)"
                 ));
             }
         }
@@ -828,9 +710,121 @@ pub fn smoke_failures(results: &[ColoResult]) -> Vec<String> {
     fails
 }
 
+/// The colocation grid (`grid colocation`): every mix × system ×
+/// ±Colloid × ±arbiter, each tenant's isolation scored afterwards against
+/// a cached solo reference.
+pub struct Grid(pub Opts);
+
+impl Harness for Grid {
+    /// `(mix index, system, colloid, arbiter)`.
+    type Cell = (usize, SystemKind, bool, bool);
+    type Outcome = ColoResult;
+
+    fn preamble(&mut self) -> Result<String, String> {
+        let mut out = String::new();
+        for sc in &mixes(self.0.quick) {
+            out.push_str(&format!(
+                "mix {}: {} tenants, fast {} / slow {} pages, {} mode{}\n",
+                sc.name,
+                sc.tenants.len(),
+                sc.fast_pages,
+                sc.slow_pages,
+                sc.mode.name(),
+                if self.0.quick { " (quick)" } else { "" },
+            ));
+        }
+        Ok(out)
+    }
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let mut cells = Vec::new();
+        for (mix, sc) in mixes(self.0.quick).iter().enumerate() {
+            for kind in SystemKind::ALL {
+                for colloid in [false, true] {
+                    let policy = crate::Policy::System { kind, colloid }.name();
+                    for arbiter in [false, true] {
+                        let qos = if arbiter { "+qos" } else { "" };
+                        let label = format!("{}/{policy}{qos}", sc.name);
+                        cells.push((label, (mix, kind, colloid, arbiter)));
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    fn run(&mut self, &(mix, kind, colloid, arbiter): &Self::Cell) -> ColoResult {
+        run_cell(&mixes(self.0.quick)[mix], kind, colloid, arbiter)
+    }
+
+    fn end_state(outcome: &ColoResult) -> EndState {
+        outcome.end
+    }
+
+    fn finish(&mut self, results: Vec<(Self::Cell, ColoResult)>, ctx: &mut Ctx) -> Vec<String> {
+        let mut solo_cache: HashMap<(&'static str, &'static str, bool), Option<f64>> =
+            HashMap::new();
+        let mut scored = Vec::new();
+        let mixes = mixes(self.0.quick);
+        for ((mix, kind, colloid, _), mut r) in results {
+            let sc = &mixes[mix];
+            for (spec, t) in sc.tenants.iter().zip(r.tenants.iter_mut()) {
+                let solo = *solo_cache
+                    .entry((spec.name, kind.name(), colloid))
+                    .or_insert_with(|| run_solo(sc, spec, kind, colloid));
+                t.isolation = match (t.p99_ns, solo) {
+                    (Some(c), Some(s)) if s > 0.0 => Some(c / s),
+                    _ => None,
+                };
+            }
+            scored.push(r);
+        }
+        if self.0.smoke {
+            ctx.failures.extend(smoke_failures(&scored));
+        }
+        vec![render(&scored)]
+    }
+
+    /// One contended-mix cell per system, arbitrated, with Colloid.
+    fn bench(&self) -> Option<Bench<Self::Cell>> {
+        let sc = &mixes(true)[0];
+        Some(Bench {
+            scenario: format!("{} (quick axis)", sc.name),
+            ticks: sc.warmup_ticks + sc.measure_ticks,
+            pinned: |&(mix, _, colloid, arbiter)| mix == 0 && colloid && arbiter,
+        })
+    }
+
+    fn bench_fields(&self, r: &ColoResult) -> Vec<(&'static str, f64)> {
+        let ls_p99 = r
+            .latency_sensitive()
+            .next()
+            .and_then(|t| t.p99_ns)
+            .unwrap_or(f64::NAN);
+        vec![
+            ("ls_p99_ns", ls_p99),
+            ("reclaimed_pages", r.reclaimed_pages as f64),
+        ]
+    }
+
+    /// Rewrites the single-tenant golden digest (only for intended
+    /// behaviour changes).
+    fn regen(&self) -> Result<String, String> {
+        let digest = digest_via_colocation(SystemKind::Hemem, true);
+        let path = golden_digest_path();
+        std::fs::write(&path, format!("{digest:016x}\n"))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        Ok(format!(
+            "golden digest {digest:016x} written to {}",
+            path.display()
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::TierId;
 
     fn tiny() -> ColocationScenario {
         ColocationScenario {
@@ -885,7 +879,7 @@ mod tests {
         let sc = tiny();
         for arbiter in [false, true] {
             let r = run_cell(&sc, SystemKind::Hemem, true, arbiter);
-            assert_eq!(r.resident_total(), r.owned_total());
+            assert!(r.end.conserved());
             for t in &r.tenants {
                 assert!((0.0..=1.0).contains(&t.fast_share));
                 assert!(t.measure_ops > 0, "tenant {} made no progress", t.name);

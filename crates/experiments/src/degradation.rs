@@ -24,7 +24,8 @@ use memsim::{BandwidthPhase, EngineOutage, FaultPlan, TierId, TierShrink, Vpn};
 use simkit::SimTime;
 use tiersys::{Supervisor, SupervisorConfig, SystemKind, TieringSystem};
 
-use crate::report::{mode_timeline, mops, retry_counts, txn_counts, Table};
+use crate::grid::{Ctx, EndState, Harness, Opts};
+use crate::report::{engine_suffix, mode_timeline, mops, retry_counts, txn_counts, Table};
 use crate::runner::{run as run_exp, RunConfig, RunResult, TickSample};
 use crate::scenario::{build_gups, Experiment, GupsScenario, Policy};
 
@@ -175,10 +176,8 @@ pub struct CellResult {
     /// Bytes pushed through the (broken) migration path after the fault
     /// fired — the wasted-work side of the ledger.
     pub post_fault_mig_bytes: u64,
-    /// Working-set pages still mapped at the end of the run.
-    pub pages_mapped: u64,
-    /// Working-set pages the scenario started with.
-    pub pages_expected: u64,
+    /// End state over the working set.
+    pub end: EndState,
 }
 
 /// Arrival-weighted mean application access latency over `series`
@@ -258,83 +257,92 @@ pub fn run_cell(
     let post = &result.series[fault.fault_tick(quick)..];
     let post_fault_latency_ns = time_avg_latency_ns(post);
     let post_fault_mig_bytes = post.iter().map(|s| s.migrated_bytes).sum();
-    let pages_mapped = ws
-        .clone()
-        .filter(|&v| exp.machine.tier_of(v).is_some())
-        .count() as u64;
-    let name = if transactional {
-        format!("{} [txn]", exp.system.name())
-    } else {
-        exp.system.name()
-    };
     CellResult {
-        name,
+        name: format!("{}{}", exp.system.name(), engine_suffix(transactional)),
         result,
         post_fault_latency_ns,
         post_fault_mig_bytes,
-        pages_mapped,
-        pages_expected: ws.end - ws.start,
+        end: EndState::of(&exp.machine, &[ws]),
     }
 }
 
-/// Runs the degradation matrix and prints the table. `smoke` restricts the
-/// sweep to HeMem (the CI gate); full mode covers all three systems.
-pub fn run(quick: bool, smoke: bool) -> String {
-    let kinds: &[SystemKind] = if smoke {
-        &[SystemKind::Hemem]
-    } else {
-        &SystemKind::ALL
-    };
-    let mut out = String::from(
-        "== Graceful degradation: hard faults with and without the supervisor (GUPS @ 2x) ==\n",
-    );
-    for fault in HardFault::ALL {
-        let mut t = Table::new(vec![
-            "system",
-            "Mops/s",
-            "post-lat (ns)",
-            "post-mig (MB)",
-            "mig c/a/r/f/b",
-            "retry s/r/d(g) q",
-            "modes",
-        ]);
-        for &kind in kinds {
-            for transactional in [false, true] {
-                for supervised in [false, true] {
-                    eprintln!(
-                        "[degradation] {} / {}{}{} ...",
-                        fault.label(),
-                        kind.name(),
-                        if transactional { " [txn]" } else { "" },
-                        if supervised { " (supervised)" } else { "" },
-                    );
-                    let cell = run_cell(fault, kind, supervised, transactional, quick);
-                    assert_eq!(
-                        cell.pages_mapped,
-                        cell.pages_expected,
-                        "{} lost pages under {}",
-                        cell.name,
-                        fault.label()
-                    );
-                    t.row(vec![
-                        cell.name,
-                        mops(cell.result.ops_per_sec),
-                        cell.post_fault_latency_ns
-                            .map(|l| format!("{l:.2}"))
-                            .unwrap_or_else(|| "-".into()),
-                        format!("{:.1}", cell.post_fault_mig_bytes as f64 / 1e6),
-                        txn_counts(&cell.result.migration),
-                        retry_counts(cell.result.retry_stats.as_ref()),
-                        mode_timeline(cell.result.supervision.as_ref()),
-                    ]);
+/// The degradation matrix (`grid degradation`): every hard fault ×
+/// system × engine × {bare, supervised}. `--smoke` restricts the sweep to
+/// HeMem (the CI gate); full mode covers all three systems.
+pub struct Matrix(pub Opts);
+
+impl Harness for Matrix {
+    /// `(fault, system, transactional, supervised)`.
+    type Cell = (HardFault, SystemKind, bool, bool);
+    type Outcome = CellResult;
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let kinds: &[SystemKind] = if self.0.smoke {
+            &[SystemKind::Hemem]
+        } else {
+            &SystemKind::ALL
+        };
+        let mut cells = Vec::new();
+        for fault in HardFault::ALL {
+            for &kind in kinds {
+                for transactional in [false, true] {
+                    for supervised in [false, true] {
+                        let label = format!(
+                            "{} / {}{}{}",
+                            fault.label(),
+                            kind.name(),
+                            engine_suffix(transactional),
+                            if supervised { " (supervised)" } else { "" },
+                        );
+                        cells.push((label, (fault, kind, transactional, supervised)));
+                    }
                 }
             }
         }
-        out.push_str(&format!("\n-- {} --\n", fault.label()));
-        out.push_str(&t.render());
+        cells
     }
-    println!("{out}");
-    out
+
+    fn run(&mut self, &(fault, kind, transactional, supervised): &Self::Cell) -> CellResult {
+        run_cell(fault, kind, supervised, transactional, self.0.quick)
+    }
+
+    fn end_state(outcome: &CellResult) -> EndState {
+        outcome.end
+    }
+
+    fn finish(&mut self, results: Vec<(Self::Cell, CellResult)>, _: &mut Ctx) -> Vec<String> {
+        let mut out = String::from(
+            "== Graceful degradation: hard faults with and without the supervisor (GUPS @ 2x) ==\n",
+        );
+        for fault in HardFault::ALL {
+            let mut t = Table::new(vec![
+                "system",
+                "Mops/s",
+                "post-lat (ns)",
+                "post-mig (MB)",
+                "mig c/a/r/f/b",
+                "retry s/r/d(g) q",
+                "modes",
+            ]);
+            for (_, cell) in results.iter().filter(|((f, ..), _)| *f == fault) {
+                t.row(vec![
+                    cell.name.clone(),
+                    mops(cell.result.ops_per_sec),
+                    cell.post_fault_latency_ns
+                        .map(|l| format!("{l:.2}"))
+                        .unwrap_or_else(|| "-".into()),
+                    format!("{:.1}", cell.post_fault_mig_bytes as f64 / 1e6),
+                    txn_counts(&cell.result.migration),
+                    retry_counts(cell.result.retry_stats.as_ref()),
+                    mode_timeline(cell.result.supervision.as_ref()),
+                ]);
+            }
+            out.push_str(&format!("\n-- {} --\n", fault.label()));
+            out.push_str(&t.render());
+        }
+        out.push('\n');
+        vec![out]
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@
 //! module map and EXPERIMENTS.md for recorded paper-vs-measured results.
 //!
 //! Figures that share runs (1↔2, 5↔6) are rendered from a common
-//! [`GupsGrid`] so the `all-figs` binary can reuse one collection pass.
+//! [`GupsGrid`] so the `all-figs` binary can reuse one collection pass;
+//! `all-figs --fig N` regenerates one figure through [`select`].
 
 pub mod ext;
 pub mod fig1;
@@ -26,6 +27,30 @@ use crate::oracle::{best_case, OracleResult};
 use crate::runner::{run, RunConfig, RunResult};
 use crate::scenario::{build_gups, GupsScenario, Policy};
 use tiersys::SystemKind;
+
+/// The driver of figure `name` (`1`–`11`, or `ext` for the
+/// extended-version analyses): it regenerates, prints and returns the
+/// figure, in quick mode when passed `true`.
+pub fn select(name: &str) -> Result<fn(bool) -> String, String> {
+    Ok(match name {
+        "1" => fig1::run,
+        "2" => fig2::run,
+        "4" => fig4::run,
+        "5" => fig5::run,
+        "6" => fig6::run,
+        "7" => fig7::run,
+        "8" => fig8::run,
+        "9" => fig9::run,
+        "10" => fig10::run,
+        "11" => fig11::run,
+        "ext" => ext::run,
+        _ => {
+            return Err(format!(
+                "unknown figure {name:?}; valid: 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, ext"
+            ))
+        }
+    })
+}
 
 /// Results of a (policy × contention-intensity) sweep over the GUPS setup.
 pub struct GupsGrid {

@@ -1,4 +1,4 @@
-//! ARMS-style adaptivity gauntlet (binary `gauntlet`).
+//! ARMS-style adaptivity gauntlet (`grid gauntlet`).
 //!
 //! Every matrix in this harness so far drives workloads that shift at most
 //! once; the gauntlet scores each tiering configuration on workloads that
@@ -27,20 +27,22 @@
 //! conservation and the adversarial supervised-Colloid-vs-bare-vanilla
 //! comparison.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use memsim::{AccessStream, CoreConfig, Machine, MachineConfig, TrafficClass, Vpn, PAGE_SIZE};
+use memsim::{AccessStream, CoreConfig, TrafficClass, Vpn};
 use simkit::SimTime;
-use tiersys::{build_system, ColloidParams, SystemKind, SystemParams};
+use tiersys::{build_system, ColloidParams, SystemKind};
 use workloads::{
     trace_from_ndjson, trace_to_ndjson, AdversarialConfig, AdversarialStream, DiurnalConfig,
     DiurnalStream, PhaseShiftConfig, PhaseShiftStream, Trace, TraceRecorder, TraceReplayer,
 };
 
 use crate::degradation::{supervise, time_avg_latency_ns};
-use crate::report::Table;
+use crate::grid::{Bench, Ctx, EndState, Harness, Opts};
+use crate::report::{engine_suffix, fnv1a, Table, FNV_OFFSET};
 use crate::runner::{run as run_exp, RunConfig, RunResult, TickSample};
-use crate::scenario::Experiment;
+use crate::scenario::{small_two_tier, system_params, Experiment};
 
 /// First page of the application's working set.
 const APP_BASE: Vpn = 1024;
@@ -200,115 +202,35 @@ pub fn shift_times(sc: &GauntletScenario, kind: TraceKind) -> Vec<SimTime> {
     }
 }
 
-/// Builds the gauntlet's two-tier machine with the working set
-/// first-touch-filled (default tier first).
-fn build_machine(sc: &GauntletScenario, transactional: bool) -> Machine {
-    let mut cfg = MachineConfig::with_alt_latency_ratio(1.9);
-    cfg.seed = sc.seed;
-    cfg.tiers[0].capacity_bytes = sc.default_pages * PAGE_SIZE;
-    cfg.tiers[1].capacity_bytes = (sc.ws_pages + 1024) * PAGE_SIZE;
-    if transactional {
-        cfg.engine = memsim::MigrationEngineConfig::transactional();
-    }
-    cfg.validate().expect("gauntlet machine must validate");
-    let mut machine = Machine::new(cfg);
-    let mut free = machine.free_pages(memsim::TierId::DEFAULT);
-    for vpn in sc.ws_range() {
-        if free > 0 {
-            machine.place(vpn, memsim::TierId::DEFAULT);
-            free -= 1;
-        } else {
-            machine.place(vpn, memsim::TierId::ALTERNATE);
-        }
-    }
-    machine
-}
-
-/// Wires `cores` streams and the tiering policy into an [`Experiment`].
-fn assemble(
-    sc: &GauntletScenario,
-    mut machine: Machine,
-    cores: Vec<Box<dyn AccessStream>>,
-    kind: SystemKind,
-    colloid: bool,
-    supervised: bool,
-) -> Experiment {
+/// Wires `cores` streams and `id`'s policy stack into an [`Experiment`]
+/// on the gauntlet's two-tier machine, working set first-touch-filled.
+fn assemble(sc: &GauntletScenario, cores: Vec<Box<dyn AccessStream>>, id: CellId) -> Experiment {
+    let engine = if id.transactional {
+        memsim::MigrationEngineConfig::transactional()
+    } else {
+        memsim::MigrationEngineConfig::default()
+    };
+    let mut machine = small_two_tier(sc.seed, sc.default_pages, sc.ws_range(), engine);
     for stream in cores {
         machine.add_core(stream, CoreConfig::app_default(), TrafficClass::App);
     }
-    let mut params = SystemParams::new(vec![sc.ws_range()], colloid.then(ColloidParams::default));
-    params.unloaded_ns = machine
-        .config()
-        .tiers
-        .iter()
-        .map(|t| t.unloaded_latency().as_ns())
-        .collect();
-    let system = build_system(kind, params);
-    let mut exp = Experiment {
-        machine,
-        system,
-        tick: sc.tick(),
-        antagonist_core_ids: Vec::new(),
-        antagonist_change: None,
-        sink: telemetry::Sink::default(),
-        schedule_markers: Vec::new(),
-    };
-    if supervised {
+    let colloid = id.colloid.then(ColloidParams::default);
+    let system = build_system(
+        id.kind,
+        system_params(&machine, vec![sc.ws_range()], colloid),
+    );
+    let mut exp = Experiment::new(machine, system, sc.tick());
+    if id.supervised {
         supervise(&mut exp, vec![sc.ws_range()]);
     }
     exp
 }
 
-/// Builds one generated-trace cell.
-pub fn build_cell(
-    sc: &GauntletScenario,
-    tkind: TraceKind,
-    kind: SystemKind,
-    colloid: bool,
-    supervised: bool,
-    transactional: bool,
-) -> Experiment {
-    let machine = build_machine(sc, transactional);
-    let cores = (0..sc.app_cores).map(|_| make_stream(sc, tkind)).collect();
-    assemble(sc, machine, cores, kind, colloid, supervised)
-}
-
-/// Builds one fixture-replay cell: a single core replaying `trace`
-/// verbatim (the shape the capture used). The empty-trace case surfaces
-/// as the typed [`workloads::ReplayError`], never a panic.
-pub fn build_fixture_cell(
-    sc: &GauntletScenario,
-    trace: &Arc<Trace>,
-    kind: SystemKind,
-    colloid: bool,
-    supervised: bool,
-    transactional: bool,
-) -> Result<Experiment, workloads::ReplayError> {
-    let machine = build_machine(sc, transactional);
-    let replayer = TraceReplayer::try_new(Arc::clone(trace))?;
-    Ok(assemble(
-        sc,
-        machine,
-        vec![Box::new(replayer)],
-        kind,
-        colloid,
-        supervised,
-    ))
-}
-
 /// Scores of one matrix cell.
 #[derive(Debug, Clone)]
 pub struct CellScore {
-    /// Policy display name (e.g. `HeMem+Colloid+SV [txn]`).
-    pub system: String,
-    /// Which tiering system.
-    pub kind: SystemKind,
-    /// Colloid attached.
-    pub colloid: bool,
-    /// Supervisor attached.
-    pub supervised: bool,
-    /// Transactional migration engine.
-    pub transactional: bool,
+    /// The policy stack under test.
+    pub id: CellId,
     /// Whole-run application throughput.
     pub ops_per_sec: f64,
     /// Mean time-to-equilibrium across shifts, with unconverged shifts
@@ -326,8 +248,8 @@ pub struct CellScore {
     pub worst_window_ns: Option<f64>,
     /// Arrival-weighted latency over the final quarter of the run (ns).
     pub steady_ns: Option<f64>,
-    /// Working-set pages resident at the end of the run.
-    pub resident_pages: u64,
+    /// End state over the working set.
+    pub end: EndState,
     /// Composite resilience score (higher is better).
     pub resilience: f64,
 }
@@ -340,34 +262,56 @@ impl CellScore {
     }
 }
 
-/// Display name of a cell's policy stack.
-pub fn cell_name(kind: SystemKind, colloid: bool, supervised: bool, transactional: bool) -> String {
-    let mut name = kind.name().to_string();
-    if colloid {
-        name.push_str("+Colloid");
-    }
-    if supervised {
-        name.push_str("+SV");
-    }
-    if transactional {
-        name.push_str(" [txn]");
-    }
-    name
+/// Identity of one matrix cell: which policy stack is under test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellId {
+    /// Which tiering system.
+    pub kind: SystemKind,
+    /// Colloid attached.
+    pub colloid: bool,
+    /// Supervisor attached.
+    pub supervised: bool,
+    /// Transactional migration engine.
+    pub transactional: bool,
 }
 
-/// Identity of one matrix cell: which policy stack is under test.
-#[derive(Debug, Clone, Copy)]
-struct CellId {
-    kind: SystemKind,
-    colloid: bool,
-    supervised: bool,
-    transactional: bool,
-}
+/// The capture shape: the stack whose captures the fixture column replays.
+pub const CAPTURE: CellId = CellId {
+    kind: SystemKind::Hemem,
+    colloid: true,
+    supervised: false,
+    transactional: false,
+};
 
 impl CellId {
-    fn name(&self) -> String {
-        cell_name(self.kind, self.colloid, self.supervised, self.transactional)
+    /// Display name of the policy stack (e.g. `HeMem+Colloid+SV [txn]`).
+    pub fn name(&self) -> String {
+        let mut name = self.kind.name().to_string();
+        if self.colloid {
+            name.push_str("+Colloid");
+        }
+        if self.supervised {
+            name.push_str("+SV");
+        }
+        name + engine_suffix(self.transactional)
     }
+}
+
+/// Builds one cell: `tkind`'s generated streams on every app core or, for
+/// the fixture column, `fixture` replayed verbatim on one core (the shape
+/// the capture used). An empty fixture surfaces as the typed
+/// [`workloads::ReplayError`], never a panic.
+pub fn build_cell(
+    sc: &GauntletScenario,
+    tkind: TraceKind,
+    id: CellId,
+    fixture: Option<&Arc<Trace>>,
+) -> Result<Experiment, workloads::ReplayError> {
+    let cores: Vec<Box<dyn AccessStream>> = match fixture {
+        Some(trace) => vec![Box::new(TraceReplayer::try_new(Arc::clone(trace))?)],
+        None => (0..sc.app_cores).map(|_| make_stream(sc, tkind)).collect(),
+    };
+    Ok(assemble(sc, cores, id))
 }
 
 /// Per-shift time-to-equilibrium with penalty semantics: each shift is
@@ -439,10 +383,6 @@ fn score_run(
     let worst = worst_window(&r.series);
     let steady_from = r.series.len().saturating_sub(sc.run_ticks / 4);
     let steady = time_avg_latency_ns(&r.series[steady_from..]);
-    let resident = sc
-        .ws_range()
-        .filter(|&v| exp.machine.tier_of(v).is_some())
-        .count() as u64;
 
     // Composite resilience: throughput (Mops) discounted by migration
     // efficiency, adaptation speed, and tail behaviour. All factors are in
@@ -464,11 +404,7 @@ fn score_run(
     let resilience = mops_score * accounting.efficiency() * tte_factor * tail_factor;
 
     CellScore {
-        system: id.name(),
-        kind: id.kind,
-        colloid: id.colloid,
-        supervised: id.supervised,
-        transactional: id.transactional,
+        id,
         ops_per_sec: r.ops_per_sec,
         mean_tte,
         converged_shifts,
@@ -476,61 +412,31 @@ fn score_run(
         accounting,
         worst_window_ns: worst,
         steady_ns: steady,
-        resident_pages: resident,
+        end: EndState::of(&exp.machine, &[sc.ws_range()]),
         resilience,
     }
 }
 
-/// Runs one cell end to end with telemetry attached and scores it.
-fn run_scored(
-    sc: &GauntletScenario,
-    mut exp: Experiment,
-    id: CellId,
-    shifts: &[SimTime],
-) -> CellScore {
-    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, sc.run_ticks));
-    let r = run_exp(&mut exp, &RunConfig::timeline(sc.run_ticks));
-    let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
-    score_run(sc, id, &exp, &r, &events, shifts)
-}
-
-/// Runs one generated-trace cell.
+/// Runs one cell (see [`build_cell`]) end to end with telemetry attached
+/// and scores it.
 pub fn run_cell(
     sc: &GauntletScenario,
     tkind: TraceKind,
-    kind: SystemKind,
-    colloid: bool,
-    supervised: bool,
-    transactional: bool,
-) -> CellScore {
-    let exp = build_cell(sc, tkind, kind, colloid, supervised, transactional);
-    let shifts = shift_times(sc, tkind);
-    let id = CellId {
-        kind,
-        colloid,
-        supervised,
-        transactional,
-    };
-    run_scored(sc, exp, id, &shifts)
-}
-
-/// Runs one fixture-replay cell.
-pub fn run_fixture_cell(
-    sc: &GauntletScenario,
-    trace: &Arc<Trace>,
-    kind: SystemKind,
-    colloid: bool,
-    supervised: bool,
-    transactional: bool,
+    id: CellId,
+    fixture: Option<&Arc<Trace>>,
 ) -> Result<CellScore, workloads::ReplayError> {
-    let exp = build_fixture_cell(sc, trace, kind, colloid, supervised, transactional)?;
-    let id = CellId {
-        kind,
-        colloid,
-        supervised,
-        transactional,
-    };
-    Ok(run_scored(sc, exp, id, &[]))
+    let mut exp = build_cell(sc, tkind, id, fixture)?;
+    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, sc.run_ticks));
+    let r = run_exp(&mut exp, &RunConfig::timeline(sc.run_ticks));
+    let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
+    Ok(score_run(
+        sc,
+        id,
+        &exp,
+        &r,
+        &events,
+        &shift_times(sc, tkind),
+    ))
 }
 
 /// One trace column of the matrix.
@@ -540,53 +446,6 @@ pub struct GauntletOutcome {
     pub kind: TraceKind,
     /// All cells, in system → colloid → supervisor → engine order.
     pub cells: Vec<CellScore>,
-}
-
-/// Runs the full matrix: every generated trace kind (plus the fixture
-/// column when a trace is supplied) × every system × ±Colloid ×
-/// ±supervisor × both migration engines.
-pub fn run_matrix(sc: &GauntletScenario, fixture: Option<&Arc<Trace>>) -> Vec<GauntletOutcome> {
-    let mut out = Vec::new();
-    for tkind in TraceKind::GENERATED {
-        let mut cells = Vec::new();
-        for kind in SystemKind::ALL {
-            for colloid in [false, true] {
-                for supervised in [false, true] {
-                    for transactional in [false, true] {
-                        cells.push(run_cell(
-                            sc,
-                            tkind,
-                            kind,
-                            colloid,
-                            supervised,
-                            transactional,
-                        ));
-                    }
-                }
-            }
-        }
-        out.push(GauntletOutcome { kind: tkind, cells });
-    }
-    if let Some(trace) = fixture {
-        let mut cells = Vec::new();
-        for kind in SystemKind::ALL {
-            for colloid in [false, true] {
-                for supervised in [false, true] {
-                    for transactional in [false, true] {
-                        cells.push(
-                            run_fixture_cell(sc, trace, kind, colloid, supervised, transactional)
-                                .expect("fixture trace validated non-empty at load time"),
-                        );
-                    }
-                }
-            }
-        }
-        out.push(GauntletOutcome {
-            kind: TraceKind::Fixture,
-            cells,
-        });
-    }
-    out
 }
 
 /// Formats one trace column as a score table.
@@ -605,7 +464,7 @@ pub fn render(sc: &GauntletScenario, outcome: &GauntletOutcome) -> String {
     for c in &outcome.cells {
         let fmt_ns = |v: Option<f64>| v.map(|x| format!("{x:.0}")).unwrap_or_else(|| "-".into());
         t.row(vec![
-            c.system.clone(),
+            c.id.name(),
             format!("{:.2}", c.ops_per_sec / 1e6),
             c.mean_tte_ticks(sc.tick())
                 .map(|x| format!("{x:.1}"))
@@ -623,21 +482,11 @@ pub fn render(sc: &GauntletScenario, outcome: &GauntletOutcome) -> String {
 
 // --- determinism proof ---------------------------------------------------
 
-/// FNV-1a over a byte string (digests must be dependency-free).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Bit-faithful digest of a [`RunResult`]: every field (series included)
 /// participates via its shortest-round-trip `Debug` form, so two digests
 /// are equal iff the runs produced identical numbers.
 pub fn run_digest(r: &RunResult) -> String {
-    format!("{:016x}", fnv1a(format!("{r:?}").as_bytes()))
+    format!("{:016x}", fnv1a(FNV_OFFSET, format!("{r:?}").as_bytes()))
 }
 
 /// Everything the record → export → import → replay proof produced.
@@ -670,8 +519,7 @@ impl DeterminismReport {
 /// Builds the capture-shape cell: one app core, HeMem+Colloid, exclusive
 /// engine — the configuration whose captures the fixture column replays.
 fn capture_shape(sc: &GauntletScenario, stream: Box<dyn AccessStream>) -> Experiment {
-    let machine = build_machine(sc, false);
-    assemble(sc, machine, vec![stream], SystemKind::Hemem, true, false)
+    assemble(sc, vec![stream], CAPTURE)
 }
 
 /// Runs one capture-shape cell for `ticks` and returns its result plus
@@ -760,50 +608,6 @@ pub fn capture_fixture_ndjson(sc: &GauntletScenario, max_records: usize) -> Stri
     trace_to_ndjson(&trace)
 }
 
-/// The observatory baseline (`BENCH_gauntlet.json`): the phase-shift
-/// column's bare and fully-stacked HeMem+Colloid cells on the quick
-/// axis. The adaptivity scores pin the controller trajectory exactly;
-/// wall-clock tracks the matrix's real cost across PRs.
-pub fn bench_baseline() -> String {
-    let sc = GauntletScenario::paper_default(true);
-    let mut cells = Vec::new();
-    for (supervised, transactional) in [(false, false), (true, true)] {
-        let t0 = std::time::Instant::now();
-        let c = run_cell(
-            &sc,
-            TraceKind::PhaseShift,
-            SystemKind::Hemem,
-            true,
-            supervised,
-            transactional,
-        );
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        cells.push(crate::bench::BenchCell {
-            name: format!("phase-shift/{}", c.system),
-            wall_ms,
-            metrics: vec![
-                ("resilience", c.resilience),
-                (
-                    "mean_tte_ticks",
-                    c.mean_tte_ticks(sc.tick()).unwrap_or(f64::NAN),
-                ),
-                ("converged_shifts", c.converged_shifts as f64),
-                ("worst_window_ns", c.worst_window_ns.unwrap_or(f64::NAN)),
-                ("steady_ns", c.steady_ns.unwrap_or(f64::NAN)),
-                ("useful_migrations", c.accounting.useful as f64),
-                ("wasted_migrations", c.accounting.wasted as f64),
-                ("resident_pages", c.resident_pages as f64),
-            ],
-        });
-    }
-    crate::bench::render(
-        "gauntlet",
-        "phase-shift, HeMem+Colloid bare vs supervised+txn (quick axis)",
-        sc.run_ticks,
-        &cells,
-    )
-}
-
 // --- smoke gates ---------------------------------------------------------
 
 /// Mean over cells selected by `pick`, of `metric`.
@@ -816,19 +620,17 @@ fn mean_over(
     (!sel.is_empty()).then(|| sel.iter().sum::<f64>() / sel.len() as f64)
 }
 
-/// The `--smoke` self-validation gates. Returns the failures (empty =
-/// pass):
+/// The harness's own `--smoke` gates (page conservation is the
+/// driver's). Returns the failures (empty = pass):
 ///
 /// 1. **replay determinism** — record → export → import → replay is
 ///    bit-identical to the original run (`RunResult` digest + telemetry
 ///    NDJSON), and two replays of the same import are identical;
-/// 2. **page conservation** — every cell ends with the full working set
-///    resident;
-/// 3. **adversarial adaptivity** — averaged across systems on the
+/// 2. **adversarial adaptivity** — averaged across systems on the
 ///    exclusive engine, supervised Colloid beats bare vanilla on both
 ///    mean time-to-equilibrium and wasted-migration work in the
 ///    adversarial column;
-/// 4. **typed trace errors** — corrupt and empty NDJSON fixtures surface
+/// 3. **typed trace errors** — corrupt and empty NDJSON fixtures surface
 ///    as typed errors, never panics.
 pub fn smoke_failures(
     sc: &GauntletScenario,
@@ -844,23 +646,10 @@ pub fn smoke_failures(
         ));
     }
 
-    for outcome in outcomes {
-        for c in &outcome.cells {
-            if c.resident_pages != sc.ws_pages {
-                fails.push(format!(
-                    "[{}] {}: {} of {} pages resident (pages lost or duplicated)",
-                    outcome.kind.label(),
-                    c.system,
-                    c.resident_pages,
-                    sc.ws_pages
-                ));
-            }
-        }
-    }
-
     if let Some(adv) = outcomes.iter().find(|o| o.kind == TraceKind::Adversarial) {
-        let supervised_colloid = |c: &CellScore| c.colloid && c.supervised && !c.transactional;
-        let bare_vanilla = |c: &CellScore| !c.colloid && !c.supervised && !c.transactional;
+        let supervised_colloid =
+            |c: &CellScore| c.id.colloid && c.id.supervised && !c.id.transactional;
+        let bare_vanilla = |c: &CellScore| !c.id.colloid && !c.id.supervised && !c.id.transactional;
         let tte_ticks = |c: &CellScore| c.mean_tte_ticks(sc.tick()).unwrap_or(sc.run_ticks as f64);
         let wasted = |c: &CellScore| c.accounting.wasted as f64;
         match (
@@ -901,6 +690,225 @@ pub fn smoke_failures(
     fails
 }
 
+/// Records in the committed fixture (quick-mode scale: the file stays
+/// small enough to commit, the replay still exercises wrap-around).
+const FIXTURE_RECORDS: usize = 1024;
+
+/// The committed fixture trace the fixture column replays.
+pub fn fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/gauntlet_phase_shift.ndjson")
+}
+
+/// The golden replay digest of the committed fixture.
+pub fn golden_digest_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/gauntlet_fixture_digest.txt")
+}
+
+/// Loads and validates an NDJSON fixture, surfacing corrupt or empty
+/// files as errors, never panics.
+pub fn load_fixture(path: &Path) -> Result<Arc<Trace>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let trace =
+        trace_from_ndjson(&text).map_err(|e| format!("invalid trace {}: {e}", path.display()))?;
+    let trace = Arc::new(trace);
+    // Reject empty traces here with the typed replay error so the matrix
+    // never panics on them.
+    TraceReplayer::try_new(Arc::clone(&trace))
+        .map_err(|e| format!("unusable trace {}: {e}", path.display()))?;
+    Ok(trace)
+}
+
+/// The adaptivity gauntlet (`grid gauntlet`): every generated trace, then
+/// the fixture column, each × system × ±Colloid × ±supervisor × both
+/// engines.
+pub struct Gauntlet {
+    opts: Opts,
+    sc: GauntletScenario,
+    fixture: Option<Arc<Trace>>,
+    det: Option<DeterminismReport>,
+}
+
+impl Gauntlet {
+    /// The gauntlet for the given options.
+    pub fn new(opts: Opts) -> Self {
+        Gauntlet {
+            sc: GauntletScenario::paper_default(opts.quick),
+            opts,
+            fixture: None,
+            det: None,
+        }
+    }
+}
+
+impl Harness for Gauntlet {
+    type Cell = (TraceKind, CellId);
+    type Outcome = CellScore;
+
+    /// Loads the fixture column's trace (the committed fixture, or
+    /// `--replay`'s file) and runs the replay-determinism proof, which is
+    /// always reported and gated under `--smoke`.
+    fn preamble(&mut self) -> Result<String, String> {
+        let sc = &self.sc;
+        let mut out = format!(
+            "Adaptivity gauntlet: {} ws pages, hot {}, default tier {} pages, {} ticks/cell{}\n",
+            sc.ws_pages,
+            sc.hot_pages,
+            sc.default_pages,
+            sc.run_ticks,
+            if self.opts.quick { " (quick)" } else { "" },
+        );
+        let path = self.opts.replay.clone().unwrap_or_else(fixture_path);
+        let fixture = load_fixture(&path).map_err(|e| format!("fixture error: {e}"))?;
+        out.push_str(&format!(
+            "fixture: {} ({} records)\n",
+            path.display(),
+            fixture.len()
+        ));
+        self.fixture = Some(fixture);
+        let det =
+            determinism_check(sc).map_err(|e| format!("determinism check failed to run: {e}"))?;
+        out.push_str(&format!(
+            "replay determinism: {} records, {} NDJSON bytes, original {} / replay {} / replay2 {}, events match: {}\n",
+            det.records,
+            det.ndjson_bytes,
+            det.original_digest,
+            det.replay_digest,
+            det.replay2_digest,
+            det.events_match
+        ));
+        self.det = Some(det);
+        Ok(out)
+    }
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let mut cells = Vec::new();
+        let traces = TraceKind::GENERATED
+            .into_iter()
+            .chain(self.fixture.is_some().then_some(TraceKind::Fixture));
+        for tkind in traces {
+            for kind in SystemKind::ALL {
+                for colloid in [false, true] {
+                    for supervised in [false, true] {
+                        for transactional in [false, true] {
+                            let id = CellId {
+                                kind,
+                                colloid,
+                                supervised,
+                                transactional,
+                            };
+                            cells.push((format!("{}/{}", tkind.label(), id.name()), (tkind, id)));
+                        }
+                    }
+                }
+            }
+        }
+        cells
+    }
+
+    fn run(&mut self, &(tkind, id): &Self::Cell) -> CellScore {
+        let fixture = self
+            .fixture
+            .as_ref()
+            .filter(|_| tkind == TraceKind::Fixture);
+        run_cell(&self.sc, tkind, id, fixture).expect("fixture validated non-empty at load time")
+    }
+
+    fn end_state(outcome: &CellScore) -> EndState {
+        outcome.end
+    }
+
+    fn finish(&mut self, results: Vec<(Self::Cell, CellScore)>, ctx: &mut Ctx) -> Vec<String> {
+        let mut outcomes: Vec<GauntletOutcome> = Vec::new();
+        for ((kind, _), cell) in results {
+            match outcomes.last_mut() {
+                Some(o) if o.kind == kind => o.cells.push(cell),
+                _ => outcomes.push(GauntletOutcome {
+                    kind,
+                    cells: vec![cell],
+                }),
+            }
+        }
+        if self.opts.smoke {
+            let det = self
+                .det
+                .as_ref()
+                .expect("preamble ran the determinism check");
+            ctx.failures
+                .extend(smoke_failures(&self.sc, &outcomes, det));
+        }
+        outcomes
+            .iter()
+            .map(|o| render(&self.sc, o) + "\n")
+            .collect()
+    }
+
+    /// The phase-shift column's bare and fully-stacked HeMem+Colloid
+    /// cells. The adaptivity scores pin the controller trajectory
+    /// exactly; wall-clock tracks the matrix's real cost across PRs.
+    fn bench(&self) -> Option<Bench<Self::Cell>> {
+        Some(Bench {
+            scenario: "phase-shift, HeMem+Colloid bare vs supervised+txn (quick axis)".into(),
+            ticks: self.sc.run_ticks,
+            pinned: |(tkind, id)| {
+                let stacked = CellId {
+                    supervised: true,
+                    transactional: true,
+                    ..CAPTURE
+                };
+                *tkind == TraceKind::PhaseShift && [CAPTURE, stacked].contains(id)
+            },
+        })
+    }
+
+    fn bench_fields(&self, c: &CellScore) -> Vec<(&'static str, f64)> {
+        vec![
+            ("resilience", c.resilience),
+            (
+                "mean_tte_ticks",
+                c.mean_tte_ticks(self.sc.tick()).unwrap_or(f64::NAN),
+            ),
+            ("converged_shifts", c.converged_shifts as f64),
+            ("worst_window_ns", c.worst_window_ns.unwrap_or(f64::NAN)),
+            ("steady_ns", c.steady_ns.unwrap_or(f64::NAN)),
+            ("useful_migrations", c.accounting.useful as f64),
+            ("wasted_migrations", c.accounting.wasted as f64),
+            ("resident_pages", c.end.resident as f64),
+        ]
+    }
+
+    /// Regenerates the committed fixture trace and its golden replay
+    /// digest (EXPERIMENTS.md documents the workflow; run with
+    /// `--quick`, the scale the fixture is pinned to).
+    fn regen(&self) -> Result<String, String> {
+        let sc = &self.sc;
+        let ndjson = capture_fixture_ndjson(sc, FIXTURE_RECORDS);
+        let fixture = fixture_path();
+        std::fs::write(&fixture, &ndjson)
+            .map_err(|e| format!("cannot write {}: {e}", fixture.display()))?;
+
+        // Golden digest: the fixture replayed through the capture-shape cell.
+        let trace = Arc::new(trace_from_ndjson(&ndjson).map_err(|e| e.to_string())?);
+        let cell =
+            run_cell(sc, TraceKind::Fixture, CAPTURE, Some(&trace)).map_err(|e| e.to_string())?;
+        let digest = format!(
+            "{:.6} {} {}\n",
+            cell.ops_per_sec / 1e6,
+            cell.accounting.completed,
+            fixture_replay_digest(sc, &trace)
+        );
+        let golden = golden_digest_path();
+        std::fs::write(&golden, &digest)
+            .map_err(|e| format!("cannot write {}: {e}", golden.display()))?;
+        Ok(format!(
+            "wrote {} ({} bytes)\nwrote {}: {digest}",
+            fixture.display(),
+            ndjson.len(),
+            golden.display()
+        ))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,12 +928,22 @@ mod tests {
         }
     }
 
+    fn id(kind: SystemKind, colloid: bool, supervised: bool, transactional: bool) -> CellId {
+        CellId {
+            kind,
+            colloid,
+            supervised,
+            transactional,
+        }
+    }
+
     #[test]
     fn generated_cells_run_and_conserve_pages() {
         let sc = tiny();
         for tkind in TraceKind::GENERATED {
-            let c = run_cell(&sc, tkind, SystemKind::Hemem, true, false, false);
-            assert_eq!(c.resident_pages, sc.ws_pages, "{}", tkind.label());
+            let c = run_cell(&sc, tkind, CAPTURE, None).unwrap();
+            assert!(c.end.conserved(), "{}", tkind.label());
+            assert_eq!(c.end.expected, sc.ws_pages);
             assert!(c.ops_per_sec > 0.0);
             if tkind != TraceKind::Fixture {
                 assert!(c.total_shifts > 0);
@@ -954,9 +972,10 @@ mod tests {
         let ndjson = capture_fixture_ndjson(&sc, 512);
         let trace = Arc::new(trace_from_ndjson(&ndjson).unwrap());
         assert_eq!(trace.len(), 512);
-        let a = run_fixture_cell(&sc, &trace, SystemKind::Tpp, false, false, false).unwrap();
-        let b = run_fixture_cell(&sc, &trace, SystemKind::Tpp, false, false, false).unwrap();
-        assert_eq!(a.resident_pages, sc.ws_pages);
+        let tpp = id(SystemKind::Tpp, false, false, false);
+        let a = run_cell(&sc, TraceKind::Fixture, tpp, Some(&trace)).unwrap();
+        let b = run_cell(&sc, TraceKind::Fixture, tpp, Some(&trace)).unwrap();
+        assert!(a.end.conserved());
         // Two replays of the same fixture are bit-identical.
         assert_eq!(a.ops_per_sec.to_bits(), b.ops_per_sec.to_bits());
     }
@@ -965,7 +984,8 @@ mod tests {
     fn empty_fixture_surfaces_typed_error() {
         let sc = tiny();
         let empty = Arc::new(Trace::default());
-        let err = build_fixture_cell(&sc, &empty, SystemKind::Hemem, false, false, false)
+        let bare = id(SystemKind::Hemem, false, false, false);
+        let err = build_cell(&sc, TraceKind::Fixture, bare, Some(&empty))
             .err()
             .expect("empty fixture must not build");
         assert_eq!(err, workloads::ReplayError::EmptyTrace);
@@ -974,24 +994,18 @@ mod tests {
     #[test]
     fn cell_names_compose() {
         assert_eq!(
-            cell_name(SystemKind::Hemem, true, true, true),
+            id(SystemKind::Hemem, true, true, true).name(),
             "HeMem+Colloid+SV [txn]"
         );
-        assert_eq!(cell_name(SystemKind::Tpp, false, false, false), "TPP");
+        assert_eq!(id(SystemKind::Tpp, false, false, false).name(), "TPP");
     }
 
     #[test]
     fn transactional_cells_conserve_pages() {
         let sc = tiny();
-        let c = run_cell(
-            &sc,
-            TraceKind::Adversarial,
-            SystemKind::Memtis,
-            true,
-            true,
-            true,
-        );
-        assert!(c.system.ends_with("[txn]"));
-        assert_eq!(c.resident_pages, sc.ws_pages);
+        let memtis = id(SystemKind::Memtis, true, true, true);
+        let c = run_cell(&sc, TraceKind::Adversarial, memtis, None).unwrap();
+        assert!(c.id.name().ends_with("[txn]"));
+        assert!(c.end.violations(&c.id.name()).is_empty());
     }
 }

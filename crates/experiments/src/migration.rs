@@ -1,4 +1,4 @@
-//! Transactional-migration matrix (binary `migration`): the exclusive
+//! Transactional-migration matrix (`grid migration`): the exclusive
 //! legacy engine vs the multi-channel transactional engine under
 //! migration-hostile stress.
 //!
@@ -20,9 +20,9 @@
 //! - **channel-stall** — one DMA channel freezes mid-run; the watchdog
 //!   must fail its transactions over to healthy channels.
 //!
-//! The `--smoke` gates (CI: `migration-smoke`) assert the tentpole's
-//! robustness story: page conservation across induced aborts and
-//! failovers, double-entry reconciliation between per-tick transaction
+//! The `--smoke` gates, with the driver's invariant gate, assert the
+//! engine's robustness story: page conservation across induced aborts
+//! and failovers, double-entry reconciliation between per-tick transaction
 //! deltas and the engine's cumulative counters, and the read-mostly win —
 //! under the write storm the transactional engine's app latency stays at
 //! or below the exclusive engine's.
@@ -37,6 +37,7 @@ use memsim::{
 use simkit::SimTime;
 use tiersys::SystemKind;
 
+use crate::grid::{Bench, Ctx, EndState, Harness, Opts};
 use crate::report::{mops, ns, txn_counts, Table};
 use crate::scenario::{build_gups, Experiment, GupsScenario, Policy};
 
@@ -208,10 +209,8 @@ pub struct MigrationCell {
     pub tick_sums: TxnTickStats,
     /// Injected-fault counters (storm dirties land here).
     pub fault_stats: memsim::FaultStats,
-    /// Working-set pages still mapped at the end of the run.
-    pub pages_mapped: u64,
-    /// Working-set pages the scenario started with.
-    pub pages_expected: u64,
+    /// End state over the working set.
+    pub end: EndState,
 }
 
 /// Builds one cell's experiment (HeMem+Colloid on the §2.1 machine).
@@ -248,12 +247,10 @@ pub fn run_cell(engine: EngineKind, stress: Stress, quick: bool) -> MigrationCel
     let mut ops = 0u64;
     let mut post_start = SimTime::ZERO;
     for i in 0..stress.run_ticks(quick) {
-        exp.apply_schedule();
         if i == stress_tick {
             post_start = exp.machine.now();
         }
-        let report = exp.machine.run_tick(tick);
-        exp.system.on_tick(&mut exp.machine, &report);
+        let report = exp.step();
         let t = &report.txn;
         sums.begun += t.begun;
         sums.committed += t.committed;
@@ -274,10 +271,6 @@ pub fn run_cell(engine: EngineKind, stress: Stress, quick: bool) -> MigrationCel
         }
     }
     let dur = exp.machine.now().saturating_sub(post_start);
-    let pages_mapped = ws
-        .clone()
-        .filter(|&v| exp.machine.tier_of(v).is_some())
-        .count() as u64;
     MigrationCell {
         name: format!("{} / {}", engine.label(), stress.label()),
         engine,
@@ -291,21 +284,8 @@ pub fn run_cell(engine: EngineKind, stress: Stress, quick: bool) -> MigrationCel
         counters: exp.machine.migration_counters(),
         tick_sums: sums,
         fault_stats,
-        pages_mapped,
-        pages_expected: ws.end - ws.start,
+        end: EndState::of(&exp.machine, &[ws]),
     }
-}
-
-/// Runs the full matrix, stress-major with the exclusive engine first.
-pub fn run_matrix(quick: bool) -> Vec<MigrationCell> {
-    let mut out = Vec::new();
-    for stress in Stress::ALL {
-        for engine in EngineKind::ALL {
-            eprintln!("[migration] {} / {} ...", engine.label(), stress.label());
-            out.push(run_cell(engine, stress, quick));
-        }
-    }
-    out
 }
 
 /// Formats the matrix as the experiment's report table.
@@ -325,7 +305,7 @@ pub fn render(cells: &[MigrationCell]) -> String {
             ns(c.post_latency_ns),
             txn_counts(&c.counters),
             format!("{}", c.fault_stats.storm_dirties),
-            format!("{}/{}", c.pages_mapped, c.pages_expected),
+            format!("{}/{}", c.end.resident, c.end.expected),
         ]);
     }
     t.render()
@@ -338,32 +318,24 @@ fn cell(cells: &[MigrationCell], engine: EngineKind, stress: Stress) -> &Migrati
         .expect("matrix must contain every (engine, stress) cell")
 }
 
-/// The `--smoke` self-validation gates. Returns the failures (empty =
-/// pass):
+/// The harness's own `--smoke` gates (page conservation and the
+/// shootdown-batch ledger are the driver's). Returns the failures
+/// (empty = pass):
 ///
-/// 1. page conservation — every cell ends with the full working set
-///    mapped, including the cells that force aborts and failovers;
-/// 2. double-entry reconciliation — the sum of per-tick transaction
-///    deltas matches the engine's cumulative counters field by field, and
-///    every committed transaction went through a shootdown batch;
-/// 3. the storm bites — the transactional write-storm cell records storm
+/// 1. double-entry reconciliation — the sum of per-tick transaction
+///    deltas matches the engine's cumulative counters field by field;
+/// 2. the storm bites — the transactional write-storm cell records storm
 ///    dirties, dirty retries, *and* retry-exhaustion aborts, yet still
 ///    commits migrations (read-mostly pages keep flowing);
-/// 4. the stall bites — the transactional channel-stall cell records
+/// 3. the stall bites — the transactional channel-stall cell records
 ///    watchdog failovers;
-/// 5. the read-mostly win — under the write storm the transactional
+/// 4. the read-mostly win — under the write storm the transactional
 ///    engine's post-jump app latency is at or below the exclusive
 ///    engine's (5 % tolerance): non-exclusive copies keep migration off
 ///    the app's critical path even while write-hot pages conflict.
 pub fn smoke_failures(cells: &[MigrationCell]) -> Vec<String> {
     let mut fails = Vec::new();
     for c in cells {
-        if c.pages_mapped != c.pages_expected {
-            fails.push(format!(
-                "{}: {} of {} working-set pages mapped (pages lost across aborts/failovers)",
-                c.name, c.pages_mapped, c.pages_expected
-            ));
-        }
         let m = &c.counters;
         let s = &c.tick_sums;
         for (label, delta_sum, cumulative) in [
@@ -386,12 +358,6 @@ pub fn smoke_failures(cells: &[MigrationCell]) -> Vec<String> {
                     c.name
                 ));
             }
-        }
-        if c.engine == EngineKind::Transactional && m.batched_pages != m.completed {
-            fails.push(format!(
-                "{}: {} committed transactions but {} batched shootdown pages",
-                c.name, m.completed, m.batched_pages
-            ));
         }
     }
     let storm = cell(cells, EngineKind::Transactional, Stress::WriteStorm);
@@ -427,55 +393,65 @@ pub fn smoke_failures(cells: &[MigrationCell]) -> Vec<String> {
     fails
 }
 
-/// The observatory baseline (`BENCH_migration.json`): both engines under
-/// the baseline and write-storm stresses on the quick axis. The
-/// transaction ledger fields pin the conflict/retry trajectory exactly;
-/// wall-clock tracks the engines' real cost across PRs.
-pub fn bench_baseline() -> String {
-    let mut cells = Vec::new();
-    let mut ticks = 0;
-    for stress in [Stress::Baseline, Stress::WriteStorm] {
-        ticks = stress.run_ticks(true);
-        for engine in EngineKind::ALL {
-            let t0 = std::time::Instant::now();
-            let c = run_cell(engine, stress, true);
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            cells.push(crate::bench::BenchCell {
-                name: c.name.clone(),
-                wall_ms,
-                metrics: vec![
-                    ("post_latency_ns", c.post_latency_ns.unwrap_or(f64::NAN)),
-                    ("mops_per_sec", c.ops_per_sec / 1e6),
-                    ("completed", c.counters.completed as f64),
-                    ("dirty_retries", c.counters.dirty_retries as f64),
-                    ("failovers", c.counters.failovers as f64),
-                    ("pages_mapped", c.pages_mapped as f64),
-                ],
-            });
-        }
-    }
-    crate::bench::render(
-        "migration",
-        "gups 2x->3x, baseline + write-storm (quick axis)",
-        ticks,
-        &cells,
-    )
-}
+/// The transactional-migration matrix (`grid migration`), stress-major
+/// with the exclusive engine first.
+pub struct Matrix(pub Opts);
 
-/// Runs the matrix and prints the table; with `smoke` also prints the
-/// gate verdicts and returns the failures.
-pub fn run(quick: bool, smoke: bool) -> Vec<String> {
-    let cells = run_matrix(quick);
-    println!("== Transactional vs exclusive migration under stress (GUPS @ 2x -> 3x, HeMem+Colloid) ==\n");
-    print!("{}", render(&cells));
-    if !smoke {
-        return Vec::new();
+impl Harness for Matrix {
+    type Cell = (Stress, EngineKind);
+    type Outcome = MigrationCell;
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let mut cells = Vec::new();
+        for stress in Stress::ALL {
+            for engine in EngineKind::ALL {
+                let label = format!("{} / {}", engine.label(), stress.label());
+                cells.push((label, (stress, engine)));
+            }
+        }
+        cells
     }
-    let fails = smoke_failures(&cells);
-    if fails.is_empty() {
-        println!("\nsmoke: ok");
+
+    fn run(&mut self, &(stress, engine): &Self::Cell) -> MigrationCell {
+        run_cell(engine, stress, self.0.quick)
     }
-    fails
+
+    fn end_state(outcome: &MigrationCell) -> EndState {
+        outcome.end
+    }
+
+    fn finish(&mut self, results: Vec<(Self::Cell, MigrationCell)>, ctx: &mut Ctx) -> Vec<String> {
+        let cells: Vec<MigrationCell> = results.into_iter().map(|(_, c)| c).collect();
+        if self.0.smoke {
+            ctx.failures.extend(smoke_failures(&cells));
+        }
+        vec![format!(
+            "== Transactional vs exclusive migration under stress (GUPS @ 2x -> 3x, HeMem+Colloid) ==\n\n{}\n",
+            render(&cells)
+        )]
+    }
+
+    /// Both engines under the baseline and write-storm stresses. The
+    /// transaction ledger fields pin the conflict/retry trajectory
+    /// exactly; wall-clock tracks the engines' real cost across PRs.
+    fn bench(&self) -> Option<Bench<Self::Cell>> {
+        Some(Bench {
+            scenario: "gups 2x->3x, baseline + write-storm (quick axis)".into(),
+            ticks: Stress::WriteStorm.run_ticks(true),
+            pinned: |&(stress, _)| stress != Stress::ChannelStall,
+        })
+    }
+
+    fn bench_fields(&self, c: &MigrationCell) -> Vec<(&'static str, f64)> {
+        vec![
+            ("post_latency_ns", c.post_latency_ns.unwrap_or(f64::NAN)),
+            ("mops_per_sec", c.ops_per_sec / 1e6),
+            ("completed", c.counters.completed as f64),
+            ("dirty_retries", c.counters.dirty_retries as f64),
+            ("failovers", c.counters.failovers as f64),
+            ("pages_mapped", c.end.resident as f64),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -535,8 +511,7 @@ mod tests {
             counters: MigrationCounters::default(),
             tick_sums: TxnTickStats::default(),
             fault_stats: memsim::FaultStats::default(),
-            pages_mapped: 0,
-            pages_expected: 0,
+            end: EndState::default(),
         };
         let mut cells: Vec<MigrationCell> = Stress::ALL
             .into_iter()
@@ -550,9 +525,5 @@ mod tests {
         cells[0].counters.completed = 7;
         let fails = smoke_failures(&cells);
         assert!(fails.iter().any(|f| f.contains("accounting leak")));
-        // Lost pages trip conservation.
-        cells[1].pages_expected = 10;
-        let fails = smoke_failures(&cells);
-        assert!(fails.iter().any(|f| f.contains("pages lost")));
     }
 }

@@ -1,4 +1,4 @@
-//! End-to-end N-tier experiment (binary `multitier`): a three-tier machine
+//! End-to-end N-tier experiment (`grid multitier`): a three-tier machine
 //! — local DDR (~70 ns), CXL-attached DDR (~180 ns), far/pooled memory
 //! (~350 ns), each behind its own bandwidth link — under the §2.1
 //! contention shift, every tiering system vanilla vs +Colloid.
@@ -20,15 +20,14 @@
 //! two-tier golden outputs, while this loop measures *every* tier of the
 //! chain.
 
-use memsim::{
-    CoreConfig, Machine, MachineConfig, TickReport, TierId, TrafficClass, Vpn, PAGE_SIZE,
-};
+use memsim::{CoreConfig, Machine, MachineConfig, TierId, TrafficClass, Vpn, PAGE_SIZE};
 use simkit::SimTime;
-use tiersys::{build_system, ColloidParams, SystemKind, SystemParams};
+use tiersys::{build_system, ColloidParams, SystemKind};
 use workloads::{AntagonistConfig, AntagonistStream, GupsConfig, GupsStream};
 
-use crate::report::Table;
-use crate::scenario::Experiment;
+use crate::grid::{Ctx, EndState, Harness, Opts};
+use crate::report::{engine_suffix, Table};
+use crate::scenario::{fill_down, system_params, Experiment};
 
 /// First page of the antagonist's pinned buffer.
 const ANTAGONIST_BASE: Vpn = 0;
@@ -99,8 +98,6 @@ pub struct TierObservation {
     pub latency_ns: Option<f64>,
     /// Share of application bytes served by this tier.
     pub app_share: f64,
-    /// Managed pages resident on this tier at the end of the run.
-    pub resident_pages: u64,
 }
 
 /// Result of one (system, colloid, engine) cell of the grid.
@@ -114,6 +111,8 @@ pub struct MultiTierResult {
     pub ops_per_sec: f64,
     /// Cumulative migration-engine counters at the end of the run.
     pub migration: memsim::MigrationCounters,
+    /// End state over the working set.
+    pub end: EndState,
 }
 
 impl MultiTierResult {
@@ -139,11 +138,6 @@ impl MultiTierResult {
                 (Some(u), Some(l)) if u > l * 1.05
             )
         })
-    }
-
-    /// Managed pages resident across the whole chain.
-    pub fn resident_total(&self) -> u64 {
-        self.tiers.iter().map(|t| t.resident_pages).sum()
     }
 }
 
@@ -182,16 +176,7 @@ fn build_machine(sc: &MultiTierScenario, transactional: bool) -> (Machine, Vec<m
     }
 
     // First-touch down the chain: local, then CXL, then far.
-    let mut tier = 0u8;
-    let mut free = machine.free_pages(TierId(tier));
-    for vpn in sc.ws_range() {
-        while free == 0 {
-            tier += 1;
-            free = machine.free_pages(TierId(tier));
-        }
-        machine.place(vpn, TierId(tier));
-        free -= 1;
-    }
+    fill_down(&mut machine, sc.ws_range(), 0);
 
     let gups = gups_config(sc);
     for _ in 0..sc.app_cores {
@@ -223,13 +208,11 @@ pub fn build(
     transactional: bool,
 ) -> Experiment {
     let (machine, antagonist_core_ids) = build_machine(sc, transactional);
-    let mut params = SystemParams::new(vec![sc.ws_range()], colloid.then(ColloidParams::default));
-    params.unloaded_ns = machine
-        .config()
-        .tiers
-        .iter()
-        .map(|t| t.unloaded_latency().as_ns())
-        .collect();
+    let params = system_params(
+        &machine,
+        vec![sc.ws_range()],
+        colloid.then(ColloidParams::default),
+    );
     assert_eq!(params.n_tiers(), 3);
     let system = build_system(kind, params);
     let tick = SimTime::from_us(100.0);
@@ -245,14 +228,6 @@ pub fn build(
     }
 }
 
-/// One machine tick + system reaction (the N-tier measurement step).
-fn step(exp: &mut Experiment) -> TickReport {
-    exp.apply_schedule();
-    let report = exp.machine.run_tick(exp.tick);
-    exp.system.on_tick(&mut exp.machine, &report);
-    report
-}
-
 /// Runs one grid cell to completion and measures every tier.
 pub fn run_cell(
     sc: &MultiTierScenario,
@@ -262,14 +237,10 @@ pub fn run_cell(
 ) -> MultiTierResult {
     let mut exp = build(sc, kind, colloid, transactional);
     let n_tiers = exp.machine.config().tiers.len();
-    let name = if transactional {
-        format!("{} [txn]", exp.system.name())
-    } else {
-        exp.system.name()
-    };
+    let name = format!("{}{}", exp.system.name(), engine_suffix(transactional));
 
     for _ in 0..sc.warmup_ticks + sc.converge_ticks {
-        step(&mut exp);
+        exp.step();
     }
 
     let mut lat_sum = vec![0.0f64; n_tiers];
@@ -279,7 +250,7 @@ pub fn run_cell(
     let t_begin = exp.machine.now();
     let app = TrafficClass::App.index();
     for _ in 0..sc.measure_ticks {
-        let report = step(&mut exp);
+        let report = exp.step();
         ops_total += report.app_ops;
         for i in 0..n_tiers {
             if let Some(l) = report.littles_latency_ns(TierId(i as u8)) {
@@ -292,12 +263,6 @@ pub fn run_cell(
     let dur = exp.machine.now().saturating_sub(t_begin);
 
     let total_app: u64 = app_bytes.iter().sum();
-    let mut resident = vec![0u64; n_tiers];
-    for vpn in sc.ws_range() {
-        if let Some(t) = exp.machine.tier_of(vpn) {
-            resident[t.index()] += 1;
-        }
-    }
     let tiers = (0..n_tiers)
         .map(|i| TierObservation {
             latency_ns: (lat_n[i] > 0).then(|| lat_sum[i] / f64::from(lat_n[i])),
@@ -306,7 +271,6 @@ pub fn run_cell(
             } else {
                 0.0
             },
-            resident_pages: resident[i],
         })
         .collect();
     MultiTierResult {
@@ -318,22 +282,8 @@ pub fn run_cell(
             0.0
         },
         migration: exp.machine.migration_counters(),
+        end: EndState::of(&exp.machine, &[sc.ws_range()]),
     }
-}
-
-/// Runs the full grid (three systems × {vanilla, Colloid} × {exclusive,
-/// transactional engine}), in system order with the vanilla-exclusive
-/// cell first.
-pub fn run_grid(sc: &MultiTierScenario) -> Vec<MultiTierResult> {
-    let mut out = Vec::new();
-    for kind in SystemKind::ALL {
-        for colloid in [false, true] {
-            for transactional in [false, true] {
-                out.push(run_cell(sc, kind, colloid, transactional));
-            }
-        }
-    }
-    out
 }
 
 /// Formats the grid as the experiment's report table.
@@ -367,7 +317,7 @@ pub fn render(results: &[MultiTierResult]) -> String {
                 .map(|x| format!("{:.0}%", x.app_share * 100.0))
                 .collect::<Vec<_>>()
                 .join("/"),
-            format!("{}", r.resident_total()),
+            format!("{}", r.end.resident),
             crate::report::txn_counts(&r.migration),
             format!("{:.1}", r.ops_per_sec / 1e6),
         ]);
@@ -375,37 +325,17 @@ pub fn render(results: &[MultiTierResult]) -> String {
     t.render()
 }
 
-/// The `--smoke` self-validation gates. Returns the failures (empty =
-/// pass):
+/// The harness's own `--smoke` gates (page conservation and the
+/// transactional commit ledger are the driver's). Returns the failures
+/// (empty = pass):
 ///
-/// 1. page conservation — every run ends with the full working set
-///    resident somewhere on the chain (transactional cells included:
-///    aborts and failovers must not lose or duplicate pages);
-/// 2. transactional commit accounting reconciles — every committed
-///    transaction went through a shootdown batch;
-/// 3. the contention shift bites — at least one vanilla run ends with an
+/// 1. the contention shift bites — at least one vanilla run ends with an
 ///    adjacent latency inversion (the paper's failure mode);
-/// 4. Colloid balances — averaged across systems, the Colloid cells'
+/// 2. Colloid balances — averaged across systems, the Colloid cells'
 ///    worst adjacent latency gap is strictly smaller than the vanilla
 ///    cells'.
-pub fn smoke_failures(sc: &MultiTierScenario, results: &[MultiTierResult]) -> Vec<String> {
+pub fn smoke_failures(results: &[MultiTierResult]) -> Vec<String> {
     let mut fails = Vec::new();
-    for r in results {
-        if r.resident_total() != sc.ws_pages {
-            fails.push(format!(
-                "{}: {} of {} managed pages resident (pages lost or duplicated)",
-                r.system,
-                r.resident_total(),
-                sc.ws_pages
-            ));
-        }
-        if r.system.contains("[txn]") && r.migration.batched_pages != r.migration.completed {
-            fails.push(format!(
-                "{}: {} committed transactions but {} batched shootdown pages",
-                r.system, r.migration.completed, r.migration.batched_pages
-            ));
-        }
-    }
     let (vanilla, colloid): (Vec<_>, Vec<_>) =
         results.iter().partition(|r| !r.system.contains("Colloid"));
     if !vanilla.iter().any(|r| r.inverted()) {
@@ -422,6 +352,65 @@ pub fn smoke_failures(sc: &MultiTierScenario, results: &[MultiTierResult]) -> Ve
         ));
     }
     fails
+}
+
+/// The three-tier grid (`grid multitier`): three systems × {vanilla,
+/// Colloid} × {exclusive, transactional engine}, in system order with the
+/// vanilla-exclusive cell first.
+pub struct Grid(pub Opts);
+
+impl Harness for Grid {
+    /// `(system, colloid, transactional)`.
+    type Cell = (SystemKind, bool, bool);
+    type Outcome = MultiTierResult;
+
+    fn preamble(&mut self) -> Result<String, String> {
+        let sc = MultiTierScenario::paper_default(self.0.quick);
+        Ok(format!(
+            "Three-tier contention shift: {} ws pages, hot {} @ +{}, antagonist -> {} cores after {} ticks{}\n",
+            sc.ws_pages,
+            sc.hot_pages,
+            sc.hot_offset,
+            sc.antagonist_cores_after,
+            sc.warmup_ticks,
+            if self.0.quick { " (quick)" } else { "" },
+        ))
+    }
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let mut cells = Vec::new();
+        for kind in SystemKind::ALL {
+            for colloid in [false, true] {
+                let policy = crate::Policy::System { kind, colloid }.name();
+                for transactional in [false, true] {
+                    let label = format!("{policy}{}", engine_suffix(transactional));
+                    cells.push((label, (kind, colloid, transactional)));
+                }
+            }
+        }
+        cells
+    }
+
+    fn run(&mut self, &(kind, colloid, transactional): &Self::Cell) -> MultiTierResult {
+        let sc = MultiTierScenario::paper_default(self.0.quick);
+        run_cell(&sc, kind, colloid, transactional)
+    }
+
+    fn end_state(outcome: &MultiTierResult) -> EndState {
+        outcome.end
+    }
+
+    fn finish(
+        &mut self,
+        results: Vec<(Self::Cell, MultiTierResult)>,
+        ctx: &mut Ctx,
+    ) -> Vec<String> {
+        let results: Vec<MultiTierResult> = results.into_iter().map(|(_, r)| r).collect();
+        if self.0.smoke {
+            ctx.failures.extend(smoke_failures(&results));
+        }
+        vec![render(&results)]
+    }
 }
 
 #[cfg(test)]
@@ -463,7 +452,8 @@ mod tests {
     fn cells_conserve_pages_and_measure_every_tier() {
         let sc = tiny();
         let r = run_cell(&sc, SystemKind::Hemem, true, false);
-        assert_eq!(r.resident_total(), sc.ws_pages);
+        assert!(r.end.conserved());
+        assert_eq!(r.end.expected, sc.ws_pages);
         assert_eq!(r.tiers.len(), 3);
         assert!(r.ops_per_sec > 0.0);
         let share: f64 = r.tiers.iter().map(|t| t.app_share).sum();
@@ -475,7 +465,7 @@ mod tests {
         let sc = tiny();
         let r = run_cell(&sc, SystemKind::Hemem, true, true);
         assert!(r.system.ends_with("[txn]"));
-        assert_eq!(r.resident_total(), sc.ws_pages);
+        assert!(r.end.violations(&r.system).is_empty());
         let m = &r.migration;
         assert!(m.completed > 0, "the chain driver should migrate pages");
         assert_eq!(m.batched_pages, m.completed);
@@ -488,13 +478,13 @@ mod tests {
         let obs = |l: Option<f64>| TierObservation {
             latency_ns: l,
             app_share: 0.0,
-            resident_pages: 0,
         };
         let r = MultiTierResult {
             system: "x".into(),
             tiers: vec![obs(Some(300.0)), obs(Some(150.0)), obs(None)],
             ops_per_sec: 0.0,
             migration: memsim::MigrationCounters::default(),
+            end: EndState::default(),
         };
         assert!(r.inverted());
         assert!((r.max_adjacent_gap() - 1.0).abs() < 1e-9);
@@ -503,6 +493,7 @@ mod tests {
             tiers: vec![obs(Some(200.0)), obs(Some(200.0)), obs(Some(205.0))],
             ops_per_sec: 0.0,
             migration: memsim::MigrationCounters::default(),
+            end: EndState::default(),
         };
         assert!(!balanced.inverted());
         assert!(balanced.max_adjacent_gap() < 0.05);

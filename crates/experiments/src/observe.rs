@@ -1,5 +1,5 @@
-//! The live observatory (binary `observe`): an always-on view of a
-//! running cell built from the typed metrics registry
+//! The live observatory (binary `observe`; gates in `grid observe`): an
+//! always-on view of a running cell built from the typed metrics registry
 //! ([`telemetry::MetricsHub`]) and the SLO burn-rate monitor
 //! ([`telemetry::SloMonitor`]).
 //!
@@ -28,6 +28,7 @@ use tiersys::SystemKind;
 
 use crate::colocation;
 use crate::figures::fig9::Dynamic;
+use crate::grid::{Ctx, EndState, Harness, Opts};
 use crate::runner::{run as run_exp, RunConfig};
 use crate::scenario::{build_gups, GupsScenario, Policy};
 
@@ -81,6 +82,8 @@ pub struct Observation {
     pub events: Vec<telemetry::Event>,
     /// Machine time at the end of the run.
     pub t_end: SimTime,
+    /// End state over the managed pages.
+    pub end: EndState,
 }
 
 impl Observation {
@@ -144,9 +147,7 @@ pub fn run_quickstart_observed() -> Observation {
 
     let app_lat = hub.histogram("observe_app_latency_ns");
     for _ in 0..QUICKSTART_TICKS {
-        exp.apply_schedule();
-        let report = exp.machine.run_tick(exp.tick);
-        exp.system.on_tick(&mut exp.machine, &report);
+        let report = exp.step();
         if let Some(l) = app_tick_latency_ns(&report) {
             app_lat.record_ns(l);
             monitor.observe(obj, l);
@@ -159,6 +160,7 @@ pub fn run_quickstart_observed() -> Observation {
         monitor,
         events: sink.with(|r| r.events()).unwrap_or_default(),
         t_end: exp.machine.now(),
+        end: EndState::of(&exp.machine, &[scenario.gups_config().ws_range()]),
     }
 }
 
@@ -214,12 +216,14 @@ pub fn run_colocation_observed(arbiter: bool, mut frame: Option<FrameSink<'_>>) 
     }
 
     let monitor = exp.colo.slo.take().expect("monitor was attached");
+    let ranges: Vec<_> = exp.colo.tenants.iter().map(|t| t.range.clone()).collect();
     Observation {
         name: "ls-antagonist",
         hub,
         monitor,
         events: sink.with(|r| r.events()).unwrap_or_default(),
         t_end: exp.machine.now(),
+        end: EndState::of(&exp.machine, &ranges),
     }
 }
 
@@ -316,12 +320,13 @@ pub fn overhead_timing() -> (f64, f64) {
 /// 2. **exporters** — every drive's Prometheus exposition passes
 ///    [`telemetry::validate_prometheus`] and its NDJSON (events + metric
 ///    snapshot) passes [`telemetry::export::validate_ndjson`];
-/// 3. **cost** — the hub adds < 5% wall-clock on the Figure 9 quick
-///    cell.
+/// 3. **cost** — the hub adds < 5% wall-clock (`overhead`, measured by
+///    [`overhead_timing`]) on the Figure 9 quick cell.
 pub fn smoke_failures(
     quickstart: &Observation,
     bare: &Observation,
     arbitrated: &Observation,
+    overhead: f64,
 ) -> Vec<String> {
     let mut fails = Vec::new();
 
@@ -369,12 +374,6 @@ pub fn smoke_failures(
         }
     }
 
-    let (detached, attached) = overhead_timing();
-    let overhead = attached / detached - 1.0;
-    println!(
-        "overhead: detached {detached:.3}s vs attached {attached:.3}s ({:+.1}%)",
-        overhead * 100.0
-    );
     if overhead > MAX_OVERHEAD_FRAC {
         fails.push(format!(
             "metrics overhead {:.1}% exceeds the {:.0}% budget on the fig9 quick cell",
@@ -384,4 +383,70 @@ pub fn smoke_failures(
     }
 
     fails
+}
+
+/// The observatory's gates (`grid observe`): the quickstart and the
+/// contended cell bare and arbitrated, the bare cell's artifacts, and
+/// under `--smoke` the separation, exporter and overhead gates. The
+/// drives have one length, so `--quick` changes nothing.
+pub struct Observe(pub Opts);
+
+impl Harness for Observe {
+    type Cell = &'static str;
+    type Outcome = Observation;
+
+    fn preamble(&mut self) -> Result<String, String> {
+        Ok("observe --smoke: quickstart + ls-antagonist (bare, +qos) + overhead gate\n".into())
+    }
+
+    fn cells(&self) -> Vec<(String, &'static str)> {
+        ["quickstart", "ls-antagonist (bare)", "ls-antagonist (+qos)"]
+            .map(|c| (c.into(), c))
+            .to_vec()
+    }
+
+    fn run(&mut self, drive: &&'static str) -> Observation {
+        match *drive {
+            "quickstart" => run_quickstart_observed(),
+            arbiter => run_colocation_observed(arbiter.contains("+qos"), None),
+        }
+    }
+
+    fn end_state(outcome: &Observation) -> EndState {
+        outcome.end
+    }
+
+    fn finish(&mut self, results: Vec<(&'static str, Observation)>, ctx: &mut Ctx) -> Vec<String> {
+        let [(_, quickstart), (_, bare), (_, arbitrated)] =
+            <[_; 3]>::try_from(results).unwrap_or_else(|_| unreachable!("three drives"));
+        let mut out = format!(
+            "quickstart: {} alerts, {} events\n\
+             ls-antagonist (bare): {} alerts, {} slo_alert events\n\
+             ls-antagonist (+qos): {} alerts\n",
+            quickstart.alerts_fired(),
+            quickstart.events.len(),
+            bare.alerts_fired(),
+            bare.alert_events(),
+            arbitrated.alerts_fired(),
+        );
+        let prom = ctx.export("metrics.prom", &bare.exposition());
+        let ndjson = ctx.export("observe.ndjson", &bare.ndjson());
+        if prom.is_some() && ndjson.is_some() {
+            out.push_str(&format!(
+                "artifacts written to {}/{{metrics.prom,observe.ndjson}}\n",
+                ctx.dir.display()
+            ));
+        }
+        if self.0.smoke {
+            let (detached, attached) = overhead_timing();
+            let overhead = attached / detached - 1.0;
+            out.push_str(&format!(
+                "overhead: detached {detached:.3}s vs attached {attached:.3}s ({:+.1}%)\n",
+                overhead * 100.0
+            ));
+            ctx.failures
+                .extend(smoke_failures(&quickstart, &bare, &arbitrated, overhead));
+        }
+        vec![out]
+    }
 }

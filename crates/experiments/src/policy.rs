@@ -1,4 +1,4 @@
-//! Hotness-policy head-to-head shoot-out (binary `policy`).
+//! Hotness-policy head-to-head shoot-out (`grid policy`).
 //!
 //! The policy layer (DESIGN.md §17) factors "which pages are hot" out of
 //! the three tiering systems into a pluggable [`tiersys::HotnessPolicy`].
@@ -32,13 +32,12 @@
 //! ([`swap_drill`]) completing without losing pages.
 
 use memsim::{
-    AccessStream, CoreConfig, Machine, MachineConfig, ObjectAccess, TrafficClass, Vpn,
-    LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE,
+    AccessStream, CoreConfig, ObjectAccess, TrafficClass, Vpn, LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simkit::SimTime;
-use tiersys::{build_system, PolicyKind, PolicyProbe, SystemKind, SystemParams};
+use tiersys::{build_system, PolicyKind, PolicyProbe, SystemKind};
 use workloads::{
     GupsConfig, GupsStream, KvCacheConfig, KvCacheStream, PageRankConfig, PageRankStream,
     PhaseShiftConfig, PhaseShiftStream,
@@ -46,9 +45,10 @@ use workloads::{
 
 use crate::degradation::time_avg_latency_ns;
 use crate::gauntlet::{run_digest, tte_over_shifts};
-use crate::report::Table;
+use crate::grid::{Bench, Ctx, EndState, Harness, Opts};
+use crate::report::{p99, Table};
 use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::Experiment;
+use crate::scenario::{small_two_tier, system_params, Experiment};
 
 /// First page of the application's working set.
 const APP_BASE: Vpn = 1024;
@@ -260,27 +260,6 @@ fn shift_times(sc: &PolicyScenario, trace: PolicyTrace) -> Vec<SimTime> {
     }
 }
 
-/// Builds the shoot-out's two-tier machine with the working set
-/// first-touch-filled (default tier first).
-fn build_machine(sc: &PolicyScenario) -> Machine {
-    let mut cfg = MachineConfig::with_alt_latency_ratio(1.9);
-    cfg.seed = sc.seed;
-    cfg.tiers[0].capacity_bytes = sc.default_pages * PAGE_SIZE;
-    cfg.tiers[1].capacity_bytes = (sc.ws_pages + 1024) * PAGE_SIZE;
-    cfg.validate().expect("policy machine must validate");
-    let mut machine = Machine::new(cfg);
-    let mut free = machine.free_pages(memsim::TierId::DEFAULT);
-    for vpn in sc.ws_range() {
-        if free > 0 {
-            machine.place(vpn, memsim::TierId::DEFAULT);
-            free -= 1;
-        } else {
-            machine.place(vpn, memsim::TierId::ALTERNATE);
-        }
-    }
-    machine
-}
-
 /// Wires streams and a system running `policy` into an [`Experiment`].
 /// `policy == None` exercises the construction path production code
 /// uses (the system picks its own extracted default).
@@ -290,7 +269,12 @@ fn assemble(
     kind: SystemKind,
     policy: Option<PolicyKind>,
 ) -> Experiment {
-    let mut machine = build_machine(sc);
+    let mut machine = small_two_tier(
+        sc.seed,
+        sc.default_pages,
+        sc.ws_range(),
+        memsim::MigrationEngineConfig::default(),
+    );
     for core in 0..sc.app_cores {
         machine.add_core(
             make_stream(sc, trace, core),
@@ -298,24 +282,9 @@ fn assemble(
             TrafficClass::App,
         );
     }
-    let mut params = SystemParams::new(vec![sc.ws_range()], None);
-    params.unloaded_ns = machine
-        .config()
-        .tiers
-        .iter()
-        .map(|t| t.unloaded_latency().as_ns())
-        .collect();
+    let mut params = system_params(&machine, vec![sc.ws_range()], None);
     params.policy = policy;
-    let system = build_system(kind, params);
-    Experiment {
-        machine,
-        system,
-        tick: sc.tick(),
-        antagonist_core_ids: Vec::new(),
-        antagonist_change: None,
-        sink: telemetry::Sink::default(),
-        schedule_markers: Vec::new(),
-    }
+    Experiment::new(machine, build_system(kind, params), sc.tick())
 }
 
 /// Scores of one matrix cell.
@@ -338,8 +307,8 @@ pub struct PolicyCellScore {
     pub converged_shifts: usize,
     /// Shifts scored.
     pub total_shifts: usize,
-    /// Working-set pages resident at the end of the run.
-    pub resident_pages: u64,
+    /// End state over the working set.
+    pub end: EndState,
     /// Tracking overhead: signals the policy ingested.
     pub signals: u64,
     /// Pages the policy tracked at the end of the run.
@@ -352,20 +321,6 @@ impl PolicyCellScore {
         self.mean_tte
             .map(|t| t.as_ps() as f64 / tick.as_ps() as f64)
     }
-}
-
-/// p99 over per-tick arrival-weighted latencies.
-fn p99_tick_latency_ns(series: &[crate::runner::TickSample]) -> Option<f64> {
-    let mut ticks: Vec<f64> = series
-        .iter()
-        .filter_map(|m| time_avg_latency_ns(std::slice::from_ref(m)))
-        .collect();
-    if ticks.is_empty() {
-        return None;
-    }
-    ticks.sort_by(f64::total_cmp);
-    let idx = ((ticks.len() as f64 * 0.99).ceil() as usize).clamp(1, ticks.len()) - 1;
-    Some(ticks[idx])
 }
 
 /// Runs one cell end to end with telemetry attached and scores it.
@@ -382,6 +337,12 @@ pub fn run_cell(
     let shifts = shift_times(sc, trace);
     let (mean_tte, converged_shifts) = tte_over_shifts(&r.series, &shifts, sc.horizon());
     let stats = exp.system.policy_stats().unwrap_or_default();
+    // p99 over per-tick arrival-weighted latencies.
+    let mut tick_ns: Vec<f64> = r
+        .series
+        .iter()
+        .filter_map(|m| time_avg_latency_ns(std::slice::from_ref(m)))
+        .collect();
     PolicyCellScore {
         system: kind,
         policy: exp
@@ -389,15 +350,12 @@ pub fn run_cell(
             .policy_kind()
             .unwrap_or_else(|| kind.default_policy()),
         ops_per_sec: r.ops_per_sec,
-        p99_ns: p99_tick_latency_ns(&r.series),
+        p99_ns: p99(&mut tick_ns),
         accounting: telemetry::migration_accounting(&events),
         mean_tte,
         converged_shifts,
         total_shifts: shifts.len(),
-        resident_pages: sc
-            .ws_range()
-            .filter(|&v| exp.machine.tier_of(v).is_some())
-            .count() as u64,
+        end: EndState::of(&exp.machine, &[sc.ws_range()]),
         signals: stats.signals,
         tracked: stats.tracked,
     }
@@ -410,22 +368,6 @@ pub struct PolicyOutcome {
     pub trace: PolicyTrace,
     /// All cells, in system-major, policy-minor order.
     pub cells: Vec<PolicyCellScore>,
-}
-
-/// Runs the full matrix: every trace × every system × every policy.
-pub fn run_matrix(sc: &PolicyScenario) -> Vec<PolicyOutcome> {
-    PolicyTrace::ALL
-        .into_iter()
-        .map(|trace| {
-            let mut cells = Vec::new();
-            for kind in SystemKind::ALL {
-                for policy in PolicyKind::ALL {
-                    cells.push(run_cell(sc, trace, kind, Some(policy)));
-                }
-            }
-            PolicyOutcome { trace, cells }
-        })
-        .collect()
 }
 
 /// Formats one trace column as a score table.
@@ -466,7 +408,7 @@ pub fn render(sc: &PolicyScenario, outcome: &PolicyOutcome) -> String {
                 "-".into()
             },
             format!("{}", c.signals),
-            format!("{}", c.resident_pages),
+            format!("{}", c.end.resident),
         ]);
     }
     format!(
@@ -507,10 +449,8 @@ fn identity_run(sc: &PolicyScenario, kind: SystemKind, policy: Option<PolicyKind
 pub struct SwapDrillReport {
     /// The swap itself was accepted at the quantum boundary.
     pub swapped: bool,
-    /// Working-set pages resident after the full run.
-    pub resident_pages: u64,
-    /// Pages the scenario manages.
-    pub ws_pages: u64,
+    /// End state over the working set after the full run.
+    pub end: EndState,
     /// `policy_swap` telemetry events captured.
     pub swap_events: usize,
     /// Pages the swap reseeded (from the event payload).
@@ -520,13 +460,6 @@ pub struct SwapDrillReport {
     pub rank_churn: u64,
     /// Hot-set turnover accumulated across the swap.
     pub hot_set_turnover: u64,
-}
-
-impl SwapDrillReport {
-    /// True iff the run conserved the working set.
-    pub fn conserved(&self) -> bool {
-        self.resident_pages == self.ws_pages
-    }
 }
 
 /// Runs HeMem on the gups trace, hot-swaps FreqBins → SIEVE at the
@@ -544,8 +477,7 @@ pub fn swap_drill(sc: &PolicyScenario) -> SwapDrillReport {
     let half = sc.run_ticks / 2;
     let mut swapped = false;
     for tick in 0..sc.run_ticks {
-        let report = exp.machine.run_tick(exp.tick);
-        exp.system.on_tick(&mut exp.machine, &report);
+        exp.step();
         if tick + 1 == half {
             swapped = exp.system.swap_policy(PolicyKind::Sieve);
             // Re-label the probe for the newcomer; churn/turnover
@@ -579,11 +511,7 @@ pub fn swap_drill(sc: &PolicyScenario) -> SwapDrillReport {
     }
     SwapDrillReport {
         swapped,
-        resident_pages: sc
-            .ws_range()
-            .filter(|&v| exp.machine.tier_of(v).is_some())
-            .count() as u64,
-        ws_pages: sc.ws_pages,
+        end: EndState::of(&exp.machine, &[sc.ws_range()]),
         swap_events,
         pages_reseeded,
         rank_churn,
@@ -599,9 +527,9 @@ pub fn render_drill(d: &SwapDrillReport) -> String {
          policy_swap events: {} ({} pages reseeded)\n\
          rank churn: {}\nhot-set turnover: {}\n",
         d.swapped,
-        d.conserved(),
-        d.resident_pages,
-        d.ws_pages,
+        d.end.conserved(),
+        d.end.resident,
+        d.end.expected,
         d.swap_events,
         d.pages_reseeded,
         d.rank_churn,
@@ -609,58 +537,22 @@ pub fn render_drill(d: &SwapDrillReport) -> String {
     )
 }
 
-// --- bench baseline ------------------------------------------------------
-
-/// The observatory baseline (`BENCH_policy.json`): HeMem on the gups
-/// trace under its extracted default and under SIEVE, quick axis. The
-/// scores pin both the legacy path (bit-identity canary) and the
-/// generic path (policy-driven placement) across PRs.
-pub fn bench_baseline() -> String {
-    let sc = PolicyScenario::paper_default(true);
-    let mut cells = Vec::new();
-    for policy in [PolicyKind::FreqBins, PolicyKind::Sieve] {
-        let t0 = std::time::Instant::now();
-        let c = run_cell(&sc, PolicyTrace::Gups, SystemKind::Hemem, Some(policy));
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        cells.push(crate::bench::BenchCell {
-            name: format!("gups/HeMem/{}", policy.name()),
-            wall_ms,
-            metrics: vec![
-                ("mops", c.ops_per_sec / 1e6),
-                ("p99_ns", c.p99_ns.unwrap_or(f64::NAN)),
-                ("useful_migrations", c.accounting.useful as f64),
-                ("wasted_migrations", c.accounting.wasted as f64),
-                ("signals", c.signals as f64),
-                ("resident_pages", c.resident_pages as f64),
-            ],
-        });
-    }
-    crate::bench::render(
-        "policy",
-        "gups, HeMem under freq-bins (default) vs sieve (quick axis)",
-        sc.run_ticks,
-        &cells,
-    )
-}
-
 // --- smoke gates ---------------------------------------------------------
 
-/// The `--smoke` self-validation gates. Returns the failures (empty =
-/// pass):
+/// The harness's own `--smoke` gates (page conservation, in every cell
+/// and across the live swap, is the driver's). Returns the failures
+/// (empty = pass):
 ///
 /// 1. **default bit-identity** — per system, the `policy: None` run and
 ///    the explicit-default run produce identical digests;
-/// 2. **page conservation** — every cell of every column ends with the
-///    full working set resident;
-/// 3. **scan resistance** — under HeMem on the scan trace, SIEVE wastes
+/// 2. **scan resistance** — under HeMem on the scan trace, SIEVE wastes
 ///    strictly less migration work than LRU (the hit-streak gate holds
 ///    the one-shot sweep out of the hot set);
-/// 4. **live swap** — the mid-run FreqBins → SIEVE swap is accepted,
-///    emits its tagged telemetry event, and conserves pages;
-/// 5. **populated newcomers** — CLOCK, LRU and SIEVE all produce live
+/// 3. **live swap** — the mid-run FreqBins → SIEVE swap is accepted and
+///    emits its tagged telemetry event;
+/// 4. **populated newcomers** — CLOCK, LRU and SIEVE all produce live
 ///    cells (non-zero throughput and tracked pages) in every column.
 pub fn smoke_failures(
-    sc: &PolicyScenario,
     outcomes: &[PolicyOutcome],
     identity: &[(SystemKind, String, String)],
     drill: &SwapDrillReport,
@@ -673,21 +565,6 @@ pub fn smoke_failures(
                 "{}: explicit default policy diverges from the implicit default ({implicit} vs {explicit})",
                 kind.name()
             ));
-        }
-    }
-
-    for outcome in outcomes {
-        for c in &outcome.cells {
-            if c.resident_pages != sc.ws_pages {
-                fails.push(format!(
-                    "[{}] {}/{}: {} of {} pages resident (pages lost or duplicated)",
-                    outcome.trace.label(),
-                    c.system.name(),
-                    c.policy.name(),
-                    c.resident_pages,
-                    sc.ws_pages
-                ));
-            }
         }
     }
 
@@ -711,12 +588,6 @@ pub fn smoke_failures(
 
     if !drill.swapped {
         fails.push("live swap was rejected".into());
-    }
-    if !drill.conserved() {
-        fails.push(format!(
-            "live swap lost pages: {}/{} resident",
-            drill.resident_pages, drill.ws_pages
-        ));
     }
     if drill.swap_events == 0 {
         fails.push("live swap emitted no policy_swap telemetry event".into());
@@ -755,6 +626,129 @@ pub fn smoke_failures(
     fails
 }
 
+/// The shoot-out (`grid policy`): every trace × system × policy, with
+/// the default-identity digests before the matrix and the live swap
+/// drill after it.
+pub struct ShootOut {
+    opts: Opts,
+    sc: PolicyScenario,
+    identity: Vec<(SystemKind, String, String)>,
+}
+
+impl ShootOut {
+    /// The shoot-out for the given options.
+    pub fn new(opts: Opts) -> Self {
+        let sc = PolicyScenario::paper_default(opts.quick);
+        let identity = Vec::new();
+        ShootOut { opts, sc, identity }
+    }
+}
+
+impl Harness for ShootOut {
+    type Cell = (PolicyTrace, SystemKind, PolicyKind);
+    type Outcome = PolicyCellScore;
+
+    fn preamble(&mut self) -> Result<String, String> {
+        let sc = &self.sc;
+        let mut out = format!(
+            "Policy shoot-out: {} ws pages, hot {}, default tier {} pages, {} ticks/cell{}\n",
+            sc.ws_pages,
+            sc.hot_pages,
+            sc.default_pages,
+            sc.run_ticks,
+            if self.opts.quick { " (quick)" } else { "" },
+        );
+        self.identity = identity_digests(sc);
+        for (kind, implicit, explicit) in &self.identity {
+            let verdict = if implicit == explicit {
+                "match"
+            } else {
+                "DIVERGE"
+            };
+            out.push_str(&format!(
+                "default identity [{}]: implicit {implicit} / explicit {explicit} ({verdict})\n",
+                kind.name()
+            ));
+        }
+        Ok(out)
+    }
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let mut cells = Vec::new();
+        for trace in PolicyTrace::ALL {
+            for kind in SystemKind::ALL {
+                for policy in PolicyKind::ALL {
+                    let label = format!("{}/{}/{}", trace.label(), kind.name(), policy.name());
+                    cells.push((label, (trace, kind, policy)));
+                }
+            }
+        }
+        cells
+    }
+
+    fn run(&mut self, &(trace, kind, policy): &Self::Cell) -> PolicyCellScore {
+        run_cell(&self.sc, trace, kind, Some(policy))
+    }
+
+    fn end_state(outcome: &PolicyCellScore) -> EndState {
+        outcome.end
+    }
+
+    fn finish(
+        &mut self,
+        results: Vec<(Self::Cell, PolicyCellScore)>,
+        ctx: &mut Ctx,
+    ) -> Vec<String> {
+        let mut outcomes: Vec<PolicyOutcome> = Vec::new();
+        for ((trace, ..), cell) in results {
+            match outcomes.last_mut() {
+                Some(o) if o.trace == trace => o.cells.push(cell),
+                _ => outcomes.push(PolicyOutcome {
+                    trace,
+                    cells: vec![cell],
+                }),
+            }
+        }
+        let drill = swap_drill(&self.sc);
+        ctx.check("live swap drill", &drill.end);
+        let mut tables: Vec<String> = outcomes
+            .iter()
+            .map(|o| render(&self.sc, o) + "\n")
+            .collect();
+        tables.push(render_drill(&drill));
+        if self.opts.smoke {
+            ctx.failures
+                .extend(smoke_failures(&outcomes, &self.identity, &drill));
+        }
+        tables
+    }
+
+    /// HeMem on the gups trace under its extracted default and under
+    /// SIEVE. The scores pin both the legacy path (bit-identity canary)
+    /// and the generic path (policy-driven placement) across PRs.
+    fn bench(&self) -> Option<Bench<Self::Cell>> {
+        Some(Bench {
+            scenario: "gups, HeMem under freq-bins (default) vs sieve (quick axis)".into(),
+            ticks: self.sc.run_ticks,
+            pinned: |&(trace, kind, policy)| {
+                (trace, kind) == (PolicyTrace::Gups, SystemKind::Hemem)
+                    && [PolicyKind::FreqBins, PolicyKind::Sieve].contains(&policy)
+            },
+        })
+    }
+
+    fn bench_fields(&self, c: &PolicyCellScore) -> Vec<(&'static str, f64)> {
+        vec![
+            ("mops", c.ops_per_sec / 1e6),
+            ("p99_ns", c.p99_ns.unwrap_or(f64::NAN)),
+            ("useful_migrations", c.accounting.useful as f64),
+            ("wasted_migrations", c.accounting.wasted as f64),
+            ("signals", c.signals as f64),
+            ("resident_pages", c.end.resident as f64),
+        ]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,7 +771,7 @@ mod tests {
         let sc = tiny();
         for policy in PolicyKind::ALL {
             let c = run_cell(&sc, PolicyTrace::Gups, SystemKind::Hemem, Some(policy));
-            assert_eq!(c.resident_pages, sc.ws_pages, "{}", policy.name());
+            assert!(c.end.conserved(), "{}", policy.name());
             assert!(c.ops_per_sec > 0.0, "{}", policy.name());
             assert_eq!(c.policy, policy);
         }
@@ -797,7 +791,7 @@ mod tests {
         let c = run_cell(&sc, PolicyTrace::Adaptive, SystemKind::Tpp, None);
         assert!(c.total_shifts > 0);
         assert_eq!(c.policy, PolicyKind::TimeToFault);
-        assert_eq!(c.resident_pages, sc.ws_pages);
+        assert!(c.end.conserved());
     }
 
     #[test]
@@ -805,12 +799,7 @@ mod tests {
         let sc = tiny();
         let d = swap_drill(&sc);
         assert!(d.swapped);
-        assert!(
-            d.conserved(),
-            "{}/{} resident",
-            d.resident_pages,
-            d.ws_pages
-        );
+        assert!(d.end.conserved(), "{:?}", d.end);
         assert_eq!(d.swap_events, 1);
         assert!(d.pages_reseeded > 0);
     }

@@ -1,4 +1,5 @@
-//! Plain-text report formatting for the figure drivers.
+//! Plain-text report formatting for the figure drivers and harnesses,
+//! plus the small statistics and digests their score tables share.
 
 use std::fmt::Write as _;
 
@@ -181,6 +182,35 @@ pub fn mode_timeline(sv: Option<&tiersys::SupervisionReport>) -> String {
         parts.push(format!("ttr={:.1}ms", ttr.as_us() / 1000.0));
     }
     parts.join(" -> ")
+}
+
+/// The cell-name suffix of the transactional migration engine.
+pub fn engine_suffix(transactional: bool) -> &'static str {
+    if transactional {
+        " [txn]"
+    } else {
+        ""
+    }
+}
+
+/// p99 of `samples` (nearest rank; sorts in place), `None` when empty.
+pub fn p99(samples: &mut [f64]) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    samples.sort_by(f64::total_cmp);
+    let idx = ((samples.len() as f64 * 0.99).ceil() as usize).clamp(1, samples.len()) - 1;
+    Some(samples[idx])
+}
+
+/// FNV-1a offset basis: the starting `hash` of [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into an FNV-1a `hash` (digests stay dependency-free).
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Renders a compact ASCII time series: one `t: value` line per sample

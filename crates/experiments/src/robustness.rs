@@ -17,6 +17,7 @@ use memsim::{BandwidthPhase, FaultPlan};
 use simkit::SimTime;
 use tiersys::SystemKind;
 
+use crate::grid::{Ctx, EndState, Harness, Opts};
 use crate::report::{fault_counts, mops, ratio, retry_counts, Table};
 use crate::runner::{run as run_exp, RunConfig, RunResult};
 use crate::scenario::{build_gups, GupsScenario, Policy};
@@ -120,59 +121,90 @@ pub fn scenario(level: FaultLevel, tick: SimTime) -> GupsScenario {
 }
 
 /// Runs one (policy × fault level) cell of the matrix.
-pub fn run_cell(kind: SystemKind, colloid: bool, level: FaultLevel, quick: bool) -> RunResult {
+pub fn run_cell(
+    kind: SystemKind,
+    colloid: bool,
+    level: FaultLevel,
+    quick: bool,
+) -> (RunResult, EndState) {
     let rc = if quick {
         RunConfig::steady_state().quick()
     } else {
         RunConfig::steady_state()
     };
-    let mut exp = build_gups(
-        &scenario(level, SimTime::from_us(100.0)),
-        Policy::System { kind, colloid },
-    );
-    run_exp(&mut exp, &rc)
+    let sc = scenario(level, SimTime::from_us(100.0));
+    let mut exp = build_gups(&sc, Policy::System { kind, colloid });
+    let r = run_exp(&mut exp, &rc);
+    let end = EndState::of(&exp.machine, &[sc.gups_config().ws_range()]);
+    (r, end)
 }
 
-/// Runs the full robustness matrix and prints the table.
-pub fn run(quick: bool) -> String {
-    let mut out = String::from("== Robustness: throughput under injected faults (GUPS @ 2x) ==\n");
-    let mut t = Table::new(vec![
-        "system",
-        "faults",
-        "Mops/s",
-        "vs fault-free",
-        "injected",
-        "retry s/r/d",
-    ]);
-    for kind in SystemKind::ALL {
-        for colloid in [false, true] {
-            let policy = Policy::System { kind, colloid };
-            let mut baseline = None;
-            for level in FaultLevel::ALL {
-                eprintln!("[robustness] {} / {} ...", policy.name(), level.label());
-                let r = run_cell(kind, colloid, level, quick);
-                let vs = match baseline {
-                    None => {
-                        baseline = Some(r.ops_per_sec);
-                        "1.00x".into()
-                    }
-                    Some(base) if base > 0.0 => ratio(r.ops_per_sec / base),
-                    Some(_) => "-".into(),
-                };
-                t.row(vec![
-                    policy.name(),
-                    level.label().into(),
-                    mops(r.ops_per_sec),
-                    vs,
-                    fault_counts(&r.fault_stats),
-                    retry_counts(r.retry_stats.as_ref()),
-                ]);
+/// The robustness matrix (`grid robustness`): every system ± Colloid,
+/// each under every fault level, mildest first.
+pub struct Matrix(pub Opts);
+
+impl Harness for Matrix {
+    /// `(system, colloid, fault level)`.
+    type Cell = (SystemKind, bool, FaultLevel);
+    type Outcome = (RunResult, EndState);
+
+    fn cells(&self) -> Vec<(String, Self::Cell)> {
+        let mut cells = Vec::new();
+        for kind in SystemKind::ALL {
+            for colloid in [false, true] {
+                let policy = Policy::System { kind, colloid }.name();
+                for level in FaultLevel::ALL {
+                    let label = format!("{policy} / {}", level.label());
+                    cells.push((label, (kind, colloid, level)));
+                }
             }
         }
+        cells
     }
-    out.push_str(&t.render());
-    println!("{out}");
-    out
+
+    fn run(&mut self, &(kind, colloid, level): &Self::Cell) -> Self::Outcome {
+        run_cell(kind, colloid, level, self.0.quick)
+    }
+
+    fn end_state(outcome: &Self::Outcome) -> EndState {
+        outcome.1
+    }
+
+    fn finish(&mut self, results: Vec<(Self::Cell, Self::Outcome)>, _: &mut Ctx) -> Vec<String> {
+        let mut t = Table::new(vec![
+            "system",
+            "faults",
+            "Mops/s",
+            "vs fault-free",
+            "injected",
+            "retry s/r/d",
+        ]);
+        let mut baseline = 0.0;
+        for ((kind, colloid, level), (r, _)) in results {
+            // Levels run mildest first, so `None` sets each policy's
+            // fault-free reference.
+            let vs = if level == FaultLevel::None {
+                baseline = r.ops_per_sec;
+                "1.00x".into()
+            } else if baseline > 0.0 {
+                ratio(r.ops_per_sec / baseline)
+            } else {
+                "-".into()
+            };
+            t.row(vec![
+                Policy::System { kind, colloid }.name(),
+                level.label().into(),
+                mops(r.ops_per_sec),
+                vs,
+                fault_counts(&r.fault_stats),
+                retry_counts(r.retry_stats.as_ref()),
+            ]);
+        }
+        vec![format!(
+            "== Robustness: throughput under injected faults (GUPS @ 2x) ==\n{}\n",
+            t.render()
+        )]
+    }
 }
 
 #[cfg(test)]

@@ -177,6 +177,19 @@ pub struct Experiment {
 }
 
 impl Experiment {
+    /// An experiment with no antagonist, schedule, or telemetry.
+    pub fn new(machine: Machine, system: Box<dyn TieringSystem>, tick: SimTime) -> Self {
+        Experiment {
+            machine,
+            system,
+            tick,
+            antagonist_core_ids: Vec::new(),
+            antagonist_change: None,
+            sink: telemetry::Sink::default(),
+            schedule_markers: Vec::new(),
+        }
+    }
+
     /// Wires a telemetry sink through every layer of the experiment: the
     /// machine (migrations, evacuations, faults), the tiering system
     /// (Colloid, retry queue, supervisor), and the runner's own schedule
@@ -196,6 +209,15 @@ impl Experiment {
     pub fn attach_metrics(&mut self, hub: telemetry::MetricsHub) {
         self.machine.set_metrics(hub.clone());
         self.system.set_metrics(hub);
+    }
+
+    /// Runs one machine tick, after any due schedule change, and the
+    /// tiering system's reaction to it.
+    pub fn step(&mut self) -> memsim::TickReport {
+        self.apply_schedule();
+        let report = self.machine.run_tick(self.tick);
+        self.system.on_tick(&mut self.machine, &report);
+        report
     }
 
     /// Applies a scheduled antagonist change once its time arrives and
@@ -282,21 +304,60 @@ fn place_working_set(
                 }
             }
         }
-        Policy::System { .. } => {
-            // First-touch: pages allocate from the default tier until it
-            // fills (minus any requested headroom), then from the
-            // alternate tier.
-            let mut free = machine.free_pages(TierId::DEFAULT).saturating_sub(headroom);
-            for vpn in ws {
-                if free > 0 {
-                    machine.place(vpn, TierId::DEFAULT);
-                    free -= 1;
-                } else {
-                    machine.place(vpn, TierId::ALTERNATE);
-                }
-            }
-        }
+        Policy::System { .. } => fill_down(machine, ws, headroom),
     }
+}
+
+/// First-touch fill down the tier chain: pages allocate from tier 0 until
+/// it fills (minus `headroom` frames), then from tier 1, and so on.
+pub fn fill_down(machine: &mut Machine, pages: impl IntoIterator<Item = Vpn>, headroom: u64) {
+    let mut tier = TierId::DEFAULT;
+    let mut free = machine.free_pages(tier).saturating_sub(headroom);
+    for vpn in pages {
+        while free == 0 {
+            tier = TierId(tier.0 + 1);
+            free = machine.free_pages(tier);
+        }
+        machine.place(vpn, tier);
+        free -= 1;
+    }
+}
+
+/// The gauntlet's and the policy shoot-out's machine: `default_pages` of
+/// default tier, a 1.9× alternate tier with room for `ws`, `ws` filled.
+pub fn small_two_tier(
+    seed: u64,
+    default_pages: u64,
+    ws: std::ops::Range<Vpn>,
+    engine: memsim::MigrationEngineConfig,
+) -> Machine {
+    let mut cfg = MachineConfig::with_alt_latency_ratio(1.9);
+    cfg.seed = seed;
+    cfg.tiers[0].capacity_bytes = default_pages * PAGE_SIZE;
+    cfg.tiers[1].capacity_bytes = (ws.end - ws.start + 1024) * PAGE_SIZE;
+    cfg.engine = engine;
+    cfg.validate()
+        .expect("small two-tier machine must validate");
+    let mut machine = Machine::new(cfg);
+    fill_down(&mut machine, ws, 0);
+    machine
+}
+
+/// Tiering-system parameters over `managed` pages, with each tier's
+/// unloaded latency taken from `machine`'s configuration.
+pub fn system_params(
+    machine: &Machine,
+    managed: Vec<std::ops::Range<Vpn>>,
+    colloid: Option<ColloidParams>,
+) -> SystemParams {
+    let mut params = SystemParams::new(managed, colloid);
+    params.unloaded_ns = machine
+        .config()
+        .tiers
+        .iter()
+        .map(|t| t.unloaded_latency().as_ns())
+        .collect();
+    params
 }
 
 /// Builds the tiering system for `policy` over `managed` pages.
@@ -307,16 +368,10 @@ fn build_policy(
 ) -> Box<dyn TieringSystem> {
     match policy {
         Policy::Static { .. } => Box::new(StaticPlacement),
-        Policy::System { kind, colloid } => {
-            let mut params = SystemParams::new(managed, colloid.then(ColloidParams::default));
-            params.unloaded_ns = machine
-                .config()
-                .tiers
-                .iter()
-                .map(|t| t.unloaded_latency().as_ns())
-                .collect();
-            build_system(kind, params)
-        }
+        Policy::System { kind, colloid } => build_system(
+            kind,
+            system_params(machine, managed, colloid.then(ColloidParams::default)),
+        ),
     }
 }
 
@@ -334,16 +389,8 @@ pub fn build_gups_with_colloid(
             colloid: false,
         },
     );
-    let gups = scenario.gups_config();
-    let mut params = SystemParams::new(vec![gups.ws_range()], Some(colloid));
-    params.unloaded_ns = exp
-        .machine
-        .config()
-        .tiers
-        .iter()
-        .map(|t| t.unloaded_latency().as_ns())
-        .collect();
-    exp.system = build_system(kind, params);
+    let ws = scenario.gups_config().ws_range();
+    exp.system = build_system(kind, system_params(&exp.machine, vec![ws], Some(colloid)));
     exp
 }
 
@@ -379,15 +426,8 @@ pub fn build_tpp_with_config(
             colloid: false,
         },
     );
-    let gups = scenario.gups_config();
-    let mut params = SystemParams::new(vec![gups.ws_range()], colloid.then(ColloidParams::default));
-    params.unloaded_ns = exp
-        .machine
-        .config()
-        .tiers
-        .iter()
-        .map(|t| t.unloaded_latency().as_ns())
-        .collect();
+    let ws = scenario.gups_config().ws_range();
+    let params = system_params(&exp.machine, vec![ws], colloid.then(ColloidParams::default));
     exp.system = Box::new(tiersys::tpp::Tpp::new(params, cfg));
     exp
 }

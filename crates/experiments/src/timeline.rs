@@ -1,23 +1,24 @@
-//! End-to-end telemetry demonstration (binary `timeline`).
+//! End-to-end telemetry demonstration (`grid timeline`).
 //!
 //! Runs the Figure 9 "contention 0x -> 3x" shift for one tiering system
 //! with and without Colloid, with a full [`telemetry::RingRecorder`]
 //! attached, then:
 //!
 //! - exports the event stream as NDJSON and the per-tick metrics as CSV
-//!   (under `telemetry_out/`),
+//!   (under `timeline_out/`),
 //! - renders throughput timelines and an event-log excerpt,
 //! - reports the derived analytics: time-to-equilibrium after the shift,
 //!   migration-efficiency accounting, and latency-inversion episodes.
 //!
 //! `--smoke` additionally validates the NDJSON schema and requires a
 //! finite time-to-equilibrium for the Colloid run, exiting non-zero on
-//! failure (the CI telemetry job drives this).
+//! failure (CI runs `grid timeline --quick --smoke`).
 
 use simkit::SimTime;
 use tiersys::SystemKind;
 
 use crate::figures::fig9::Dynamic;
+use crate::grid::{Ctx, EndState, Harness, Opts};
 use crate::report::series;
 use crate::runner::{run as run_exp, RunConfig, TickSample};
 use crate::scenario::{build_gups, Policy};
@@ -48,6 +49,8 @@ pub struct CellOutcome {
     pub accounting: telemetry::MigrationAccounting,
     /// Latency-inversion episode statistics over the series.
     pub inversions: telemetry::InversionStats,
+    /// End state over the working set.
+    pub end: EndState,
 }
 
 /// Runs one contention-shift timeline with full telemetry attached.
@@ -77,6 +80,7 @@ pub fn run_cell(kind: SystemKind, colloid: bool, quick: bool) -> CellOutcome {
         tte,
         accounting,
         inversions,
+        end: EndState::of(&exp.machine, &[sc.gups_config().ws_range()]),
     }
 }
 
@@ -128,88 +132,93 @@ fn slug(name: &str) -> String {
         .collect()
 }
 
-/// Runs the demo (vanilla vs Colloid), writes exports, prints the report.
-/// Returns the report and, for `--smoke`, any validation failure.
-pub fn run(kind: SystemKind, quick: bool, smoke: bool) -> (String, Result<(), String>) {
-    let mut out = String::from("== Telemetry timeline: contention 0x -> 3x ==\n");
-    let out_dir = std::path::Path::new("telemetry_out");
-    let mut check: Result<(), String> = Ok(());
-    for colloid in [false, true] {
-        eprintln!("[timeline] {} ...", Policy::System { kind, colloid }.name());
-        let cell = run_cell(kind, colloid, quick);
+/// The telemetry demo (`grid timeline`): HeMem vanilla vs Colloid.
+pub struct Timeline(pub Opts);
 
-        // Exports.
-        let ndjson = telemetry::events_to_ndjson(&cell.events);
-        let csv = telemetry::metrics_to_csv(&cell.series);
-        if let Err(e) = std::fs::create_dir_all(out_dir)
-            .and_then(|()| {
-                std::fs::write(
-                    out_dir.join(format!("{}.ndjson", slug(&cell.name))),
-                    &ndjson,
-                )
-            })
-            .and_then(|()| std::fs::write(out_dir.join(format!("{}.csv", slug(&cell.name))), &csv))
-        {
-            eprintln!("[timeline] export write failed: {e}");
-        } else {
-            out.push_str(&format!(
-                "wrote telemetry_out/{0}.ndjson ({1} events) and telemetry_out/{0}.csv ({2} rows)\n",
-                slug(&cell.name),
-                cell.events.len(),
-                cell.series.len(),
-            ));
-        }
+impl Harness for Timeline {
+    /// Colloid attached.
+    type Cell = bool;
+    type Outcome = CellOutcome;
 
-        // Timeline + event log + analytics.
-        let pts: Vec<(f64, f64)> = cell
-            .series
-            .iter()
-            .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
-            .collect();
-        out.push_str(&series(
-            &format!(
-                "{} | shift @ {:.1} ms | Mops/s over time (ms)",
-                cell.name,
-                cell.shift_t.as_ns() / 1e6
-            ),
-            &pts,
-            20,
-        ));
-        out.push_str(&telemetry::render::event_log(&cell.events, 12));
-        out.push_str(&analytics_block(&cell));
+    fn cells(&self) -> Vec<(String, bool)> {
+        let kind = SystemKind::Hemem;
+        [false, true]
+            .map(|colloid| (Policy::System { kind, colloid }.name(), colloid))
+            .to_vec()
+    }
 
-        // Smoke checks: the NDJSON must parse against the schema, and the
-        // Colloid run must reach a finite equilibrium after the shift.
-        if smoke && check.is_ok() {
-            check = telemetry::validate_ndjson(&ndjson)
-                .map(|_| ())
-                .map_err(|e| format!("{}: NDJSON validation failed: {e}", cell.name));
-            if check.is_ok() && colloid && cell.tte.is_none() {
-                check = Err(format!(
-                    "{}: no finite time-to-equilibrium after the shift",
-                    cell.name
+    fn run(&mut self, &colloid: &bool) -> CellOutcome {
+        run_cell(SystemKind::Hemem, colloid, self.0.quick)
+    }
+
+    fn end_state(outcome: &CellOutcome) -> EndState {
+        outcome.end
+    }
+
+    /// Writes the NDJSON + CSV exports and renders each cell's timeline,
+    /// event log and analytics. Under `--smoke` the NDJSON must parse
+    /// against the schema, the event stream must be non-empty, and the
+    /// Colloid run must reach a finite equilibrium after the shift.
+    fn finish(&mut self, results: Vec<(bool, CellOutcome)>, ctx: &mut Ctx) -> Vec<String> {
+        let mut out = String::from("== Telemetry timeline: contention 0x -> 3x ==\n");
+        for (colloid, cell) in &results {
+            let ndjson = telemetry::events_to_ndjson(&cell.events);
+            let csv = telemetry::metrics_to_csv(&cell.series);
+            let slug = slug(&cell.name);
+            let nd_path = ctx.export(&format!("{slug}.ndjson"), &ndjson);
+            let csv_path = ctx.export(&format!("{slug}.csv"), &csv);
+            if let (Some(nd_path), Some(csv_path)) = (nd_path, csv_path) {
+                out.push_str(&format!(
+                    "wrote {nd_path} ({} events) and {csv_path} ({} rows)\n",
+                    cell.events.len(),
+                    cell.series.len(),
                 ));
             }
-            if check.is_ok() && cell.events.is_empty() {
-                check = Err(format!("{}: event stream is empty", cell.name));
+
+            let pts: Vec<(f64, f64)> = cell
+                .series
+                .iter()
+                .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
+                .collect();
+            out.push_str(&series(
+                &format!(
+                    "{} | shift @ {:.1} ms | Mops/s over time (ms)",
+                    cell.name,
+                    cell.shift_t.as_ns() / 1e6
+                ),
+                &pts,
+                20,
+            ));
+            out.push_str(&telemetry::render::event_log(&cell.events, 12));
+            out.push_str(&analytics_block(cell));
+
+            if self.0.smoke {
+                if let Err(e) = telemetry::validate_ndjson(&ndjson) {
+                    ctx.failures
+                        .push(format!("{}: NDJSON validation failed: {e}", cell.name));
+                }
+                if *colloid && cell.tte.is_none() {
+                    ctx.failures.push(format!(
+                        "{}: no finite time-to-equilibrium after the shift",
+                        cell.name
+                    ));
+                }
+                if cell.events.is_empty() {
+                    ctx.failures
+                        .push(format!("{}: event stream is empty", cell.name));
+                }
             }
         }
-    }
-    if smoke {
-        out.push_str(match &check {
-            Ok(()) => "telemetry smoke: PASS\n",
-            Err(e) => {
-                out_err(e);
+        if self.0.smoke {
+            out.push_str(if ctx.failures.is_empty() {
+                "telemetry smoke: PASS\n"
+            } else {
                 "telemetry smoke: FAIL\n"
-            }
-        });
+            });
+        }
+        out.push('\n');
+        vec![out]
     }
-    println!("{out}");
-    (out, check)
-}
-
-fn out_err(e: &str) {
-    eprintln!("[timeline] smoke failure: {e}");
 }
 
 #[cfg(test)]

@@ -1,12 +1,12 @@
-//! Causal-trace demonstration (binary `trace`).
+//! Causal-trace demonstration (`grid trace`).
 //!
 //! Runs the Figure 9 "contention 0x -> 3x" shift for HeMem+Colloid with
 //! the full tracing stack live — scoped tick spans, async per-copy
 //! migration spans, decision spans carried as causal links — then:
 //!
 //! - exports the run as chrome-`trace_event` JSON
-//!   (`telemetry_out/trace.json`, loadable in `ui.perfetto.dev` or
-//!   `chrome://tracing`) and folded stacks (`telemetry_out/trace.folded`,
+//!   (`trace_out/trace.json`, loadable in `ui.perfetto.dev` or
+//!   `chrome://tracing`) and folded stacks (`trace_out/trace.folded`,
 //!   for `flamegraph.pl`/inferno);
 //! - folds the migration spans into the per-page provenance report:
 //!   useful/wasted accounting, ping-pong churn, and the blame table
@@ -14,7 +14,7 @@
 //! - prints the simulator's own wall-clock profile (`simkit::profile`)
 //!   over the instrumented hot paths.
 //!
-//! `--smoke` self-validates (the CI trace job drives this): the emitted
+//! `--smoke` self-validates (CI runs `grid trace --quick --smoke`): the emitted
 //! JSON must pass [`telemetry::validate_chrome_trace`], every completed
 //! migration span must resolve a causal chain back to a decision span,
 //! the provenance wasted total must reconcile with
@@ -26,6 +26,7 @@ use simkit::SimTime;
 use tiersys::SystemKind;
 
 use crate::figures::fig9::Dynamic;
+use crate::grid::{Ctx, EndState, Harness, Opts};
 use crate::runner::{run as run_exp, RunConfig, TickSample};
 use crate::scenario::{build_gups, GupsScenario, Policy};
 
@@ -52,9 +53,16 @@ pub struct TraceOutcome {
     pub dropped_spans: u64,
     /// Folded per-page provenance.
     pub provenance: telemetry::ProvenanceReport,
+    /// End state over the working set.
+    pub end: EndState,
 }
 
-fn snapshot(exp: &crate::Experiment, name: String, series: Vec<TickSample>) -> TraceOutcome {
+fn snapshot(
+    exp: &crate::Experiment,
+    sc: &GupsScenario,
+    name: String,
+    series: Vec<TickSample>,
+) -> TraceOutcome {
     let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
     let spans = exp.sink.with(|rec| rec.spans()).unwrap_or_default();
     let dropped_spans = exp.sink.with(|rec| rec.dropped_spans()).unwrap_or(0);
@@ -66,6 +74,7 @@ fn snapshot(exp: &crate::Experiment, name: String, series: Vec<TickSample>) -> T
         series,
         dropped_spans,
         provenance,
+        end: EndState::of(&exp.machine, &[sc.gups_config().ws_range()]),
     }
 }
 
@@ -84,7 +93,7 @@ pub fn run_contention_cell(quick: bool) -> TraceOutcome {
         telemetry::RingRecorder::new(EVENT_CAP, 2 * pre).with_span_cap(SPAN_CAP),
     )));
     let r = run_exp(&mut exp, &RunConfig::timeline(2 * pre));
-    snapshot(&exp, name, r.series)
+    snapshot(&exp, &sc, name, r.series)
 }
 
 /// The fault-free quickstart cell (steady-state GUPS, HeMem+Colloid):
@@ -101,7 +110,7 @@ pub fn run_quickstart_cell() -> TraceOutcome {
         telemetry::RingRecorder::new(EVENT_CAP, 1 << 12).with_span_cap(SPAN_CAP),
     )));
     run_exp(&mut exp, &RunConfig::steady_state());
-    snapshot(&exp, name, Vec::new())
+    snapshot(&exp, &scenario, name, Vec::new())
 }
 
 /// Smoke check: every completed migration span resolves a causal chain
@@ -126,131 +135,148 @@ fn check_causal_chains(c: &TraceOutcome) -> Result<usize, String> {
     Ok(checked)
 }
 
-/// Runs the traced demo, writes exports, prints the report. Returns the
-/// report and, for `--smoke`, any validation failure.
-pub fn run(quick: bool, smoke: bool) -> (String, Result<(), String>) {
-    let mut out = String::from("== Causal trace: contention 0x -> 3x (HeMem+Colloid) ==\n");
-    let out_dir = std::path::Path::new("telemetry_out");
-    let mut check: Result<(), String> = Ok(());
+/// The causal-tracing demo (`grid trace`): the contention cell, then
+/// the fault-free quickstart, both under the wall-clock profiler.
+pub struct Trace(pub Opts);
 
-    simkit::profile::reset();
-    simkit::profile::set_enabled(true);
-    eprintln!("[trace] contention cell ...");
-    let cell = run_contention_cell(quick);
-    eprintln!("[trace] quickstart cell ...");
-    let quickstart = run_quickstart_cell();
-    simkit::profile::set_enabled(false);
-    let profile = simkit::profile::table();
+impl Harness for Trace {
+    type Cell = &'static str;
+    type Outcome = TraceOutcome;
 
-    // Exports: chrome trace + folded stacks for the contention cell.
-    let trace_json = telemetry::chrome_trace_json(&cell.spans, &cell.events, &cell.series);
-    let folded = telemetry::folded_stacks(&cell.spans);
-    if let Err(e) = std::fs::create_dir_all(out_dir)
-        .and_then(|()| std::fs::write(out_dir.join("trace.json"), &trace_json))
-        .and_then(|()| std::fs::write(out_dir.join("trace.folded"), &folded))
-    {
-        eprintln!("[trace] export write failed: {e}");
-    } else {
-        out.push_str(&format!(
-            "wrote telemetry_out/trace.json ({} spans, {} events, {} metric rows; \
-             load in ui.perfetto.dev)\nwrote telemetry_out/trace.folded ({} stacks)\n",
-            cell.spans.len(),
-            cell.events.len(),
-            cell.series.len(),
-            folded.lines().count(),
-        ));
+    fn preamble(&mut self) -> Result<String, String> {
+        simkit::profile::reset();
+        simkit::profile::set_enabled(true);
+        Ok(String::new())
     }
 
-    out.push_str(&format!("\n-- Provenance: {} --\n", cell.name));
-    out.push_str(&cell.provenance.render());
-    out.push_str(&format!(
-        "\n-- Provenance: {} (fault-free quickstart) --\n",
-        quickstart.name
-    ));
-    out.push_str(&quickstart.provenance.render());
-    out.push_str("\n-- Simulator wall-clock profile --\n");
-    out.push_str(&profile);
+    fn cells(&self) -> Vec<(String, &'static str)> {
+        ["contention", "quickstart"].map(|c| (c.into(), c)).to_vec()
+    }
 
-    if smoke {
-        // 1. The emitted trace must pass the offline format checker.
-        check = telemetry::validate_chrome_trace(&trace_json)
-            .map(|n| {
-                out.push_str(&format!("\ntrace.json: {n} trace events validated\n"));
-            })
-            .map_err(|e| format!("chrome-trace validation failed: {e}"));
-        // 2. Every completed copy chains back to a decision span.
-        for c in [&cell, &quickstart] {
-            if check.is_ok() {
-                check = check_causal_chains(c).map(|n| {
-                    out.push_str(&format!(
+    fn run(&mut self, cell: &&'static str) -> TraceOutcome {
+        match *cell {
+            "contention" => run_contention_cell(self.0.quick),
+            _ => run_quickstart_cell(),
+        }
+    }
+
+    fn end_state(outcome: &TraceOutcome) -> EndState {
+        outcome.end
+    }
+
+    /// Writes the chrome trace and folded stacks of the contention cell
+    /// and prints the provenance and profile reports. Under `--smoke`:
+    /// the trace passes the offline format checker, every completed copy
+    /// chains back to a decision span, blame reconciles with the
+    /// event-stream accounting, the fault-free quickstart shows zero
+    /// ping-pong, and the profiler covered the instrumented hot paths.
+    fn finish(&mut self, results: Vec<(&'static str, TraceOutcome)>, ctx: &mut Ctx) -> Vec<String> {
+        simkit::profile::set_enabled(false);
+        let profile = simkit::profile::table();
+        let [(_, cell), (_, quickstart)] =
+            <[_; 2]>::try_from(results).unwrap_or_else(|_| unreachable!("two traced cells"));
+
+        let mut out = String::from("== Causal trace: contention 0x -> 3x (HeMem+Colloid) ==\n");
+        let trace_json = telemetry::chrome_trace_json(&cell.spans, &cell.events, &cell.series);
+        let folded = telemetry::folded_stacks(&cell.spans);
+        let json_path = ctx.export("trace.json", &trace_json);
+        let folded_path = ctx.export("trace.folded", &folded);
+        if let (Some(json_path), Some(folded_path)) = (json_path, folded_path) {
+            out.push_str(&format!(
+                "wrote {json_path} ({} spans, {} events, {} metric rows; \
+                 load in ui.perfetto.dev)\nwrote {folded_path} ({} stacks)\n",
+                cell.spans.len(),
+                cell.events.len(),
+                cell.series.len(),
+                folded.lines().count(),
+            ));
+        }
+
+        out.push_str(&format!("\n-- Provenance: {} --\n", cell.name));
+        out.push_str(&cell.provenance.render());
+        out.push_str(&format!(
+            "\n-- Provenance: {} (fault-free quickstart) --\n",
+            quickstart.name
+        ));
+        out.push_str(&quickstart.provenance.render());
+        out.push_str("\n-- Simulator wall-clock profile --\n");
+        out.push_str(&profile);
+
+        if self.0.smoke {
+            // 1. The emitted trace must pass the offline format checker.
+            match telemetry::validate_chrome_trace(&trace_json) {
+                Ok(n) => out.push_str(&format!("\ntrace.json: {n} trace events validated\n")),
+                Err(e) => ctx
+                    .failures
+                    .push(format!("chrome-trace validation failed: {e}")),
+            }
+            for c in [&cell, &quickstart] {
+                // 2. Every completed copy chains back to a decision span.
+                match check_causal_chains(c) {
+                    Ok(n) => out.push_str(&format!(
                         "{}: {} migration spans causally resolved\n",
                         c.name, n
+                    )),
+                    Err(e) => ctx.failures.push(e),
+                }
+                if c.dropped_spans > 0 {
+                    ctx.failures.push(format!(
+                        "{}: span ring overflowed ({} dropped)",
+                        c.name, c.dropped_spans
                     ));
-                });
-            }
-            if check.is_ok() && c.dropped_spans > 0 {
-                check = Err(format!(
-                    "{}: span ring overflowed ({} dropped)",
-                    c.name, c.dropped_spans
-                ));
-            }
-            // 3. Blame reconciles with the event-stream accounting.
-            if check.is_ok() {
+                }
+                // 3. Blame reconciles with the event-stream accounting.
                 let acct = telemetry::migration_accounting(&c.events);
                 let p = &c.provenance;
                 if (p.completed, p.wasted) != (acct.completed, acct.wasted) {
-                    check = Err(format!(
+                    ctx.failures.push(format!(
                         "{}: provenance ({} completed / {} wasted) disagrees with \
                          accounting ({} / {})",
                         c.name, p.completed, p.wasted, acct.completed, acct.wasted
                     ));
                 } else if p.completed_events != p.completed {
-                    check = Err(format!(
+                    ctx.failures.push(format!(
                         "{}: {} migration spans vs {} MigrationComplete events",
                         c.name, p.completed, p.completed_events
                     ));
                 }
             }
-        }
-        if check.is_ok() && cell.provenance.completed == 0 {
-            check = Err("contention cell completed no migrations".into());
-        }
-        // 4. Zero ping-pong churn in the fault-free quickstart.
-        if check.is_ok() && quickstart.provenance.ping_pong_pages > 0 {
-            check = Err(format!(
-                "fault-free quickstart shows {} ping-pong pages",
-                quickstart.provenance.ping_pong_pages
-            ));
-        }
-        // 5. The profiler covered the instrumented hot paths.
-        if check.is_ok() {
+            if cell.provenance.completed == 0 {
+                ctx.failures
+                    .push("contention cell completed no migrations".into());
+            }
+            // 4. Zero ping-pong churn in the fault-free quickstart.
+            if quickstart.provenance.ping_pong_pages > 0 {
+                ctx.failures.push(format!(
+                    "fault-free quickstart shows {} ping-pong pages",
+                    quickstart.provenance.ping_pong_pages
+                ));
+            }
+            // 5. The profiler covered the instrumented hot paths.
             let rows = simkit::profile::stats();
-            let hot = [
+            let missing: Vec<&str> = [
                 "machine.event_loop",
                 "machine.cha_sample",
                 "machine.mig_engine",
                 "colloid.on_quantum",
                 "system.on_tick",
-            ];
-            let missing: Vec<&str> = hot
-                .iter()
-                .filter(|h| !rows.iter().any(|r| r.label == **h))
-                .copied()
-                .collect();
+            ]
+            .into_iter()
+            .filter(|h| !rows.iter().any(|r| r.label == *h))
+            .collect();
             if !missing.is_empty() {
-                check = Err(format!("profiler missed hot paths: {missing:?}"));
+                ctx.failures
+                    .push(format!("profiler missed hot paths: {missing:?}"));
             }
-        }
-        out.push_str(match &check {
-            Ok(()) => "trace smoke: PASS\n",
-            Err(e) => {
-                eprintln!("[trace] smoke failure: {e}");
+            out.push_str(if ctx.failures.is_empty() {
+                "trace smoke: PASS\n"
+            } else {
                 "trace smoke: FAIL\n"
-            }
-        });
+            });
+        }
+        out.push('\n');
+        vec![out]
     }
-    println!("{out}");
-    (out, check)
 }
 
 #[cfg(test)]

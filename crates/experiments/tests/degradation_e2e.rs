@@ -71,8 +71,8 @@ fn check_pair(fault: HardFault, kind: SystemKind) -> (f64, f64, u64, u64) {
     let sup = run_cell(fault, kind, true, false, true);
     for cell in [&base, &sup] {
         assert_eq!(
-            cell.pages_mapped,
-            cell.pages_expected,
+            cell.end.resident,
+            cell.end.expected,
             "{} lost pages under {}",
             cell.name,
             fault.label()

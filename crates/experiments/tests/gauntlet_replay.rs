@@ -7,7 +7,7 @@
 //! NDJSON schema, the replayer, or the machine's replay semantics will
 //! surface here instead of silently shifting the gauntlet's fixture
 //! column. Regenerate both files with
-//! `cargo run -p experiments --release --bin gauntlet -- --quick --gen-fixture`
+//! `cargo run -p experiments --release --bin grid -- gauntlet --quick --regen`
 //! (the scenario is pinned to quick mode).
 
 use std::path::Path;
@@ -41,7 +41,7 @@ fn fixture_replay_matches_golden_digest() {
     assert_eq!(
         digest, pinned,
         "fixture replay drifted from the committed golden (regenerate with \
-         `cargo run -p experiments --release --bin gauntlet -- --quick --gen-fixture` \
+         `cargo run -p experiments --release --bin grid -- gauntlet --quick --regen` \
          if the change is intentional)"
     );
     // Two replays of the same fixture are bit-identical.

@@ -333,14 +333,14 @@ fn live_policy_swap_conserves_pages_and_tags_telemetry() {
     let d = experiments::policy::swap_drill(&sc);
     assert!(d.swapped, "swap was rejected at the quantum boundary");
     assert!(
-        d.conserved(),
+        d.end.conserved(),
         "swap lost pages: {}/{} resident",
-        d.resident_pages,
-        d.ws_pages
+        d.end.resident,
+        d.end.expected
     );
     assert_eq!(d.swap_events, 1, "expected exactly one policy_swap event");
     assert_eq!(
-        d.pages_reseeded, d.ws_pages,
+        d.pages_reseeded, d.end.expected,
         "the newcomer must be reseeded with the full tracked set"
     );
 }
