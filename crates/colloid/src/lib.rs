@@ -11,22 +11,21 @@
 //!   watermark controller that computes the desired shift `Δp` in access
 //!   probability, including the watermark reset that tracks dynamic
 //!   equilibrium changes (paper §3.2, Figure 4).
-//! - [`placement`] — Algorithm 1: the end-to-end per-quantum placement
-//!   decision (promotion/demotion mode, `Δp`, and the dynamic migration
-//!   limit `min(Δp·(R_D+R_A), M)`), generic over a [`placement::PageFinder`]
-//!   supplied by the host tiering system (paper §4).
-//! - [`multitier`] — the generalisation to more than two tiers (paper
-//!   §3.1): pairwise balancing between latency-adjacent tiers.
+//! - [`placement::ColloidController`] — Algorithm 1: the end-to-end
+//!   per-quantum placement decision over any number of tiers, balanced
+//!   pairwise between latency-adjacent tiers (paper §3.1): the acting
+//!   pair, promotion/demotion mode, `Δp`, and the dynamic migration limit
+//!   `min(Δp·(R_u+R_l), M)`. Finding and migrating the pages is left to
+//!   the host tiering system (paper §4).
 //!
-//! The crate deliberately depends only on `simkit` (for EWMA): it knows
-//! nothing about the simulator, so the same code would drive real CHA
-//! counters.
+//! The crate depends only on `simkit` (for EWMA and the profiler) and
+//! `telemetry` (for passive event and metric recording): it knows nothing
+//! about the simulator, so the same code would drive real CHA counters.
 
 pub mod latency;
-pub mod multitier;
 pub mod placement;
 pub mod shift;
 
 pub use latency::{LatencyMonitor, TierMeasurement, MAX_STALE_QUANTA};
-pub use placement::{ColloidConfig, ColloidController, Mode, PageFinder, PlacementDecision};
+pub use placement::{ColloidConfig, ColloidController, Mode, PairDecision};
 pub use shift::ShiftController;

@@ -1,23 +1,37 @@
-//! Algorithm 1: the end-to-end Colloid page-placement loop.
+//! Algorithm 1: the end-to-end Colloid page-placement loop, for any number
+//! of tiers (paper §3.1–§3.2).
+//!
+//! Tiers are ordered by unloaded latency, tier 0 fastest. "If the access
+//! latencies of all the tiers are not equal, then the average access
+//! latency can be reduced by placing more hot pages in the tier with the
+//! smallest access latency. [...] Similar reasoning can be applied
+//! recursively for the tier with the second smallest access latency and so
+//! on." The controller realises the recursion pairwise: one Algorithm 2
+//! watermark controller runs between each adjacent pair `(i, i+1)`,
+//! treating the upper tier `i` as that pair's "default" side. At
+//! equilibrium every pair is balanced, hence all tier latencies are equal.
+//! On two tiers the one pair is the paper's default/alternate split.
 //!
 //! Every quantum the controller:
 //!
 //! 1. reads per-tier `(O, R)` counter windows and derives smoothed
-//!    latencies `L_D`, `L_A` and the default-tier share `p` (§3.1);
-//! 2. picks the migration **mode**: promotion when `L_D < L_A`, demotion
-//!    otherwise;
-//! 3. computes the desired shift `Δp` with the watermark controller
-//!    (Algorithm 2);
+//!    latencies (§3.1);
+//! 2. picks the most latency-imbalanced pair whose **donor** tier has
+//!    traffic. Its **mode** is promotion (into the upper tier) when
+//!    `L_u < L_l`, demotion otherwise, and the donor is the tier pages
+//!    leave: the lower tier for a promotion, the upper for a demotion. A
+//!    pair with an idle donor cannot shift any access probability, so it
+//!    must neither win the selection (it would starve every other pair)
+//!    nor move its watermarks;
+//! 3. computes the pair's share `p = R_u / (R_u + R_l)` and the desired
+//!    shift `Δp` with the pair's watermark controller (Algorithm 2);
 //! 4. computes the **dynamic migration limit**
-//!    `min(Δp · (R_D + R_A), M)` — migrating more traffic-worth of pages
-//!    than the desired rate perturbation would oscillate (§3.2);
-//! 5. asks the host system's [`PageFinder`] for a set of pages whose
-//!    summed access probability is ≤ `Δp` and summed size is within the
-//!    limit, then hands them to the host's migration mechanism.
+//!    `min(Δp · (R_u + R_l), M)` — migrating more traffic-worth of pages
+//!    than the desired rate perturbation would oscillate (§3.2).
 //!
-//! Steps 1–4 are substrate-independent and live here; step 5 is
-//! system-specific (paper §4) and is supplied through the [`PageFinder`]
-//! trait.
+//! Finding pages whose summed access probability is within `Δp` and whose
+//! summed size is within the limit, and migrating them, is system-specific
+//! (paper §4) and lives with each tiering system.
 
 use crate::latency::{LatencyMonitor, TierMeasurement};
 use crate::shift::ShiftController;
@@ -25,39 +39,33 @@ use crate::shift::ShiftController;
 /// Direction of migration this quantum (Algorithm 1, lines 5–8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Default tier is faster: move hot pages *into* the default tier.
+    /// The pair's upper tier is faster: move hot pages *into* it.
     Promote,
-    /// Default tier is slower: move hot pages *out* to the alternate tier.
+    /// The pair's upper tier is slower: move hot pages *out* to the lower
+    /// tier.
     Demote,
 }
 
-/// The per-quantum outcome of Algorithm 1's measurement half.
+/// One quantum's placement decision, between adjacent tiers.
 #[derive(Debug, Clone, Copy)]
-pub struct PlacementDecision {
-    /// Migration direction.
+pub struct PairDecision {
+    /// The faster (lower-unloaded-latency) tier of the pair.
+    pub upper: usize,
+    /// The slower tier of the pair, `upper + 1`.
+    pub lower: usize,
+    /// `Promote` = move hot pages from `lower` into `upper`.
     pub mode: Mode,
-    /// Desired shift in summed access probability.
+    /// Desired shift in the pair's access-probability split.
     pub delta_p: f64,
     /// Byte budget for this quantum's migrations:
-    /// `min(Δp·(R_D+R_A)·64·quantum, M)`.
+    /// `min(Δp·(R_u+R_l)·64·quantum, M)`.
     pub byte_limit: u64,
-    /// Measured (smoothed) default-tier latency, ns.
-    pub l_default_ns: f64,
-    /// Measured (smoothed) alternate-tier latency, ns.
-    pub l_alternate_ns: f64,
-    /// Current default-tier access-probability share.
+    /// The upper tier's share of the pair's traffic, `R_u / (R_u + R_l)`.
     pub p: f64,
-}
-
-/// Supplied by the host tiering system: find pages to migrate under the
-/// Δp and byte constraints, using whatever access-tracking state the system
-/// maintains (frequency bins for HeMem, hot lists for MEMTIS, time-to-fault
-/// for TPP — paper §4.1–4.3).
-pub trait PageFinder {
-    /// Returns pages to migrate in `mode`'s direction. The implementation
-    /// must ensure the pages' summed access probability is ≤ `delta_p` and
-    /// their summed size is ≤ `byte_limit`.
-    fn find_pages(&mut self, mode: Mode, delta_p: f64, byte_limit: u64) -> Vec<u64>;
+    /// Measured (smoothed) upper-tier latency, ns.
+    pub l_upper_ns: f64,
+    /// Measured (smoothed) lower-tier latency, ns.
+    pub l_lower_ns: f64,
 }
 
 /// Colloid configuration.
@@ -75,9 +83,10 @@ pub struct ColloidConfig {
     /// Quantum duration in nanoseconds (to convert the rate-based dynamic
     /// limit into bytes).
     pub quantum_ns: f64,
-    /// Unloaded latency of each tier, ns (reported while a tier is idle).
+    /// Unloaded latency of each tier, ns, ascending (reported while a tier
+    /// is idle).
     pub unloaded_ns: Vec<f64>,
-    /// Apply the dynamic migration limit `Δp·(R_D+R_A)` (§3.2). Disabling
+    /// Apply the dynamic migration limit `Δp·(R_u+R_l)` (§3.2). Disabling
     /// it (ablation) falls back to the static limit alone.
     pub dynamic_limit: bool,
 }
@@ -102,7 +111,8 @@ impl ColloidConfig {
     }
 }
 
-/// The Algorithm 1 controller (measurement + shift + limit).
+/// The Algorithm 1 controller (measurement + pair selection + shift +
+/// limit) over `n >= 2` tiers.
 ///
 /// # Examples
 ///
@@ -120,11 +130,26 @@ impl ColloidConfig {
 ///     .expect("unbalanced tiers need migration");
 /// assert_eq!(d.mode, Mode::Demote);
 /// assert!(d.delta_p > 0.0);
+///
+/// // Three tiers: pair (0,1) is the most imbalanced (300 vs 140 ns).
+/// let mut ctl = ColloidController::new(ColloidConfig {
+///     unloaded_ns: vec![70.0, 135.0, 150.0],
+///     ..ColloidConfig::paper_default(70.0, 135.0, 1 << 20, 100_000.0)
+/// });
+/// let d = ctl
+///     .on_quantum(&[
+///         TierMeasurement { occupancy: 60.0, rate_per_ns: 0.2 },
+///         TierMeasurement { occupancy: 14.0, rate_per_ns: 0.1 },
+///         TierMeasurement { occupancy: 1.5, rate_per_ns: 0.01 },
+///     ])
+///     .expect("pair (0,1) acts");
+/// assert_eq!((d.upper, d.lower), (0, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct ColloidController {
     monitor: LatencyMonitor,
-    shift: ShiftController,
+    /// Pair `i`'s watermark controller balances tiers `i` and `i + 1`.
+    pairs: Vec<ShiftController>,
     cfg: ColloidConfig,
     quanta: u64,
     sink: telemetry::Sink,
@@ -148,16 +173,22 @@ impl ColloidController {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two tiers are configured.
+    /// Panics if fewer than two tiers are configured, the unloaded
+    /// latencies are not ascending, or `quantum_ns` is not finite and
+    /// positive.
     pub fn new(cfg: ColloidConfig) -> Self {
         assert!(cfg.unloaded_ns.len() >= 2, "Colloid needs at least 2 tiers");
+        assert!(
+            cfg.unloaded_ns.windows(2).all(|w| w[0] <= w[1]),
+            "tiers must be ordered by unloaded latency"
+        );
         assert!(
             cfg.quantum_ns.is_finite() && cfg.quantum_ns > 0.0,
             "quantum_ns must be finite and positive"
         );
         ColloidController {
             monitor: LatencyMonitor::new(cfg.unloaded_ns.clone(), cfg.ewma_alpha),
-            shift: ShiftController::new(cfg.epsilon, cfg.delta),
+            pairs: vec![ShiftController::new(cfg.epsilon, cfg.delta); cfg.unloaded_ns.len() - 1],
             cfg,
             quanta: 0,
             sink: telemetry::Sink::default(),
@@ -173,11 +204,12 @@ impl ColloidController {
         self.sink = sink;
     }
 
-    /// Attaches a live metrics hub: the controller exports its `p`
-    /// trajectory and smoothed tier latencies as gauges, a decision
-    /// counter, and a wall-clock decision-latency histogram. Recording is
-    /// passive; with the hub disabled no clock is ever read, so metrics
-    /// never perturb a run.
+    /// Attaches a live metrics hub: the controller exports the acting
+    /// pair's `p` trajectory and smoothed latencies (upper tier as
+    /// `colloid_l_default_ns`, lower as `colloid_l_alternate_ns`) as
+    /// gauges, a decision counter, and a wall-clock decision-latency
+    /// histogram. Recording is passive; with the hub disabled no clock is
+    /// ever read, so metrics never perturb a run.
     pub fn set_metrics(&mut self, hub: telemetry::MetricsHub) {
         self.metrics = ControllerMetrics {
             enabled: hub.enabled(),
@@ -189,17 +221,18 @@ impl ColloidController {
         };
     }
 
-    /// Algorithm 1, lines 1–9: ingest counters, decide mode/Δp/limit.
+    /// Algorithm 1, lines 1–9: ingest counters, pick a pair, decide
+    /// mode/Δp/limit.
     ///
-    /// Returns `None` when no migration is needed this quantum (balanced
-    /// latencies, or no traffic yet).
+    /// Returns `None` when no migration is needed this quantum (every pair
+    /// balanced, or no pair's donor tier has traffic).
     ///
     /// Robust to corrupt counter windows: implausible measurements are
     /// rejected by the [`LatencyMonitor`] (which holds its last-good
     /// estimate), and any decision returned has a finite `delta_p` in
     /// `(0, 1]` and `byte_limit <= static_limit_bytes` — never a panic or a
     /// NaN, whatever the input.
-    pub fn on_quantum(&mut self, window: &[TierMeasurement]) -> Option<PlacementDecision> {
+    pub fn on_quantum(&mut self, window: &[TierMeasurement]) -> Option<PairDecision> {
         // The wall clock is only read with metrics enabled, so disabled
         // runs never touch host time.
         let wall = self.metrics.enabled.then(std::time::Instant::now);
@@ -210,33 +243,43 @@ impl ColloidController {
                 .record_ns(start.elapsed().as_nanos() as f64);
             if let Some(d) = &decision {
                 self.metrics.p.set(d.p);
-                self.metrics.l_default_ns.set(d.l_default_ns);
-                self.metrics.l_alternate_ns.set(d.l_alternate_ns);
+                self.metrics.l_default_ns.set(d.l_upper_ns);
+                self.metrics.l_alternate_ns.set(d.l_lower_ns);
                 self.metrics.decisions.inc();
             }
         }
         decision
     }
 
-    fn quantum_inner(&mut self, window: &[TierMeasurement]) -> Option<PlacementDecision> {
+    fn quantum_inner(&mut self, window: &[TierMeasurement]) -> Option<PairDecision> {
         let _prof = simkit::profile::scope("colloid.on_quantum");
         self.monitor.update(window);
         self.quanta += 1;
-        let total_rate = self.monitor.total_rate_per_ns();
-        if total_rate <= 0.0 {
-            return None;
+        let m = &self.monitor;
+        // The pair with the largest relative latency imbalance among those
+        // whose donor tier has traffic.
+        let mut best: Option<(usize, f64)> = None;
+        for upper in 0..self.pairs.len() {
+            let (l_u, l_l) = (m.latency_ns(upper), m.latency_ns(upper + 1));
+            let donor = if l_u < l_l { upper + 1 } else { upper };
+            if m.rate_per_ns(donor) <= 0.0 {
+                continue;
+            }
+            let imbalance = (l_u - l_l).abs() / l_u.max(1e-9);
+            if best.is_none_or(|(_, b)| imbalance > b) {
+                best = Some((upper, imbalance));
+            }
         }
-        let l_d = self.monitor.latency_ns(0);
-        let l_a = self.alternate_latency_ns();
-        let p = self.monitor.default_share();
-        let mode = if l_d < l_a {
-            Mode::Promote
-        } else {
-            Mode::Demote
-        };
-        let marks_before = (self.shift.p_lo(), self.shift.p_hi(), self.shift.resets());
-        let delta_p = self.shift.compute_shift(p, l_d, l_a);
-        let (lo, hi, resets) = (self.shift.p_lo(), self.shift.p_hi(), self.shift.resets());
+        let (upper, _) = best?;
+        let lower = upper + 1;
+        let (r_u, r_l) = (m.rate_per_ns(upper), m.rate_per_ns(lower));
+        let (l_u, l_l) = (m.latency_ns(upper), m.latency_ns(lower));
+        let pair_rate = r_u + r_l;
+        let p = r_u / pair_rate;
+        let shift = &mut self.pairs[upper];
+        let marks_before = (shift.p_lo(), shift.p_hi(), shift.resets());
+        let delta_p = shift.compute_shift(p, l_u, l_l);
+        let (lo, hi, resets) = (shift.p_lo(), shift.p_hi(), shift.resets());
         if (lo, hi, resets) != marks_before {
             self.sink.emit(telemetry::Source::Colloid, || {
                 telemetry::EventKind::WatermarkMove {
@@ -251,12 +294,17 @@ impl ColloidController {
             return None;
         }
         let delta_p = delta_p.min(1.0);
-        // Dynamic migration limit: Δp·(R_D+R_A) requests/ns worth of pages,
+        let mode = if l_u < l_l {
+            Mode::Promote
+        } else {
+            Mode::Demote
+        };
+        // Dynamic migration limit: Δp·(R_u+R_l) requests/ns worth of pages,
         // 64 B per request, over one quantum — capped by the static limit.
         // (An `f64 as u64` cast saturates, and maps NaN to 0, so the cap
         // holds even for degenerate products.)
         let byte_limit = if self.cfg.dynamic_limit {
-            let dynamic = delta_p * total_rate * 64.0 * self.cfg.quantum_ns;
+            let dynamic = delta_p * pair_rate * 64.0 * self.cfg.quantum_ns;
             (dynamic as u64).min(self.cfg.static_limit_bytes)
         } else {
             self.cfg.static_limit_bytes
@@ -268,8 +316,8 @@ impl ColloidController {
         self.sink.emit(telemetry::Source::Colloid, || {
             telemetry::EventKind::PUpdate {
                 p,
-                l_default_ns: l_d,
-                l_alternate_ns: l_a,
+                l_default_ns: l_u,
+                l_alternate_ns: l_l,
                 mode: mode_str,
                 delta_p,
                 byte_limit,
@@ -279,40 +327,16 @@ impl ColloidController {
         // this decision chain back to this span via the sink's cause id.
         self.sink
             .span_decision(telemetry::Source::Colloid, "colloid.decide", mode_str);
-        Some(PlacementDecision {
+        Some(PairDecision {
+            upper,
+            lower,
             mode,
             delta_p,
             byte_limit,
-            l_default_ns: l_d,
-            l_alternate_ns: l_a,
             p,
+            l_upper_ns: l_u,
+            l_lower_ns: l_l,
         })
-    }
-
-    /// Effective latency of "the alternate side": for two tiers, tier 1;
-    /// with more tiers, the rate-weighted average of tiers 1.. (the
-    /// pairwise generalisation lives in [`crate::multitier`]).
-    fn alternate_latency_ns(&self) -> f64 {
-        let n = self.monitor.tiers();
-        if n == 2 {
-            return self.monitor.latency_ns(1);
-        }
-        let mut rate_sum = 0.0;
-        let mut weighted = 0.0;
-        for i in 1..n {
-            let r = self.monitor.rate_per_ns(i);
-            rate_sum += r;
-            weighted += r * self.monitor.latency_ns(i);
-        }
-        if rate_sum <= 0.0 {
-            // All alternate tiers idle: the cheapest one is what a migrated
-            // page would see.
-            (1..n)
-                .map(|i| self.monitor.latency_ns(i))
-                .fold(f64::INFINITY, f64::min)
-        } else {
-            weighted / rate_sum
-        }
     }
 
     /// The latency monitor (for telemetry).
@@ -320,34 +344,39 @@ impl ColloidController {
         &self.monitor
     }
 
-    /// The watermark controller (for telemetry).
-    pub fn shift(&self) -> &ShiftController {
-        &self.shift
+    /// The per-pair watermark controllers, pair `i` between tiers `i` and
+    /// `i + 1` (for telemetry).
+    pub fn pairs(&self) -> &[ShiftController] {
+        &self.pairs
     }
 
-    /// Freezes or resumes the placement controller (supervisor degraded
-    /// modes): while frozen, `on_quantum` keeps ingesting measurements so
-    /// the latency EWMAs stay warm, but the watermarks never move and no
-    /// placement decision is emitted.
+    /// Freezes or resumes every pair's watermark controller (supervisor
+    /// degraded modes): while frozen, `on_quantum` keeps ingesting
+    /// measurements so the latency EWMAs stay warm, but no watermark moves
+    /// and no placement decision is emitted.
     pub fn set_frozen(&mut self, frozen: bool) {
-        if frozen {
-            self.shift.freeze();
-        } else {
-            self.shift.resume();
+        for pair in &mut self.pairs {
+            if frozen {
+                pair.freeze();
+            } else {
+                pair.resume();
+            }
         }
     }
 
     /// Whether the controller is currently frozen.
     pub fn is_frozen(&self) -> bool {
-        self.shift.is_frozen()
+        self.pairs.iter().all(ShiftController::is_frozen)
     }
 
-    /// Re-runs the watermark reset (`p_lo ← 0`, `p_hi ← 1`) so the
-    /// post-fault equilibrium is re-found from scratch — the paper's
-    /// dynamic-shift mechanism applied after a hard fault rather than a
-    /// workload move.
+    /// Re-runs the watermark reset (`p_lo ← 0`, `p_hi ← 1`) on every pair
+    /// so the post-fault equilibrium is re-found from scratch — the
+    /// paper's dynamic-shift mechanism applied after a hard fault rather
+    /// than a workload move.
     pub fn reset_equilibrium(&mut self) {
-        self.shift.reset_watermarks();
+        for pair in &mut self.pairs {
+            pair.reset_watermarks();
+        }
         self.sink.emit(telemetry::Source::Colloid, || {
             telemetry::EventKind::EquilibriumReset
         });
@@ -372,6 +401,21 @@ mod tests {
 
     fn cfg() -> ColloidConfig {
         ColloidConfig::paper_default(70.0, 135.0, 1 << 20, 100_000.0)
+    }
+
+    /// Unsmoothed signals over `unloaded_ns`, no practical static cap.
+    fn chain_cfg(unloaded_ns: Vec<f64>) -> ColloidConfig {
+        ColloidConfig {
+            unloaded_ns,
+            ewma_alpha: 1.0,
+            static_limit_bytes: 1 << 30,
+            ..cfg()
+        }
+    }
+
+    /// `n` tiers 65 ns apart.
+    fn chain(n: usize) -> ColloidController {
+        ColloidController::new(chain_cfg((0..n).map(|i| 70.0 + 65.0 * i as f64).collect()))
     }
 
     #[test]
@@ -406,9 +450,9 @@ mod tests {
         let mut c = ColloidController::new(cfg());
         c.on_quantum(&[meas(7.0, 0.1), meas(30.0, 0.2)]);
         c.reset_equilibrium();
-        assert_eq!(c.shift().p_lo(), 0.0);
-        assert_eq!(c.shift().p_hi(), 1.0);
-        assert!(c.shift().resets() > 0);
+        assert_eq!(c.pairs()[0].p_lo(), 0.0);
+        assert_eq!(c.pairs()[0].p_hi(), 1.0);
+        assert!(c.pairs()[0].resets() > 0);
     }
 
     #[test]
@@ -418,7 +462,7 @@ mod tests {
             .on_quantum(&[meas(7.0, 0.1), meas(30.0, 0.2)])
             .expect("decision");
         assert_eq!(d.mode, Mode::Promote);
-        assert!(d.l_default_ns < d.l_alternate_ns);
+        assert!(d.l_upper_ns < d.l_lower_ns);
     }
 
     #[test]
@@ -468,7 +512,38 @@ mod tests {
             .on_quantum(&[meas(60.0, 0.2), TierMeasurement::IDLE])
             .expect("decision");
         assert_eq!(d.mode, Mode::Demote);
-        assert_eq!(d.l_alternate_ns, 135.0);
+        assert_eq!(d.l_lower_ns, 135.0);
+    }
+
+    #[test]
+    fn idle_donor_leaves_watermarks_untouched() {
+        // Tier 1's counters drop out until the monitor forgets it: its
+        // rate is then exactly 0 and it reports its unloaded 135 ns, so
+        // the pair indicates a promotion with nothing to promote from.
+        let mut c = ColloidController::new(cfg());
+        c.on_quantum(&[meas(7.0, 0.1), meas(30.0, 0.2)]);
+        let marks = |c: &ColloidController| {
+            let s = &c.pairs()[0];
+            (s.p_lo(), s.p_hi(), s.resets())
+        };
+        let before = marks(&c);
+        assert!(before.0 > 0.0 && before.1 == 1.0, "{before:?}");
+        let dropped = [meas(7.0, 0.1), meas(f64::NAN, f64::NAN)];
+        for _ in 1..crate::latency::MAX_STALE_QUANTA {
+            c.on_quantum(&dropped);
+        }
+        let sink = telemetry::Sink::ring(64, 0);
+        c.set_telemetry(sink.clone());
+        assert!(c.on_quantum(&dropped).is_none());
+        assert_eq!(c.monitor().rate_per_ns(1), 0.0);
+        assert_eq!(marks(&c), before);
+        let events = sink.with(|r| r.events()).expect("enabled sink");
+        assert!(
+            !events
+                .iter()
+                .any(|e| matches!(e.kind, telemetry::EventKind::WatermarkMove { .. })),
+            "{events:?}"
+        );
     }
 
     #[test]
@@ -487,8 +562,8 @@ mod tests {
                 assert!(d.delta_p.is_finite());
                 assert!(d.delta_p > 0.0 && d.delta_p <= 1.0);
                 assert!(d.byte_limit <= 1 << 20);
-                assert!(d.l_default_ns.is_finite());
-                assert!(d.l_alternate_ns.is_finite());
+                assert!(d.l_upper_ns.is_finite());
+                assert!(d.l_lower_ns.is_finite());
                 assert!(d.p.is_finite());
             }
         }
@@ -510,18 +585,112 @@ mod tests {
     }
 
     #[test]
-    fn three_tier_alternate_latency_is_rate_weighted() {
+    fn balanced_three_tiers_no_decisions() {
+        let mut c = chain(3);
+        // All at 250 ns (above every tier's unloaded latency).
+        let d = c.on_quantum(&[meas(50.0, 0.2), meas(25.0, 0.1), meas(12.5, 0.05)]);
+        assert!(d.is_none());
+    }
+
+    #[test]
+    fn hot_default_demotes_towards_middle_tier() {
+        let mut c = chain(3);
+        let d = c.on_quantum(&[
+            meas(90.0, 0.3), // 300 ns
+            meas(14.0, 0.1), // 140 ns
+            meas(4.0, 0.02), // 200 ns
+        ]);
+        // Pair 0-1 (300 vs 140 ns) is more imbalanced than 1-2 (140 vs
+        // 200 ns), so it acts this quantum, demoting out of the default.
+        let d = d.expect("decision");
+        assert_eq!(d.upper, 0);
+        assert_eq!(d.mode, Mode::Demote);
+    }
+
+    #[test]
+    fn idle_tail_tier_is_skipped() {
+        let mut c = chain(3);
+        let d = c.on_quantum(&[meas(90.0, 0.3), meas(14.0, 0.1), TierMeasurement::IDLE]);
+        // Pair 1-2 has rate > 0 (tier 1), so it may act; pair decisions
+        // must never reference a rate-0 *pair*.
+        if let Some(d) = d {
+            assert!(d.upper < 2);
+        }
+    }
+
+    #[test]
+    fn pairwise_closed_loop_converges_three_tiers() {
+        // Toy model: three tiers whose latency rises linearly in their
+        // share of total traffic; the controller should equalise latencies.
+        let unloaded = [70.0_f64, 135.0, 170.0];
+        let slope = [400.0_f64, 250.0, 200.0];
+        let mut shares = [0.8_f64, 0.15, 0.05];
         let mut c = ColloidController::new(ColloidConfig {
-            unloaded_ns: vec![70.0, 135.0, 250.0],
+            delta: 0.02,
+            ..chain_cfg(unloaded.to_vec())
+        });
+        let total_rate = 0.3;
+        for _ in 0..400 {
+            let lat: Vec<f64> = (0..3).map(|i| unloaded[i] + slope[i] * shares[i]).collect();
+            let window: Vec<TierMeasurement> = (0..3)
+                .map(|i| meas(lat[i] * shares[i] * total_rate, shares[i] * total_rate))
+                .collect();
+            if let Some(d) = c.on_quantum(&window) {
+                let (from, to) = match d.mode {
+                    Mode::Promote => (d.lower, d.upper),
+                    Mode::Demote => (d.upper, d.lower),
+                };
+                let moved = d.delta_p.min(shares[from]);
+                shares[from] -= moved;
+                shares[to] += moved;
+            }
+        }
+        let lat: Vec<f64> = (0..3).map(|i| unloaded[i] + slope[i] * shares[i]).collect();
+        let max = lat.iter().cloned().fold(f64::MIN, f64::max);
+        let min = lat.iter().cloned().fold(f64::MAX, f64::min);
+        assert!(
+            max / min < 1.15,
+            "latencies should equalise, got {lat:?} (shares {shares:?})"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn rejects_unsorted_tiers() {
+        let _ = ColloidController::new(ColloidConfig {
+            unloaded_ns: vec![135.0, 70.0],
             ..cfg()
         });
-        let d = c
-            .on_quantum(&[
-                meas(90.0, 0.3), // L_D = 300
-                meas(13.5, 0.1), // 135 ns
-                meas(25.0, 0.1), // 250 ns
-            ])
-            .expect("decision");
-        assert!((d.l_alternate_ns - 192.5).abs() < 1.0);
+    }
+
+    #[test]
+    fn frozen_three_tier_controller_ingests_but_never_decides() {
+        let mut c = chain(3);
+        c.set_frozen(true);
+        assert!(c.is_frozen());
+        for _ in 0..10 {
+            let d = c.on_quantum(&[meas(90.0, 0.3), meas(14.0, 0.1), meas(4.0, 0.02)]);
+            assert!(d.is_none());
+        }
+        // Measurements were still ingested while frozen …
+        assert!(c.monitor().total_rate_per_ns() > 0.0);
+        // … so the first unfrozen quantum can decide immediately.
+        c.set_frozen(false);
+        assert!(!c.is_frozen());
+        let d = c.on_quantum(&[meas(90.0, 0.3), meas(14.0, 0.1), meas(4.0, 0.02)]);
+        assert_eq!(d.expect("decision after resume").mode, Mode::Demote);
+    }
+
+    #[test]
+    fn reset_equilibrium_restarts_every_pair() {
+        let mut c = chain(3);
+        // Move at least one pair's watermarks off the initial interval.
+        c.on_quantum(&[meas(90.0, 0.3), meas(14.0, 0.1), meas(4.0, 0.02)]);
+        c.reset_equilibrium();
+        for pair in c.pairs() {
+            assert_eq!(pair.p_lo(), 0.0);
+            assert_eq!(pair.p_hi(), 1.0);
+            assert!(pair.resets() > 0);
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! watermark controller; these tests check them over randomly generated
 //! measurement sequences and toy tier models, not just hand-picked cases.
 
-use colloid::multitier::MultiTierBalancer;
-use colloid::{ColloidConfig, ColloidController, Mode, ShiftController, TierMeasurement};
+use colloid::{
+    ColloidConfig, ColloidController, LatencyMonitor, Mode, ShiftController, TierMeasurement,
+};
 use proptest::prelude::*;
 
 /// Degenerate measurement values: NaN, infinities, negatives, absurd
@@ -118,13 +119,13 @@ proptest! {
                 prop_assert!(d.delta_p > 0.0 && d.delta_p <= 1.0);
                 prop_assert!((0.0..=1.0).contains(&d.p));
                 match d.mode {
-                    Mode::Promote => prop_assert!(d.l_default_ns < d.l_alternate_ns),
-                    Mode::Demote => prop_assert!(d.l_default_ns >= d.l_alternate_ns),
+                    Mode::Promote => prop_assert!(d.l_upper_ns < d.l_lower_ns),
+                    Mode::Demote => prop_assert!(d.l_upper_ns >= d.l_lower_ns),
                 }
                 // Measured latencies never undercut the transient floor of
                 // half the unloaded latency.
-                prop_assert!(d.l_default_ns >= 35.0 - 1e-9);
-                prop_assert!(d.l_alternate_ns >= 67.5 - 1e-9);
+                prop_assert!(d.l_upper_ns >= 35.0 - 1e-9);
+                prop_assert!(d.l_lower_ns >= 67.5 - 1e-9);
             }
         }
     }
@@ -154,8 +155,8 @@ proptest! {
                 prop_assert!(d.byte_limit <= static_limit,
                     "byte_limit {} > static {}", d.byte_limit, static_limit);
                 prop_assert!((0.0..=1.0).contains(&d.p), "p = {}", d.p);
-                prop_assert!(d.l_default_ns.is_finite() && d.l_default_ns >= 0.0);
-                prop_assert!(d.l_alternate_ns.is_finite() && d.l_alternate_ns >= 0.0);
+                prop_assert!(d.l_upper_ns.is_finite() && d.l_upper_ns >= 0.0);
+                prop_assert!(d.l_lower_ns.is_finite() && d.l_lower_ns >= 0.0);
             }
         }
     }
@@ -222,7 +223,7 @@ proptest! {
 }
 
 proptest! {
-    /// The pairwise N-tier balancer (§3.1 generalised) equalises a random
+    /// The pairwise N-tier controller (§3.1 generalised) equalises a random
     /// chain of 3–4 linear-latency tiers: after enough quanta every
     /// adjacent pair is either latency-balanced or has drained its slower
     /// (lower) side empty, in which case no further promotion is possible
@@ -246,7 +247,15 @@ proptest! {
         for s in &mut shares {
             *s /= total;
         }
-        let mut b = MultiTierBalancer::new(unloaded.clone(), 0.01, 0.02, 1.0, 1 << 30, 1e5);
+        let mut b = ColloidController::new(ColloidConfig {
+            epsilon: 0.01,
+            delta: 0.02,
+            ewma_alpha: 1.0,
+            static_limit_bytes: 1 << 30,
+            quantum_ns: 1e5,
+            unloaded_ns: unloaded.clone(),
+            dynamic_limit: true,
+        });
         let total_rate = 0.3;
         let latencies = |shares: &[f64]| -> Vec<f64> {
             (0..n).map(|i| unloaded[i] + slope[i] * shares[i]).collect()
@@ -259,7 +268,7 @@ proptest! {
                     rate_per_ns: shares[i] * total_rate,
                 })
                 .collect();
-            for d in b.on_quantum(&window) {
+            if let Some(d) = b.on_quantum(&window) {
                 let (from, to) = match d.mode {
                     Mode::Promote => (d.lower, d.upper),
                     Mode::Demote => (d.upper, d.lower),
@@ -290,6 +299,115 @@ proptest! {
                  unloaded {unloaded:?} slopes {slope:?}",
                 i + 1,
             );
+        }
+    }
+}
+
+/// The paper's two-tier Algorithm 1, written out over the public
+/// [`LatencyMonitor`] and [`ShiftController`], plus the donor rule: a
+/// quantum whose donor tier (the one pages would leave) has no traffic is
+/// skipped before Algorithm 2 runs.
+struct Algorithm1 {
+    monitor: LatencyMonitor,
+    shift: ShiftController,
+    cfg: ColloidConfig,
+}
+
+impl Algorithm1 {
+    fn new(cfg: ColloidConfig) -> Self {
+        Algorithm1 {
+            monitor: LatencyMonitor::new(cfg.unloaded_ns.clone(), cfg.ewma_alpha),
+            shift: ShiftController::new(cfg.epsilon, cfg.delta),
+            cfg,
+        }
+    }
+
+    /// One quantum: `(mode, p, L_D, L_A, Δp, byte limit)` when pages move.
+    fn on_quantum(
+        &mut self,
+        window: &[TierMeasurement],
+    ) -> Option<(Mode, f64, f64, f64, f64, u64)> {
+        self.monitor.update(window);
+        let (r_d, r_a) = (self.monitor.rate_per_ns(0), self.monitor.rate_per_ns(1));
+        let (l_d, l_a) = (self.monitor.latency_ns(0), self.monitor.latency_ns(1));
+        // Promote into the default tier while it is faster, else demote.
+        let (mode, donor_rate) = if l_d < l_a {
+            (Mode::Promote, r_a)
+        } else {
+            (Mode::Demote, r_d)
+        };
+        if donor_rate <= 0.0 {
+            return None;
+        }
+        let p = r_d / (r_d + r_a);
+        let delta_p = self.shift.compute_shift(p, l_d, l_a);
+        if delta_p.is_nan() || delta_p <= 0.0 {
+            return None;
+        }
+        let delta_p = delta_p.min(1.0);
+        // min(Δp·(R_D+R_A), M), in bytes per quantum at 64 B per request.
+        let limit = if self.cfg.dynamic_limit {
+            let dynamic = delta_p * (r_d + r_a) * 64.0 * self.cfg.quantum_ns;
+            (dynamic as u64).min(self.cfg.static_limit_bytes)
+        } else {
+            self.cfg.static_limit_bytes
+        };
+        Some((mode, p, l_d, l_a, delta_p, limit))
+    }
+}
+
+/// One tier's counter window: ordinary, idle, a trickle below the
+/// monitor's idle threshold, or garbage.
+fn tier_window() -> impl Strategy<Value = TierMeasurement> {
+    let meas = |(occupancy, rate_per_ns): (f64, f64)| TierMeasurement {
+        occupancy,
+        rate_per_ns,
+    };
+    prop_oneof![
+        (0.0f64..200.0, 0.0f64..0.5).prop_map(meas),
+        Just(TierMeasurement::IDLE),
+        (0.0f64..1e-4, 0.0f64..1e-6).prop_map(meas),
+        (wild(), wild()).prop_map(meas),
+    ]
+}
+
+proptest! {
+    /// On two tiers the controller is the reference Algorithm 1, bit for
+    /// bit, on every quantum: the decision, Δp, the byte limit and the
+    /// watermarks. Windows repeat for up to a dozen quanta, so garbage
+    /// runs outlast the monitor's hold and leave a tier idle.
+    #[test]
+    fn two_tiers_match_the_reference_algorithm_1(
+        runs in prop::collection::vec(((tier_window(), tier_window()), 1usize..12), 1..40),
+        static_limit in 1u64..10_000_000,
+        alpha in 0.05f64..=1.0,
+        dynamic_limit in prop::bool::ANY,
+    ) {
+        let cfg = ColloidConfig {
+            static_limit_bytes: static_limit,
+            ewma_alpha: alpha,
+            dynamic_limit,
+            ..ColloidConfig::paper_default(70.0, 135.0, 0, 100_000.0)
+        };
+        let mut ctl = ColloidController::new(cfg.clone());
+        let mut reference = Algorithm1::new(cfg);
+        for ((w_d, w_a), repeat) in runs {
+            for _ in 0..repeat {
+                let got = ctl.on_quantum(&[w_d, w_a]);
+                if let Some(d) = &got {
+                    prop_assert_eq!((d.upper, d.lower), (0, 1));
+                }
+                let got = got.map(|d| (d.mode, d.p, d.l_upper_ns, d.l_lower_ns, d.delta_p, d.byte_limit));
+                let want = reference.on_quantum(&[w_d, w_a]);
+                let bits = |x: Option<(Mode, f64, f64, f64, f64, u64)>| {
+                    x.map(|(m, p, l_d, l_a, dp, limit)| {
+                        (m, p.to_bits(), l_d.to_bits(), l_a.to_bits(), dp.to_bits(), limit)
+                    })
+                };
+                prop_assert_eq!(bits(got), bits(want));
+                let marks = |s: &ShiftController| (s.p_lo().to_bits(), s.p_hi().to_bits(), s.resets());
+                prop_assert_eq!(marks(&ctl.pairs()[0]), marks(&reference.shift));
+            }
         }
     }
 }

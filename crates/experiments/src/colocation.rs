@@ -60,7 +60,7 @@ pub struct ColocationScenario {
     pub fast_pages: u64,
     /// Slow-tier capacity in pages.
     pub slow_pages: u64,
-    /// Tenants, id order. Ranges pack back to back from [`APP_BASE`] and
+    /// Tenants, id order. Ranges pack back to back from `APP_BASE` and
     /// first-touch-fill the machine top-down, so earlier tenants start
     /// resident in the fast tier.
     pub tenants: Vec<TenantSpec>,

@@ -1,5 +1,5 @@
 //! Extended-version experiments (the paper's §5 defers these sensitivity
-//! analyses to its extended version [57]):
+//! analyses to its extended version \[57\]):
 //!
 //! - **ε/δ sensitivity** of the Colloid controller on the real simulator
 //!   ("increasing ε leads to faster detection of dynamic workload changes

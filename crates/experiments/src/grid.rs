@@ -8,15 +8,16 @@
 //! directory with its `scores.txt`, bench timing with `BENCH_<name>.json`
 //! rendering and drift checking ([`crate::bench`]), and one invariant
 //! gate ([`EndState::violations`]): every cell must end with all its
-//! managed pages resident, and every transactional cell with
-//! `batched_pages == completed`. A failed or empty export fails the same
-//! gate.
+//! managed pages resident, its tiers' frames beyond their resident pages
+//! reserved for exactly the queued and in-flight migrations, and every
+//! transactional cell with `batched_pages == completed`. A failed or
+//! empty export fails the same gate.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use memsim::{Machine, Vpn};
+use memsim::{Machine, TierId, Vpn};
 
 use crate::bench::{self, BenchCell};
 use crate::{colocation, degradation, gauntlet, migration, multitier, observe, policy};
@@ -29,6 +30,13 @@ pub struct EndState {
     pub resident: u64,
     /// Pages the cell manages.
     pub expected: u64,
+    /// Frames in use beyond resident pages, summed over tiers:
+    /// `Σ_t (used_pages(t) − pages resident in t)` (negative if the tiers
+    /// hold more pages than their books show).
+    pub reserved: i64,
+    /// Migrations queued or in flight, each of which holds one reserved
+    /// frame at its destination.
+    pub pending: i64,
     /// `(completed, batched_pages)` of the transactional engine, which
     /// commits every page through a shootdown batch; `None` on the
     /// exclusive engine.
@@ -39,7 +47,14 @@ impl EndState {
     /// Reads `machine`'s end state over the managed `ranges`.
     pub fn of(machine: &Machine, ranges: &[Range<Vpn>]) -> Self {
         let m = machine.migration_counters();
-        let transactional = machine.config().engine.transactional;
+        let cfg = machine.config();
+        let transactional = cfg.engine.transactional;
+        let mapped = (0..cfg.virtual_pages)
+            .filter(|&v| machine.tier_of(v).is_some())
+            .count() as i64;
+        let used: u64 = (0..cfg.tiers.len())
+            .map(|t| machine.used_pages(TierId(t as u8)))
+            .sum();
         EndState {
             resident: ranges
                 .iter()
@@ -47,6 +62,8 @@ impl EndState {
                 .filter(|&v| machine.tier_of(v).is_some())
                 .count() as u64,
             expected: ranges.iter().map(|r| r.end - r.start).sum(),
+            reserved: used as i64 - mapped,
+            pending: (machine.migration_backlog() as u64 + m.in_flight()) as i64,
             txn: transactional.then_some((m.completed, m.batched_pages)),
         }
     }
@@ -63,6 +80,12 @@ impl EndState {
             found.push(format!(
                 "{cell}: {} of {} managed pages resident (pages lost or duplicated)",
                 self.resident, self.expected
+            ));
+        }
+        if self.reserved != self.pending {
+            found.push(format!(
+                "{cell}: {} reserved frames for {} queued or in-flight migrations",
+                self.reserved, self.pending
             ));
         }
         if let Some((completed, batched)) = self.txn.filter(|(c, b)| c != b) {
@@ -500,6 +523,8 @@ mod tests {
         let ok = EndState {
             resident: 8,
             expected: 8,
+            reserved: 2,
+            pending: 2,
             txn: Some((5, 5)),
         };
         let dir = std::env::temp_dir().join(format!("grid-test-{}", std::process::id()));
@@ -508,20 +533,23 @@ mod tests {
         let scores = std::fs::read_to_string(dir.join("scores.txt")).unwrap();
         assert_eq!(scores, "toy table\n");
 
-        // Lost pages trip conservation; an unbatched commit trips the
+        // Lost pages trip conservation; a frame held for no migration
+        // trips reservation accounting; an unbatched commit trips the
         // transactional ledger. Each finding names its cell.
         let lost = EndState { resident: 7, ..ok };
+        let leaked = EndState { reserved: 3, ..ok };
         let unbatched = EndState {
             txn: Some((5, 4)),
             ..ok
         };
-        let (f, code) = drive(Toy(vec![ok, lost, unbatched], "x"), &dir);
+        let (f, code) = drive(Toy(vec![ok, lost, leaked, unbatched], "x"), &dir);
         assert_eq!(code, 1);
         assert_eq!(
             f,
             [
                 "toy/1: 7 of 8 managed pages resident (pages lost or duplicated)",
-                "toy/2: 5 committed transactions but 4 batched shootdown pages"
+                "toy/2: 3 reserved frames for 2 queued or in-flight migrations",
+                "toy/3: 5 committed transactions but 4 batched shootdown pages"
             ]
         );
 

@@ -17,7 +17,7 @@
 //!   `all-figs` binary runs them all, or one with `--fig N`.
 //! - [`report`] — plain-text table formatting.
 //! - [`grid`] — the driver (binary `grid`) every harness below runs
-//!   under as `grid <name>`, with bench baselines ([`bench`]) and one
+//!   under as `grid <name>`, with bench baselines ([`bench`](mod@bench)) and one
 //!   invariant gate for every cell.
 //! - [`robustness`] — the fault-injection matrix: throughput degradation
 //!   of every system ± Colloid under graded counter/migration/PEBS fault

@@ -3,9 +3,9 @@
 //! (~350 ns), each behind its own bandwidth link — under the §2.1
 //! contention shift, every tiering system vanilla vs +Colloid.
 //!
-//! The two-tier figures cannot exercise the pairwise multi-tier balancer
-//! (§3.1): with one adjacent pair, the chain degenerates to Algorithm 1.
-//! This experiment is the balancer's integration surface. The working set
+//! The two-tier figures cannot exercise the Colloid controller's pair
+//! selection (§3.1): with one adjacent pair, the chain degenerates to
+//! Algorithm 1. This experiment is the N-tier integration surface. The working set
 //! first-touch-fills the chain top-down so the hot set starts in *far*
 //! memory, then an antagonist storms the local tier mid-run:
 //!
@@ -103,7 +103,7 @@ pub struct TierObservation {
 /// Result of one (system, colloid, engine) cell of the grid.
 #[derive(Debug, Clone)]
 pub struct MultiTierResult {
-    /// Policy display name ("HeMem", "HeMem+Colloid", "HeMem [txn]", ...).
+    /// Policy display name ("HeMem", "HeMem+Colloid", "HeMem \[txn\]", ...).
     pub system: String,
     /// Per-tier steady-state observations, tier 0 first.
     pub tiers: Vec<TierObservation>,

@@ -19,7 +19,7 @@
 //!   ([`workloads::PhaseShiftStream`]), scored on per-shift
 //!   time-to-equilibrium like the gauntlet;
 //! - **scan** — a 90/10 resident hot set interrupted every fourth phase
-//!   by a sequential sweep over the cold region ([`ScanStream`]): the
+//!   by a sequential sweep over the cold region (`ScanStream`): the
 //!   adversarial trace for recency-based tracking, where LRU promotes
 //!   the sweep and SIEVE's hit-streak gate does not.
 //!

@@ -140,11 +140,11 @@ fn quickstart_with_ring_recorder_matches_golden() {
 
 #[test]
 fn quickstart_stays_byte_identical_after_n_tier_refactor() {
-    // The N-tier refactor routes every system through `TierMove` decisions
-    // and the `ColloidDriver` dispatch; on a two-tier machine that must
-    // collapse to the verbatim Algorithm-1 controller and the original
-    // promote/demote paths. A plain run (no recorder at all) pins the
-    // n == 2 special case byte for byte against the pre-refactor baseline.
+    // Every system acts on `TierMove` decisions from the one pairwise
+    // Colloid controller; on a two-tier machine that must reproduce the
+    // two-tier Algorithm-1 controller and the original promote/demote
+    // paths. A plain run (no recorder at all) pins the n == 2 case byte
+    // for byte against the pre-refactor baseline.
     let golden = golden("quickstart.txt");
     let (out, _, _) = run_quickstart(false);
     assert_eq!(

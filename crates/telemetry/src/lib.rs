@@ -42,12 +42,13 @@
 //! page copy, crossing tick boundaries), and instant *decision spans*
 //! whose ids flow as `cause` links — so a completed migration resolves
 //! back to the controller decision that issued it. On top of the spans
-//! sit [`provenance`] (per-page move histories, ping-pong detection, and
-//! a blame report attributing wasted migrations to their issuing
-//! decision) and [`trace`] (a chrome-`trace_event`/Perfetto JSON
-//! exporter with an offline format checker, plus folded stacks for
-//! flamegraph tooling). The same overhead contract applies: span APIs on
-//! a disabled sink return [`SpanId::NONE`] and touch nothing.
+//! sit [`provenance`](mod@provenance) (per-page move histories,
+//! ping-pong detection, and a blame report attributing wasted
+//! migrations to their issuing decision) and [`trace`] (a
+//! chrome-`trace_event`/Perfetto JSON exporter with an offline format
+//! checker, plus folded stacks for flamegraph tooling). The same
+//! overhead contract applies: span APIs on a disabled sink return
+//! [`SpanId::NONE`] and touch nothing.
 
 pub mod analytics;
 pub mod event;

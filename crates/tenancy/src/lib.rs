@@ -5,9 +5,9 @@
 //! DRAM + CXL tiers, each with its own workload, hotness profile, and
 //! latency sensitivity. This crate adds that layer:
 //!
-//! * [`tenant`] — a [`Tenant`](tenant::Tenant) owns a workload (any of
+//! * [`tenant`] — a [`Tenant`] owns a workload (any of
 //!   gups/graph/silo/kvcache/adaptive at a chosen intensity), a page
-//!   range, and a declared [`Slo`](tenant::Slo). Each tenant gets its
+//!   range, and a declared [`Slo`]. Each tenant gets its
 //!   **own** sharded tiering system over its range — its own hotness
 //!   bins and, when Colloid is enabled, its own `p` controller — so one
 //!   tenant's access pattern never pollutes another's heat estimates.

@@ -17,13 +17,12 @@
 //! within Δp and whose summed size stays within the dynamic migration
 //! limit.
 
-use colloid::{Mode, PageFinder};
 use memsim::{Machine, TickReport, TierId, Vpn, PAGE_SIZE};
 use tierctl::{FreqTracker, MigrationBudget, TierBins};
 
 use crate::policy::{self, FreqBins, HotnessPolicy, PolicyKind, PolicyStats};
 use crate::retry::{RetryPolicy, RetryQueue, RetryStats};
-use crate::{measurements, ColloidDriver, SystemParams, TierMove, TieringSystem};
+use crate::{measurements, SystemParams, TierMove, TieringSystem};
 
 /// HeMem's cooling threshold (counts halve when any page reaches it).
 /// Lives with the extracted [`FreqBins`] policy now; re-exported here for
@@ -46,15 +45,14 @@ pub struct HememStats {
     pub coolings: u64,
 }
 
-/// The §4.1 page-finding procedure over frequency-binned lists, as a
-/// standalone [`PageFinder`]: walk the source tier's bins from hottest to
-/// coldest, collecting pages whose summed access probability stays within
-/// Δp and whose summed size stays within the byte limit.
+/// The §4.1 page-finding procedure over frequency-binned lists: walk the
+/// source tier's bins from hottest to coldest, collecting pages whose
+/// summed access probability stays within Δp and whose summed size stays
+/// within the byte limit.
 ///
 /// # Examples
 ///
 /// ```
-/// use colloid::{Mode, PageFinder};
 /// use memsim::TierId;
 /// use tierctl::{FreqTracker, TierBins};
 /// use tiersys::hemem::BinnedFinder;
@@ -68,9 +66,10 @@ pub struct HememStats {
 ///     tracker.record(0); // page 0 carries all the probability
 /// }
 /// bins.update_count(0, tracker.count(0));
-/// let mut finder = BinnedFinder::new(&bins, &tracker);
-/// // Demotion with Δp = 1: the hot page is picked first.
-/// let pages = finder.find_pages(Mode::Demote, 1.0, 4096);
+/// let finder = BinnedFinder::new(&bins, &tracker);
+/// // Demotion out of the default tier with Δp = 1: the hot page is picked
+/// // first.
+/// let pages = finder.find_pages_from(TierId::DEFAULT, 1.0, 4096);
 /// assert_eq!(pages, vec![0]);
 /// ```
 pub struct BinnedFinder<'a> {
@@ -84,8 +83,7 @@ impl<'a> BinnedFinder<'a> {
         BinnedFinder { bins, tracker }
     }
 
-    /// The §4.1 bin walk with an explicit source tier — the N-tier entry
-    /// point ([`PageFinder::find_pages`] maps a two-tier [`Mode`] onto it).
+    /// The §4.1 bin walk over the source tier `from`.
     pub fn find_pages_from(&self, from: TierId, delta_p: f64, byte_limit: u64) -> Vec<Vpn> {
         let mut rem_p = delta_p;
         let mut rem_bytes = byte_limit;
@@ -113,16 +111,6 @@ impl<'a> BinnedFinder<'a> {
     }
 }
 
-impl PageFinder for BinnedFinder<'_> {
-    fn find_pages(&mut self, mode: Mode, delta_p: f64, byte_limit: u64) -> Vec<Vpn> {
-        let from = match mode {
-            Mode::Promote => TierId::ALTERNATE,
-            Mode::Demote => TierId::DEFAULT,
-        };
-        self.find_pages_from(from, delta_p, byte_limit)
-    }
-}
-
 /// The HeMem tiering system (vanilla or +Colloid).
 ///
 /// Hotness tracking lives behind a [`HotnessPolicy`]. On the extracted
@@ -137,7 +125,7 @@ pub struct HeMem {
     /// legacy code paths over the concrete [`FreqBins`].
     legacy: bool,
     budget: MigrationBudget,
-    colloid: Option<ColloidDriver>,
+    colloid: Option<colloid::ColloidController>,
     retry: RetryQueue,
     initialized: bool,
     frozen: bool,
@@ -432,12 +420,9 @@ impl TieringSystem for HeMem {
                     self.vanilla_place(machine)
                 }
             }
-            // Colloid enabled: act on each pair move (none when balanced).
-            Some(moves) => {
-                for mv in moves {
-                    self.colloid_place(machine, &mv);
-                }
-            }
+            // Colloid enabled: act on the pair move (none when balanced).
+            Some(Some(d)) => self.colloid_place(machine, &d.into()),
+            Some(None) => {}
         }
         // HeMem's quantum is one tick; observation-only for FreqBins
         // (cooling is its aging), aging for the approximation policies.
@@ -728,6 +713,48 @@ mod tests {
         // Page conservation: every managed page is still resident somewhere.
         let resident = (0..256).filter(|&v| m.tier_of(v).is_some()).count();
         assert_eq!(resident, 256);
+    }
+
+    #[test]
+    fn three_tier_colloid_reports_metrics_and_profiles() {
+        // Hot pages start at the bottom of a three-tier chain, so the
+        // far tier is loaded while the tiers above it idle: Colloid must
+        // act, and its series and profiler scope must show it.
+        let mut cfg = MachineConfig::cxl_three_tier();
+        cfg.tiers[0].capacity_bytes = 64 * PAGE_SIZE;
+        cfg.tiers[1].capacity_bytes = 128 * PAGE_SIZE;
+        cfg.tiers[2].capacity_bytes = 1024 * PAGE_SIZE;
+        cfg.pebs_period = 16;
+        let mut m = Machine::new(cfg);
+        m.place_range(0..256, TierId(2));
+        m.add_core(
+            Box::new(HotCold {
+                hot: 32,
+                total: 256,
+            }),
+            CoreConfig::app_default(),
+            TrafficClass::App,
+        );
+        let mut p = params(true);
+        p.unloaded_ns = m
+            .config()
+            .tiers
+            .iter()
+            .map(|t| t.unloaded_latency().as_ns())
+            .collect();
+        let mut h = HeMem::new(p);
+        let hub = telemetry::MetricsHub::new();
+        h.set_metrics(hub.clone());
+        simkit::profile::reset();
+        simkit::profile::set_enabled(true);
+        run(&mut h, &mut m, 100);
+        simkit::profile::set_enabled(false);
+        assert!(hub.counter("colloid_decisions_total").get() > 0);
+        let calls = simkit::profile::stats()
+            .iter()
+            .find(|s| s.label == "colloid.on_quantum")
+            .map_or(0, |s| s.calls);
+        assert_eq!(calls, 100);
     }
 
     #[test]

@@ -205,39 +205,25 @@ impl SystemParams {
         self.unloaded_ns.len()
     }
 
-    /// Builds the Colloid decision engine for this configuration, if
-    /// enabled: the two-tier Algorithm 1 controller on a two-tier machine,
-    /// the pairwise multi-tier balancer (§3.1) beyond that.
-    pub(crate) fn build_colloid(&self) -> Option<ColloidDriver> {
+    /// Builds the Colloid controller for this configuration, if enabled.
+    pub(crate) fn build_colloid(&self) -> Option<colloid::ColloidController> {
         self.colloid.map(|c| {
-            if self.unloaded_ns.len() == 2 {
-                ColloidDriver::Pair(colloid::ColloidController::new(colloid::ColloidConfig {
-                    epsilon: c.epsilon,
-                    delta: c.delta,
-                    ewma_alpha: c.ewma_alpha,
-                    static_limit_bytes: self.migration_limit_per_tick,
-                    quantum_ns: self.tick.as_ns(),
-                    unloaded_ns: self.unloaded_ns.clone(),
-                    dynamic_limit: c.dynamic_limit,
-                }))
-            } else {
-                ColloidDriver::Chain(colloid::multitier::MultiTierBalancer::new(
-                    self.unloaded_ns.clone(),
-                    c.epsilon,
-                    c.delta,
-                    c.ewma_alpha,
-                    self.migration_limit_per_tick,
-                    self.tick.as_ns(),
-                ))
-            }
+            colloid::ColloidController::new(colloid::ColloidConfig {
+                epsilon: c.epsilon,
+                delta: c.delta,
+                ewma_alpha: c.ewma_alpha,
+                static_limit_bytes: self.migration_limit_per_tick,
+                quantum_ns: self.tick.as_ns(),
+                unloaded_ns: self.unloaded_ns.clone(),
+                dynamic_limit: c.dynamic_limit,
+            })
         })
     }
 }
 
 /// One migration direction for a quantum, in tier terms: move pages whose
 /// summed access probability is within `delta_p` (and summed size within
-/// `byte_limit`) from `src` to `dst`. The systems act on this shape
-/// regardless of which decision engine produced it.
+/// `byte_limit`) from `src` to `dst`.
 #[derive(Debug, Clone, Copy)]
 pub struct TierMove {
     /// Tier pages leave.
@@ -257,90 +243,18 @@ impl TierMove {
     }
 }
 
-/// The Colloid decision engine behind a system: on exactly two tiers the
-/// original Algorithm 1 controller runs verbatim (keeping two-tier runs
-/// bit-identical); with more tiers the pairwise [`MultiTierBalancer`]
-/// generalisation takes over, emitting moves between adjacent tier pairs.
-///
-/// [`MultiTierBalancer`]: colloid::multitier::MultiTierBalancer
-pub enum ColloidDriver {
-    /// `n == 2`: the paper's two-tier controller.
-    Pair(colloid::ColloidController),
-    /// `n > 2`: pairwise balancing along the tier chain (§3.1).
-    Chain(colloid::multitier::MultiTierBalancer),
-}
-
-impl ColloidDriver {
-    /// One quantum: per-tier measurements in, adjacent-pair moves out
-    /// (empty when balanced or idle; at most one move per quantum today).
-    pub fn on_quantum(&mut self, window: &[colloid::TierMeasurement]) -> Vec<TierMove> {
-        match self {
-            ColloidDriver::Pair(c) => c
-                .on_quantum(window)
-                .map(|d| {
-                    let (src, dst) = match d.mode {
-                        colloid::Mode::Promote => (TierId::ALTERNATE, TierId::DEFAULT),
-                        colloid::Mode::Demote => (TierId::DEFAULT, TierId::ALTERNATE),
-                    };
-                    TierMove {
-                        src,
-                        dst,
-                        delta_p: d.delta_p,
-                        byte_limit: d.byte_limit,
-                    }
-                })
-                .into_iter()
-                .collect(),
-            ColloidDriver::Chain(b) => b
-                .on_quantum(window)
-                .into_iter()
-                .map(|d| {
-                    let (src, dst) = match d.mode {
-                        colloid::Mode::Promote => (TierId(d.lower as u8), TierId(d.upper as u8)),
-                        colloid::Mode::Demote => (TierId(d.upper as u8), TierId(d.lower as u8)),
-                    };
-                    TierMove {
-                        src,
-                        dst,
-                        delta_p: d.delta_p,
-                        byte_limit: d.byte_limit,
-                    }
-                })
-                .collect(),
-        }
-    }
-
-    /// Freezes or resumes the watermark controller(s).
-    pub fn set_frozen(&mut self, frozen: bool) {
-        match self {
-            ColloidDriver::Pair(c) => c.set_frozen(frozen),
-            ColloidDriver::Chain(b) => b.set_frozen(frozen),
-        }
-    }
-
-    /// Restarts the watermark search(es) from the full interval.
-    pub fn reset_equilibrium(&mut self) {
-        match self {
-            ColloidDriver::Pair(c) => c.reset_equilibrium(),
-            ColloidDriver::Chain(b) => b.reset_equilibrium(),
-        }
-    }
-
-    /// Attaches a telemetry sink.
-    pub fn set_telemetry(&mut self, sink: telemetry::Sink) {
-        match self {
-            ColloidDriver::Pair(c) => c.set_telemetry(sink),
-            ColloidDriver::Chain(b) => b.set_telemetry(sink),
-        }
-    }
-
-    /// Attaches a live metrics hub (the pair controller exports its `p`
-    /// trajectory and decision latency; the chain balancer has no series
-    /// yet).
-    pub fn set_metrics(&mut self, hub: telemetry::MetricsHub) {
-        match self {
-            ColloidDriver::Pair(c) => c.set_metrics(hub),
-            ColloidDriver::Chain(_) => {}
+impl From<colloid::PairDecision> for TierMove {
+    fn from(d: colloid::PairDecision) -> Self {
+        let (upper, lower) = (TierId(d.upper as u8), TierId(d.lower as u8));
+        let (src, dst) = match d.mode {
+            colloid::Mode::Promote => (lower, upper),
+            colloid::Mode::Demote => (upper, lower),
+        };
+        TierMove {
+            src,
+            dst,
+            delta_p: d.delta_p,
+            byte_limit: d.byte_limit,
         }
     }
 }
@@ -420,21 +334,17 @@ mod tests {
     #[test]
     fn colloid_controller_built_when_enabled() {
         let p = SystemParams::new(vec![0..10], Some(ColloidParams::default()));
-        match p.build_colloid().expect("driver") {
-            ColloidDriver::Pair(c) => {
-                assert_eq!(c.shift().epsilon(), 0.01);
-                assert_eq!(c.shift().delta(), 0.05);
-            }
-            ColloidDriver::Chain(_) => panic!("two tiers must use the pair controller"),
-        }
+        let c = p.build_colloid().expect("controller");
+        assert_eq!(c.pairs()[0].epsilon(), 0.01);
+        assert_eq!(c.pairs()[0].delta(), 0.05);
     }
 
     #[test]
-    fn three_tier_params_build_the_chain_driver() {
+    fn three_tier_params_build_one_pair_per_tier_boundary() {
         let mut p = SystemParams::new(vec![0..10], Some(ColloidParams::default()));
         p.unloaded_ns = vec![70.0, 180.0, 350.0];
         assert_eq!(p.n_tiers(), 3);
-        assert!(matches!(p.build_colloid(), Some(ColloidDriver::Chain(_))));
+        assert_eq!(p.build_colloid().expect("controller").pairs().len(), 2);
     }
 
     #[test]
@@ -455,40 +365,67 @@ mod tests {
         assert!(!down.is_promotion());
     }
 
+    /// Default tier heavily loaded (300 ns) against near-balanced lower
+    /// tiers (190/195 ns).
+    const HOT_TOP: [colloid::TierMeasurement; 3] = [
+        colloid::TierMeasurement {
+            occupancy: 90.0,
+            rate_per_ns: 0.3,
+        },
+        colloid::TierMeasurement {
+            occupancy: 19.0,
+            rate_per_ns: 0.1,
+        },
+        colloid::TierMeasurement {
+            occupancy: 9.75,
+            rate_per_ns: 0.05,
+        },
+    ];
+
     #[test]
     fn chain_driver_emits_adjacent_pair_moves() {
         let mut p = SystemParams::new(vec![0..10], Some(ColloidParams::default()));
         p.unloaded_ns = vec![70.0, 180.0, 350.0];
-        let mut d = p.build_colloid().expect("driver");
-        // Default tier heavily loaded (300 ns) against near-balanced lower
-        // tiers (190/195 ns): once the latency EWMAs converge, pair 0-1 is
-        // the most imbalanced and the driver demotes tier 0 → tier 1.
-        let window = [
-            colloid::TierMeasurement {
-                occupancy: 90.0,
-                rate_per_ns: 0.3,
-            },
-            colloid::TierMeasurement {
-                occupancy: 19.0,
-                rate_per_ns: 0.1,
-            },
-            colloid::TierMeasurement {
-                occupancy: 9.75,
-                rate_per_ns: 0.05,
-            },
-        ];
-        let mut last = Vec::new();
+        let mut c = p.build_colloid().expect("controller");
+        // Once the latency EWMAs converge, pair 0-1 is the most imbalanced
+        // and the controller demotes tier 0 → tier 1.
+        let mut last = None;
         for _ in 0..50 {
-            let moves = d.on_quantum(&window);
-            if !moves.is_empty() {
-                last = moves;
+            if let Some(d) = c.on_quantum(&HOT_TOP) {
+                last = Some(TierMove::from(d));
             }
         }
-        assert_eq!(last.len(), 1);
-        assert_eq!(last[0].src, TierId(0));
-        assert_eq!(last[0].dst, TierId(1));
-        assert!(!last[0].is_promotion());
-        assert!(last[0].delta_p > 0.0);
+        let last = last.expect("a move");
+        assert_eq!(last.src, TierId(0));
+        assert_eq!(last.dst, TierId(1));
+        assert!(!last.is_promotion());
+        assert!(last.delta_p > 0.0);
+    }
+
+    #[test]
+    fn dynamic_limit_ablation_holds_on_three_tiers() {
+        // The same latencies under a light load: the dynamic limit is well
+        // under the static limit M.
+        let window = HOT_TOP.map(|t| colloid::TierMeasurement {
+            occupancy: t.occupancy / 20.0,
+            rate_per_ns: t.rate_per_ns / 20.0,
+        });
+        let byte_limit = |dynamic_limit| {
+            let colloid = ColloidParams {
+                dynamic_limit,
+                ..ColloidParams::default()
+            };
+            let mut p = SystemParams::new(vec![0..10], Some(colloid));
+            p.unloaded_ns = vec![70.0, 180.0, 350.0];
+            let mut c = p.build_colloid().expect("controller");
+            let d = c.on_quantum(&window).expect("imbalanced window");
+            (TierMove::from(d).byte_limit, p.migration_limit_per_tick)
+        };
+        let (dynamic, m) = byte_limit(true);
+        assert!(dynamic < m, "{dynamic} vs {m}");
+        // The §3.2 ablation: without the dynamic limit every move carries
+        // M, whatever the tier count.
+        assert_eq!(byte_limit(false), (m, m));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use tierctl::MigrationBudget;
 
 use crate::policy::{self, DensityHistogram, HotnessPolicy, PolicyKind, PolicyStats};
 use crate::retry::{RetryPolicy, RetryQueue, RetryStats};
-use crate::{ColloidDriver, SystemParams, TierMove, TieringSystem};
+use crate::{SystemParams, TierMove, TieringSystem};
 
 /// MEMTIS-specific knobs.
 #[derive(Debug, Clone)]
@@ -125,7 +125,7 @@ pub struct Memtis {
     initialized: bool,
     split: HashSet<Vpn>, // region base vpns that have been split
     budget: MigrationBudget,
-    colloid: Option<ColloidDriver>,
+    colloid: Option<colloid::ColloidController>,
     ticks: u32,
     pebs_period: u64,
     /// Virtual-address-space cursor of the background coalescer.
@@ -557,11 +557,8 @@ impl TieringSystem for Memtis {
                     self.vanilla_place(machine, &units)
                 }
             }
-            Some(moves) => {
-                for mv in moves {
-                    self.colloid_place(machine, &units, &mv);
-                }
-            }
+            Some(Some(d)) => self.colloid_place(machine, &units, &d.into()),
+            Some(None) => {}
         }
         // MEMTIS's quantum is the kmigrated period; observation-only for
         // the default histogram, aging for the approximation policies.

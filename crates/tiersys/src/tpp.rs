@@ -23,7 +23,7 @@ use tierctl::{MigrationBudget, RegionScanner};
 
 use crate::policy::{self, HotnessPolicy, PolicyKind, PolicyStats, TimeToFault};
 use crate::retry::{RetryPolicy, RetryQueue, RetryStats};
-use crate::{measurements, ColloidDriver, SystemParams, TieringSystem};
+use crate::{measurements, SystemParams, TierMove, TieringSystem};
 
 /// TPP-specific knobs.
 #[derive(Debug, Clone)]
@@ -108,7 +108,7 @@ pub struct Tpp {
     cfg: TppConfig,
     scanner: RegionScanner,
     budget: MigrationBudget,
-    colloid: Option<ColloidDriver>,
+    colloid: Option<colloid::ColloidController>,
     /// Dynamic time-to-fault threshold (vanilla hotness test).
     threshold_ns: f64,
     policy: Box<dyn HotnessPolicy>,
@@ -386,14 +386,13 @@ impl TieringSystem for Tpp {
         }
         self.budget.refill();
 
-        // Colloid move/Δp for this quantum (None = vanilla; the drivers
-        // emit at most one adjacent-pair move per quantum).
+        // Colloid move/Δp for this quantum (None = vanilla, or balanced).
         let has_colloid = self.colloid.is_some();
         let mv = self
             .colloid
             .as_mut()
-            .map(|c| c.on_quantum(&measurements(report)))
-            .and_then(|moves| moves.first().copied());
+            .and_then(|c| c.on_quantum(&measurements(report)))
+            .map(TierMove::from);
         let mut rem_p = mv.map(|m| m.delta_p).unwrap_or(0.0);
         let mut rem_bytes = mv.map(|m| m.byte_limit).unwrap_or(u64::MAX);
 

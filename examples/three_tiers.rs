@@ -3,15 +3,14 @@
 //! The paper's principle "naturally generalizes to tiered memory
 //! architectures with more than two tiers" (§3.1). This example builds a
 //! three-tier machine, attaches a small policy written against
-//! [`colloid::multitier::MultiTierBalancer`], and shows the three tiers'
-//! access latencies converging towards each other under load.
+//! [`colloid::ColloidController`], and shows the three tiers' access
+//! latencies converging towards each other under load.
 //!
 //! ```text
 //! cargo run --release --example three_tiers
 //! ```
 
-use colloid::multitier::MultiTierBalancer;
-use colloid::{Mode, TierMeasurement};
+use colloid::{ColloidConfig, ColloidController, Mode, TierMeasurement};
 use memsim::{
     CoreConfig, DramConfig, LinkConfig, Machine, MachineConfig, TickReport, TierConfig, TierId,
     TrafficClass, PAGE_SIZE,
@@ -21,10 +20,10 @@ use tierctl::{FreqTracker, MigrationBudget, TierBins};
 use workloads::{GupsConfig, GupsStream};
 
 /// A minimal three-tier balancing policy: frequency-binned page lists (as
-/// in the HeMem+Colloid integration) driven by the pairwise multi-tier
-/// balancer.
+/// in the HeMem+Colloid integration) driven by the pairwise Colloid
+/// controller.
 struct ThreeTierColloid {
-    balancer: MultiTierBalancer,
+    controller: ColloidController,
     tracker: FreqTracker,
     bins: TierBins,
     budget: MigrationBudget,
@@ -72,7 +71,7 @@ impl ThreeTierColloid {
                 rate_per_ns: t.rate_per_ns,
             })
             .collect();
-        for d in self.balancer.on_quantum(&window) {
+        if let Some(d) = self.controller.on_quantum(&window) {
             let (from, to) = match d.mode {
                 Mode::Promote => (TierId(d.lower as u8), TierId(d.upper as u8)),
                 Mode::Demote => (TierId(d.upper as u8), TierId(d.lower as u8)),
@@ -183,7 +182,15 @@ fn main() {
         bins.insert(vpn, machine.tier_of(vpn).unwrap(), 0);
     }
     let mut policy = ThreeTierColloid {
-        balancer: MultiTierBalancer::new(unloaded, 0.01, 0.05, 0.3, 240_000, tick.as_ns()),
+        controller: ColloidController::new(ColloidConfig {
+            epsilon: 0.01,
+            delta: 0.05,
+            ewma_alpha: 0.3,
+            static_limit_bytes: 240_000,
+            quantum_ns: tick.as_ns(),
+            unloaded_ns: unloaded,
+            dynamic_limit: true,
+        }),
         tracker: FreqTracker::new(16),
         bins,
         budget: MigrationBudget::new(240_000),
