@@ -18,17 +18,16 @@
 //! limit.
 
 use memsim::{Machine, TickReport, TierId, Vpn, PAGE_SIZE};
-use tierctl::{FreqTracker, MigrationBudget, TierBins};
+use tierctl::{FreqTracker, TierBins};
 
-use crate::policy::{self, FreqBins, HotnessPolicy, PolicyKind, PolicyStats};
-use crate::retry::{RetryPolicy, RetryQueue, RetryStats};
-use crate::{measurements, SystemParams, TierMove, TieringSystem};
+use crate::policy::{FreqBins, HotnessPolicy};
+use crate::{measurements, SystemCore, SystemKind, SystemLogic, SystemParams, TierMove};
 
 /// HeMem's cooling threshold (counts halve when any page reaches it).
 /// Lives with the extracted [`FreqBins`] policy now; re-exported here for
 /// the doc examples and tests that grew up with it.
 #[cfg(test)]
-const COOLING_THRESHOLD: u32 = policy::FREQ_BINS_COOLING;
+const COOLING_THRESHOLD: u32 = crate::policy::FREQ_BINS_COOLING;
 /// Vanilla hot threshold: a page is hot once its count reaches this.
 const HOT_THRESHOLD: u32 = 2;
 /// Work bound per quantum for the page finder.
@@ -118,42 +117,23 @@ impl<'a> BinnedFinder<'a> {
 /// the concrete tracker/bins — bit-identical to the pre-extraction HeMem;
 /// on any other policy the same mechanism (budget, retry, room-making,
 /// Colloid moves) runs against the trait's rank/heat/victim queries.
-pub struct HeMem {
-    params: SystemParams,
-    policy: Box<dyn HotnessPolicy>,
-    /// `policy` is the system's own extracted default — take the verbatim
-    /// legacy code paths over the concrete [`FreqBins`].
-    legacy: bool,
-    budget: MigrationBudget,
-    colloid: Option<colloid::ColloidController>,
-    retry: RetryQueue,
-    initialized: bool,
-    frozen: bool,
+pub type HeMem = crate::System<HememLogic>;
+
+/// HeMem's own parts: PEBS ingest, vanilla placement, the [`BinnedFinder`]
+/// walk and room-making. Everything else lives in the [`SystemCore`].
+#[derive(Default)]
+pub struct HememLogic {
     stats: HememStats,
-    swaps: u64,
-    sink: telemetry::Sink,
-    metrics: Option<telemetry::MetricsHub>,
 }
 
 impl HeMem {
     /// Builds HeMem; attaches Colloid when `params.colloid` is set and the
     /// hotness policy selected by `params.policy` ([`FreqBins`] if unset).
     pub fn new(params: SystemParams) -> Self {
-        let colloid = params.build_colloid();
-        let kind = params.policy.unwrap_or(PolicyKind::FreqBins);
-        HeMem {
-            policy: kind.build(params.n_tiers(), params.managed.clone()),
-            legacy: kind == PolicyKind::FreqBins,
-            budget: MigrationBudget::new(params.migration_limit_per_tick),
-            colloid,
-            retry: RetryQueue::new(RetryPolicy::default()),
-            initialized: false,
-            frozen: false,
-            stats: HememStats::default(),
-            swaps: 0,
-            sink: telemetry::Sink::disabled(),
-            metrics: None,
-            params,
+        let budget = params.migration_limit_per_tick;
+        crate::System {
+            core: SystemCore::new(SystemKind::Hemem, params, budget),
+            logic: HememLogic::default(),
         }
     }
 
@@ -161,12 +141,12 @@ impl HeMem {
     /// counter when the default [`FreqBins`] is active).
     pub fn stats(&self) -> HememStats {
         HememStats {
-            coolings: if self.legacy {
-                self.policy.stats().epochs
+            coolings: if self.core.legacy {
+                self.core.policy.stats().epochs
             } else {
-                self.stats.coolings
+                self.logic.stats.coolings
             },
-            ..self.stats
+            ..self.logic.stats
         }
     }
 
@@ -176,65 +156,80 @@ impl HeMem {
     ///
     /// Panics when a non-default policy is active.
     pub fn freq_bins(&self) -> &FreqBins {
-        self.fb_ref()
+        fb_ref(&self.core)
     }
+}
 
-    fn fb_ref(&self) -> &FreqBins {
-        self.policy
-            .as_any()
-            .downcast_ref()
-            .expect("legacy HeMem path requires the FreqBins policy")
-    }
+fn fb_ref(core: &SystemCore) -> &FreqBins {
+    core.policy
+        .as_any()
+        .downcast_ref()
+        .expect("legacy HeMem path requires the FreqBins policy")
+}
 
-    fn fb(&mut self) -> &mut FreqBins {
-        self.policy
-            .as_any_mut()
-            .downcast_mut()
-            .expect("legacy HeMem path requires the FreqBins policy")
-    }
+fn fb(core: &mut SystemCore) -> &mut FreqBins {
+    core.policy
+        .as_any_mut()
+        .downcast_mut()
+        .expect("legacy HeMem path requires the FreqBins policy")
+}
 
-    fn initialize(&mut self, machine: &Machine) {
-        for range in self.params.managed.clone() {
-            for vpn in range {
-                let tier = machine
-                    .tier_of(vpn)
-                    .expect("managed pages are placed before the system starts");
-                self.policy.insert(vpn, tier);
-            }
+/// Ranking-driven stand-in for [`BinnedFinder`] when a non-default policy
+/// is active: walk the source tier hottest-first, normalising heat into
+/// an access probability against Δp.
+fn find_pages_generic(
+    policy: &dyn HotnessPolicy,
+    from: TierId,
+    delta_p: f64,
+    byte_limit: u64,
+) -> Vec<Vpn> {
+    let total = policy.heat_total().max(1.0);
+    let mut rem_p = delta_p;
+    let mut rem_bytes = byte_limit;
+    let mut out = Vec::new();
+    for vpn in policy.ranked(from).into_iter().take(MAX_EXAMINED) {
+        if rem_bytes < PAGE_SIZE {
+            break;
         }
-        self.initialized = true;
-    }
-
-    fn ingest_samples(&mut self, report: &TickReport) {
-        // The policy carries HeMem's verbatim ingest semantics: unmanaged
-        // samples are dropped, and a cooling pass re-bins the population.
-        for s in &report.pebs {
-            self.policy.record_access(s.vpn);
+        let prob = policy.heat_of(vpn) / total;
+        if prob <= 0.0 || prob > rem_p {
+            continue;
         }
+        out.push(vpn);
+        rem_p -= prob;
+        rem_bytes -= PAGE_SIZE;
     }
+    out
+}
 
+impl HememLogic {
     /// Demotes the coldest page of `from` one hop down the tier chain to
     /// make room; returns whether a frame was freed (the migration was
     /// enqueued). Prefers never-sampled pages so recently-cooled hot pages
     /// are not churned out. `from` must not be the last tier.
-    fn demote_one_cold(&mut self, machine: &mut Machine, from: TierId) -> bool {
-        if !self.legacy {
-            return self.demote_one_cold_generic(machine, from);
+    fn demote_one_cold(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        from: TierId,
+    ) -> bool {
+        if !core.legacy {
+            return self.demote_one_cold_generic(core, machine, from);
         }
         let down = TierId(from.0 + 1);
-        let n_bins = self.fb_ref().bins.n_bins();
+        let n_bins = fb_ref(core).bins.n_bins();
         for pass in 0..2 {
             for bin in 0..n_bins {
-                let candidates = self.fb_ref().bins.pages(from, bin).to_vec();
+                let candidates = fb_ref(core).bins.pages(from, bin).to_vec();
                 for vpn in candidates {
-                    if pass == 0 && self.fb_ref().tracker.count(vpn) > 0 {
+                    if pass == 0 && fb_ref(core).tracker.count(vpn) > 0 {
                         continue;
                     }
-                    if !self.budget.try_take_page() {
+                    if !core.budget.try_take_page() {
                         return false;
                     }
                     if machine.enqueue_migration(vpn, down).is_ok() {
-                        self.fb().bins.move_tier(vpn, down);
+                        fb(core).bins.move_tier(vpn, down);
                         self.stats.demoted += 1;
                         return true;
                     }
@@ -245,14 +240,19 @@ impl HeMem {
     }
 
     /// Trait-driven room-making: demote the policy's first viable victim.
-    fn demote_one_cold_generic(&mut self, machine: &mut Machine, from: TierId) -> bool {
+    fn demote_one_cold_generic(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        from: TierId,
+    ) -> bool {
         let down = TierId(from.0 + 1);
-        for vpn in self.policy.victims(from, 64) {
-            if !self.budget.try_take_page() {
+        for vpn in core.policy.victims(from, 64) {
+            if !core.budget.try_take_page() {
                 return false;
             }
             if machine.enqueue_migration(vpn, down).is_ok() {
-                self.policy.move_tier(vpn, down);
+                core.policy.move_tier(vpn, down);
                 self.stats.demoted += 1;
                 return true;
             }
@@ -263,30 +263,30 @@ impl HeMem {
     /// Vanilla HeMem placement: pack pages with count >= HOT_THRESHOLD one
     /// hop up the tier chain (on a two-tier machine: into the default
     /// tier; hot pages on deeper tiers ratchet upwards tick by tick).
-    fn vanilla_place(&mut self, machine: &mut Machine) {
-        if !self.legacy {
-            return self.vanilla_place_generic(machine);
+    fn vanilla_place(&mut self, core: &mut SystemCore, machine: &mut Machine) {
+        if !core.legacy {
+            return self.vanilla_place_generic(core, machine);
         }
-        let n_tiers = self.params.n_tiers() as u8;
-        let hot_bin_floor = self.fb_ref().bins.bin_of_count(HOT_THRESHOLD);
-        let n_bins = self.fb_ref().bins.n_bins();
+        let n_tiers = core.params.n_tiers() as u8;
+        let hot_bin_floor = fb_ref(core).bins.bin_of_count(HOT_THRESHOLD);
+        let n_bins = fb_ref(core).bins.n_bins();
         for src in 1..n_tiers {
             let (src, dst) = (TierId(src), TierId(src - 1));
             for bin in (hot_bin_floor..n_bins).rev() {
-                let candidates = self.fb_ref().bins.pages(src, bin).to_vec();
+                let candidates = fb_ref(core).bins.pages(src, bin).to_vec();
                 for vpn in candidates {
-                    if self.fb_ref().tracker.count(vpn) < HOT_THRESHOLD {
+                    if fb_ref(core).tracker.count(vpn) < HOT_THRESHOLD {
                         continue;
                     }
                     // Make room if needed.
-                    if machine.free_pages(dst) == 0 && !self.demote_one_cold(machine, dst) {
+                    if machine.free_pages(dst) == 0 && !self.demote_one_cold(core, machine, dst) {
                         return;
                     }
-                    if !self.budget.try_take_page() {
+                    if !core.budget.try_take_page() {
                         return;
                     }
-                    if self.retry.request(machine, vpn, dst) {
-                        self.fb().bins.move_tier(vpn, dst);
+                    if core.retry.request(machine, vpn, dst) {
+                        fb(core).bins.move_tier(vpn, dst);
                         self.stats.promoted += 1;
                     }
                 }
@@ -297,79 +297,56 @@ impl HeMem {
     /// Vanilla placement through the trait: promote the policy's hot set
     /// one hop up, hottest first, with the same room-making and budget
     /// mechanics as the legacy path.
-    fn vanilla_place_generic(&mut self, machine: &mut Machine) {
-        let n_tiers = self.params.n_tiers() as u8;
+    fn vanilla_place_generic(&mut self, core: &mut SystemCore, machine: &mut Machine) {
+        let n_tiers = core.params.n_tiers() as u8;
         for src in 1..n_tiers {
             let (src, dst) = (TierId(src), TierId(src - 1));
-            for vpn in self.policy.ranked(src) {
-                if !self.policy.is_hot(vpn) {
+            for vpn in core.policy.ranked(src) {
+                if !core.policy.is_hot(vpn) {
                     // Ranked is hottest-first: past the hot set, the rest
                     // of this tier is cold too.
                     break;
                 }
-                if machine.free_pages(dst) == 0 && !self.demote_one_cold(machine, dst) {
+                if machine.free_pages(dst) == 0 && !self.demote_one_cold(core, machine, dst) {
                     return;
                 }
-                if !self.budget.try_take_page() {
+                if !core.budget.try_take_page() {
                     return;
                 }
-                if self.retry.request(machine, vpn, dst) {
-                    self.policy.move_tier(vpn, dst);
+                if core.retry.request(machine, vpn, dst) {
+                    core.policy.move_tier(vpn, dst);
                     self.stats.promoted += 1;
                 }
             }
         }
     }
 
-    /// Ranking-driven stand-in for [`BinnedFinder`] when a non-default
-    /// policy is active: walk the source tier hottest-first, normalising
-    /// heat into an access probability against Δp.
-    fn find_pages_generic(&self, from: TierId, delta_p: f64, byte_limit: u64) -> Vec<Vpn> {
-        let total = self.policy.heat_total().max(1.0);
-        let mut rem_p = delta_p;
-        let mut rem_bytes = byte_limit;
-        let mut out = Vec::new();
-        for vpn in self.policy.ranked(from).into_iter().take(MAX_EXAMINED) {
-            if rem_bytes < PAGE_SIZE {
-                break;
-            }
-            let prob = self.policy.heat_of(vpn) / total;
-            if prob <= 0.0 || prob > rem_p {
-                continue;
-            }
-            out.push(vpn);
-            rem_p -= prob;
-            rem_bytes -= PAGE_SIZE;
-        }
-        out
-    }
-
     /// Colloid placement (§4.1): find pages with [`BinnedFinder`] (or the
     /// policy ranking) in the move's source tier, then migrate them
     /// through the machine's engine, making room with cold demotions when
     /// promoting into a full tier.
-    fn colloid_place(&mut self, machine: &mut Machine, mv: &TierMove) {
-        let byte_limit = mv.byte_limit.min(self.budget.remaining());
-        let candidates = if self.legacy {
-            let fb = self.fb_ref();
+    fn colloid_place(&mut self, core: &mut SystemCore, machine: &mut Machine, mv: &TierMove) {
+        let byte_limit = mv.byte_limit.min(core.budget.remaining());
+        let candidates = if core.legacy {
+            let fb = fb_ref(core);
             let finder = BinnedFinder::new(&fb.bins, &fb.tracker);
             finder.find_pages_from(mv.src, mv.delta_p, byte_limit)
         } else {
-            self.find_pages_generic(mv.src, mv.delta_p, byte_limit)
+            find_pages_generic(&*core.policy, mv.src, mv.delta_p, byte_limit)
         };
         let promotion = mv.is_promotion();
         for vpn in candidates {
             if promotion
                 && machine.free_pages(mv.dst) == 0
-                && !self.demote_one_cold(machine, mv.dst)
+                && !self.demote_one_cold(core, machine, mv.dst)
             {
                 return;
             }
-            if !self.budget.try_take_page() {
+            if !core.budget.try_take_page() {
                 return;
             }
-            if self.retry.request(machine, vpn, mv.dst) {
-                self.policy.move_tier(vpn, mv.dst);
+            if core.retry.request(machine, vpn, mv.dst) {
+                core.policy.move_tier(vpn, mv.dst);
                 if promotion {
                     self.stats.promoted += 1;
                 } else {
@@ -380,145 +357,39 @@ impl HeMem {
     }
 }
 
-impl TieringSystem for HeMem {
-    fn on_tick(&mut self, machine: &mut Machine, report: &TickReport) {
-        if !self.initialized {
-            self.initialize(machine);
+impl SystemLogic for HememLogic {
+    fn on_tick(&mut self, core: &mut SystemCore, machine: &mut Machine, report: &TickReport) {
+        // The policy carries HeMem's verbatim ingest semantics: unmanaged
+        // samples are dropped, and a cooling pass re-bins the population.
+        for s in &report.pebs {
+            core.policy.record_access(s.vpn);
         }
-        // Migrations that aborted in flight never landed: re-sync the
-        // policy with the page's actual tier and park the move for retry.
-        self.retry.note_failures(report);
-        for f in &report.failed_migrations {
-            if self.policy.tier_of(f.vpn).is_some() {
-                if let Some(actual) = machine.tier_of(f.vpn) {
-                    self.policy.move_tier(f.vpn, actual);
-                }
-            }
-        }
-        for (vpn, dst) in self.retry.on_tick(machine) {
-            if self.policy.tier_of(vpn).is_some() {
-                self.policy.move_tier(vpn, dst);
-            }
-        }
-        // Pages force-evacuated by a tier shrink already moved: re-sync
-        // the policy with where each page actually landed.
-        for &(vpn, dst) in &report.evacuated {
-            if self.policy.tier_of(vpn).is_some() {
-                self.policy.move_tier(vpn, dst);
-            }
-        }
-        self.ingest_samples(report);
-        self.budget.refill();
-        match self
+        core.budget.refill();
+        match core
             .colloid
             .as_mut()
             .map(|c| c.on_quantum(&measurements(report)))
         {
             None => {
                 // A frozen vanilla system keeps tracking but stops moving.
-                if !self.frozen {
-                    self.vanilla_place(machine)
+                if !core.frozen {
+                    self.vanilla_place(core, machine)
                 }
             }
             // Colloid enabled: act on the pair move (none when balanced).
-            Some(Some(d)) => self.colloid_place(machine, &d.into()),
+            Some(Some(d)) => self.colloid_place(core, machine, &d.into()),
             Some(None) => {}
         }
         // HeMem's quantum is one tick; observation-only for FreqBins
         // (cooling is its aging), aging for the approximation policies.
-        self.policy.end_quantum();
-    }
-
-    fn name(&self) -> String {
-        if self.colloid.is_some() {
-            "HeMem+Colloid".into()
-        } else {
-            "HeMem".into()
-        }
-    }
-
-    fn retry_stats(&self) -> Option<RetryStats> {
-        Some(self.retry.stats())
-    }
-
-    fn set_frozen(&mut self, frozen: bool) {
-        self.frozen = frozen;
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_frozen(frozen);
-        }
-    }
-
-    fn reset_equilibrium(&mut self) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.reset_equilibrium();
-        }
-    }
-
-    fn heat_of(&self, vpn: Vpn) -> f64 {
-        self.policy.heat_of(vpn)
-    }
-
-    fn swap_policy(&mut self, kind: PolicyKind) -> bool {
-        if self.policy.kind() == kind {
-            return true;
-        }
-        let (from, pages) = policy::swap_boxed(
-            &mut self.policy,
-            kind,
-            self.params.n_tiers(),
-            self.params.managed.clone(),
-        );
-        self.legacy = kind == PolicyKind::FreqBins;
-        self.swaps += 1;
-        if let Some(hub) = &self.metrics {
-            hub.counter_with(
-                "policy_swap_total",
-                &[("from", from.name()), ("to", kind.name())],
-            )
-            .inc();
-        }
-        self.sink.emit(telemetry::Source::System, || {
-            telemetry::EventKind::PolicySwap {
-                from: from.name(),
-                to: kind.name(),
-                pages,
-            }
-        });
-        true
-    }
-
-    fn policy_kind(&self) -> Option<PolicyKind> {
-        Some(self.policy.kind())
-    }
-
-    fn policy_stats(&self) -> Option<PolicyStats> {
-        Some(self.policy.stats())
-    }
-
-    fn export_policy_ranking(&self) -> Option<Vec<(Vpn, TierId, f64)>> {
-        Some(self.policy.export_ranking())
-    }
-
-    fn set_telemetry(&mut self, sink: telemetry::Sink) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_telemetry(sink.clone());
-        }
-        self.sink = sink.clone();
-        self.retry.set_telemetry(sink);
-    }
-
-    fn set_metrics(&mut self, hub: telemetry::MetricsHub) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_metrics(hub.clone());
-        }
-        self.metrics = Some(hub.clone());
-        self.retry.set_metrics(hub);
+        core.policy.end_quantum();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PolicyKind, TieringSystem};
     use memsim::machine::AccessStream;
     use memsim::{
         CoreConfig, MachineConfig, ObjectAccess, TrafficClass, LINES_PER_PAGE, LINE_SIZE,
@@ -671,9 +542,9 @@ mod tests {
         // may linger for up to max_delay_ticks, but nothing accumulates.
         run(&mut h, &mut m, 50);
         assert!(
-            h.retry.pending() <= 2,
+            h.core.retry.pending() <= 2,
             "retry queue must not accumulate, pending = {}",
-            h.retry.pending()
+            h.core.retry.pending()
         );
     }
 

@@ -14,6 +14,21 @@
 //! counters, and migrate through the machine's migration engine — mirroring
 //! how the real implementations reuse each system's existing tracking and
 //! migration mechanisms.
+//!
+//! The paper adds Colloid to each system by replacing only its placement
+//! policy, and the code is split the same way. [`SystemCore`] holds what
+//! the three share: the parameters, the [`HotnessPolicy`], the
+//! [`RetryQueue`], the Colloid controller, the migration budget, the
+//! frozen flag and the telemetry sink and metrics hub. It registers the
+//! managed pages on the first tick and, at the start of every tick,
+//! re-syncs the policy after failed, retried and evacuated migrations.
+//! One `impl TieringSystem for` [`System`] serves all three systems: it
+//! runs that preamble, swaps policies, passes freezes and resets on to
+//! the Colloid controller, and passes the sink and the hub on to the
+//! controller and the retry queue. Each system file supplies only a
+//! [`SystemLogic`] (its signal ingest, vanilla placement and Colloid page
+//! selection), which runs after the preamble and refills the budget at
+//! the start of each of its own quanta.
 
 // Managed-page region lists are genuinely one range in most tests.
 #![allow(clippy::single_range_in_vec_init)]
@@ -23,6 +38,7 @@ pub mod memtis;
 pub mod policy;
 pub mod retry;
 pub mod supervisor;
+mod system;
 pub mod tpp;
 
 use memsim::{Machine, TickReport, TierId, Vpn};
@@ -33,6 +49,7 @@ pub use retry::{RetryPolicy, RetryQueue, RetryStats};
 pub use supervisor::{
     HealthSample, SupervisionReport, Supervisor, SupervisorConfig, SupervisorMode,
 };
+pub use system::{System, SystemCore, SystemLogic};
 
 /// A tiering system driving page placement on a [`Machine`].
 pub trait TieringSystem {

@@ -25,11 +25,9 @@
 use std::collections::HashSet;
 
 use memsim::{Machine, TickReport, TierId, Vpn, PAGE_SIZE};
-use tierctl::MigrationBudget;
 
-use crate::policy::{self, DensityHistogram, HotnessPolicy, PolicyKind, PolicyStats};
-use crate::retry::{RetryPolicy, RetryQueue, RetryStats};
-use crate::{SystemParams, TierMove, TieringSystem};
+use crate::policy::DensityHistogram;
+use crate::{SystemCore, SystemKind, SystemLogic, SystemParams, TierMove};
 
 /// MEMTIS-specific knobs.
 #[derive(Debug, Clone)]
@@ -108,24 +106,21 @@ impl Unit {
 
 /// The MEMTIS tiering system (vanilla or +Colloid).
 ///
-/// Hotness tracking lives behind a [`HotnessPolicy`]. On the extracted
-/// default ([`DensityHistogram`]) the system reads the concrete frequency
-/// tracker through its original code paths — bit-identical to the
-/// pre-extraction MEMTIS; other policies feed unit counts through the
-/// trait's `heat_of`. Page-size determination (split/coalesce) needs the
-/// per-page frequency histogram and therefore only runs on the default
-/// policy; approximation policies place whole regions.
-pub struct Memtis {
-    params: SystemParams,
+/// Hotness tracking lives behind a
+/// [`HotnessPolicy`](crate::HotnessPolicy). On the extracted default
+/// ([`DensityHistogram`]) the system reads the concrete frequency tracker
+/// through its original code paths — bit-identical to the pre-extraction
+/// MEMTIS; other policies feed unit counts through the trait's `heat_of`.
+/// Page-size determination (split/coalesce) needs the per-page frequency
+/// histogram and therefore only runs on the default policy; approximation
+/// policies place whole regions.
+pub type Memtis = crate::System<MemtisLogic>;
+
+/// MEMTIS's own parts: sampling control, split/coalesce, units and the
+/// kmigrated quantum. Everything else lives in the [`SystemCore`].
+pub struct MemtisLogic {
     cfg: MemtisConfig,
-    policy: Box<dyn HotnessPolicy>,
-    /// `policy` is the extracted default — take the verbatim legacy paths
-    /// over the concrete [`DensityHistogram`].
-    legacy: bool,
-    initialized: bool,
     split: HashSet<Vpn>, // region base vpns that have been split
-    budget: MigrationBudget,
-    colloid: Option<colloid::ColloidController>,
     ticks: u32,
     pebs_period: u64,
     /// Virtual-address-space cursor of the background coalescer.
@@ -133,12 +128,7 @@ pub struct Memtis {
     // Accumulators for averaging counter windows over a kmigrated quantum.
     acc_meas: Vec<(f64, f64)>,
     acc_ticks: u32,
-    retry: RetryQueue,
-    frozen: bool,
     stats: MemtisStats,
-    swaps: u64,
-    sink: telemetry::Sink,
-    metrics: Option<telemetry::MetricsHub>,
 }
 
 impl Memtis {
@@ -146,72 +136,51 @@ impl Memtis {
     /// the hotness policy selected by `params.policy`
     /// ([`DensityHistogram`] if unset).
     pub fn new(params: SystemParams, cfg: MemtisConfig) -> Self {
-        let colloid = params.build_colloid();
-        let tiers = params.unloaded_ns.len();
-        let kind = params.policy.unwrap_or(PolicyKind::DensityHistogram);
-        Memtis {
-            policy: kind.build(params.n_tiers(), params.managed.clone()),
-            legacy: kind == PolicyKind::DensityHistogram,
-            initialized: false,
+        let logic = MemtisLogic {
             split: HashSet::new(),
-            budget: MigrationBudget::new(
-                params.migration_limit_per_tick * cfg.quantum_ticks as u64,
-            ),
-            colloid,
             ticks: 0,
             pebs_period: 64,
             coalesce_cursor: 0,
-            acc_meas: vec![(0.0, 0.0); tiers],
+            acc_meas: vec![(0.0, 0.0); params.n_tiers()],
             acc_ticks: 0,
-            retry: RetryQueue::new(RetryPolicy::default()),
-            frozen: false,
             stats: MemtisStats {
                 pebs_period: 64,
                 ..MemtisStats::default()
             },
-            swaps: 0,
-            sink: telemetry::Sink::disabled(),
-            metrics: None,
             cfg,
-            params,
+        };
+        // kmigrated refills once per quantum, not per tick.
+        let budget = params.migration_limit_per_tick * logic.cfg.quantum_ticks as u64;
+        crate::System {
+            core: SystemCore::new(SystemKind::Memtis, params, budget),
+            logic,
         }
     }
 
     /// Telemetry counters.
     pub fn stats(&self) -> MemtisStats {
-        self.stats
+        self.logic.stats
     }
+}
 
-    fn dh_ref(&self) -> &DensityHistogram {
-        self.policy
-            .as_any()
-            .downcast_ref()
-            .expect("legacy MEMTIS path requires the DensityHistogram policy")
+fn dh_ref(core: &SystemCore) -> &DensityHistogram {
+    core.policy
+        .as_any()
+        .downcast_ref()
+        .expect("legacy MEMTIS path requires the DensityHistogram policy")
+}
+
+/// A unit's aggregate hotness count for one page: the raw frequency
+/// histogram on the default policy, a scaled `heat_of` otherwise.
+fn count_of(core: &SystemCore, vpn: Vpn) -> u64 {
+    if core.legacy {
+        dh_ref(core).tracker.count(vpn) as u64
+    } else {
+        (core.policy.heat_of(vpn) * 1000.0).round() as u64
     }
+}
 
-    /// Registers every managed page with the policy so the approximation
-    /// policies track the full managed set before the first quantum.
-    fn initialize(&mut self, machine: &Machine) {
-        let last = TierId(self.params.n_tiers() as u8 - 1);
-        for range in self.params.managed.clone() {
-            for vpn in range {
-                let tier = machine.tier_of(vpn).unwrap_or(last);
-                self.policy.insert(vpn, tier);
-            }
-        }
-        self.initialized = true;
-    }
-
-    /// A unit's aggregate hotness count for one page: the raw frequency
-    /// histogram on the default policy, a scaled `heat_of` otherwise.
-    fn count_of(&self, vpn: Vpn) -> u64 {
-        if self.legacy {
-            self.dh_ref().tracker.count(vpn) as u64
-        } else {
-            (self.policy.heat_of(vpn) * 1000.0).round() as u64
-        }
-    }
-
+impl MemtisLogic {
     fn region_base(&self, vpn: Vpn) -> Vpn {
         vpn / self.cfg.region_pages * self.cfg.region_pages
     }
@@ -230,15 +199,15 @@ impl Memtis {
 
     /// Splits hot regions whose internal access distribution is skewed.
     /// Needs the per-page frequency histogram: default policy only.
-    fn split_pass(&mut self) {
-        if !self.legacy {
+    fn split_pass(&mut self, core: &SystemCore) {
+        if !core.legacy {
             return;
         }
         let rp = self.cfg.region_pages;
         let mut to_split = Vec::new();
         let mut region_counts: std::collections::HashMap<Vpn, (u64, u64)> =
             std::collections::HashMap::new();
-        for (vpn, count) in self.dh_ref().tracker.iter() {
+        for (vpn, count) in dh_ref(core).tracker.iter() {
             let base = self.region_base(vpn);
             if self.split.contains(&base) {
                 continue;
@@ -264,13 +233,13 @@ impl Memtis {
     /// it passes over is re-coalesced when its pages are tier-homogeneous
     /// and its access distribution is no longer skewed. The bounded scan
     /// rate makes a full pass take hundreds of quanta (paper §2.2).
-    fn coalesce_pass(&mut self, machine: &Machine) {
+    fn coalesce_pass(&mut self, core: &SystemCore, machine: &Machine) {
         // Skew needs the frequency histogram: regions split before a swap
         // away from the default policy stay split until swapped back.
-        if !self.legacy {
+        if !core.legacy {
             return;
         }
-        let total: u64 = self.params.managed.iter().map(|r| r.end - r.start).sum();
+        let total = core.params.managed_pages();
         if total == 0 || self.split.is_empty() {
             return;
         }
@@ -281,7 +250,7 @@ impl Memtis {
             // Map the flat cursor onto the managed ranges.
             let mut off = pos;
             let mut vpn = None;
-            for r in &self.params.managed {
+            for r in &core.params.managed {
                 let len = r.end - r.start;
                 if off < len {
                     vpn = Some(r.start + off);
@@ -303,7 +272,7 @@ impl Memtis {
             }
             // Still skewed?
             let counts: Vec<u64> = (base..base + rp)
-                .map(|p| self.dh_ref().tracker.count(p) as u64)
+                .map(|p| dh_ref(core).tracker.count(p) as u64)
                 .collect();
             let totalc: u64 = counts.iter().sum();
             let max = counts.iter().copied().max().unwrap_or(0);
@@ -318,10 +287,10 @@ impl Memtis {
 
     /// Builds the unit list (regions, or base pages where split), sorted by
     /// descending access density.
-    fn build_units(&self, machine: &Machine) -> Vec<Unit> {
+    fn build_units(&self, core: &SystemCore, machine: &Machine) -> Vec<Unit> {
         let mut units = Vec::new();
         let rp = self.cfg.region_pages;
-        for range in &self.params.managed {
+        for range in &core.params.managed {
             let mut vpn = range.start;
             while vpn < range.end {
                 let base = self.region_base(vpn);
@@ -331,14 +300,14 @@ impl Memtis {
                             units.push(Unit {
                                 first_vpn: page,
                                 pages: 1,
-                                count: self.count_of(page),
+                                count: count_of(core, page),
                                 tier,
                             });
                         }
                     }
                 } else {
                     let end = (base + rp).min(range.end);
-                    let count: u64 = (base..end).map(|p| self.count_of(p)).sum();
+                    let count: u64 = (base..end).map(|p| count_of(core, p)).sum();
                     if let Some(tier) = machine.tier_of(base) {
                         units.push(Unit {
                             first_vpn: base,
@@ -355,26 +324,9 @@ impl Memtis {
         units
     }
 
-    fn migrate_unit(&mut self, machine: &mut Machine, unit: &Unit, dst: TierId) -> u64 {
-        let mut moved = 0;
-        for page in unit.first_vpn..unit.first_vpn + unit.pages {
-            if machine.tier_of(page) == Some(dst) {
-                continue;
-            }
-            if !self.budget.try_take_page() {
-                break;
-            }
-            if self.retry.request(machine, page, dst) {
-                self.policy.move_tier(page, dst);
-                moved += 1;
-            }
-        }
-        moved
-    }
-
     /// Vanilla kmigrated pass: hot set = densest units filling the default
     /// tier; promote hot units, proactively demote everything else.
-    fn vanilla_place(&mut self, machine: &mut Machine, units: &[Unit]) {
+    fn vanilla_place(&mut self, core: &mut SystemCore, machine: &mut Machine, units: &[Unit]) {
         // Effective capacity: a tier shrink permanently lowers the hot-set
         // budget, and MEMTIS must size to what is actually usable.
         let cap_bytes = machine.capacity_pages(TierId::DEFAULT) * PAGE_SIZE;
@@ -402,26 +354,23 @@ impl Memtis {
                     // make room.
                     for cold in units[hot_end..].iter().rev() {
                         if cold.tier == dst {
-                            let moved = self.migrate_unit(machine, cold, down);
-                            self.stats.demoted += moved;
+                            self.stats.demoted += migrate_unit(core, machine, cold, down);
                             if machine.free_pages(dst) >= needed {
                                 break;
                             }
                         }
                     }
                 }
-                let moved = self.migrate_unit(machine, u, dst);
-                self.stats.promoted += moved;
+                self.stats.promoted += migrate_unit(core, machine, u, dst);
             }
         }
         // Proactive demotion of non-hot units one hop down — for every tier
         // that has a slower neighbour (on two tiers: default → alternate).
         if self.cfg.proactive_demotion {
-            let n_tiers = self.params.n_tiers();
+            let n_tiers = core.params.n_tiers();
             for u in &units[hot_end..] {
                 if usize::from(u.tier.0) + 1 < n_tiers {
-                    let moved = self.migrate_unit(machine, u, TierId(u.tier.0 + 1));
-                    self.stats.demoted += moved;
+                    self.stats.demoted += migrate_unit(core, machine, u, TierId(u.tier.0 + 1));
                 }
             }
         }
@@ -429,13 +378,19 @@ impl Memtis {
 
     /// Colloid kmigrated pass (§4.2): scan the source tier's units in
     /// density order, pick while Δp and the migration limit allow.
-    fn colloid_place(&mut self, machine: &mut Machine, units: &[Unit], mv: &TierMove) {
+    fn colloid_place(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        units: &[Unit],
+        mv: &TierMove,
+    ) {
         let (src, dst) = (mv.src, mv.dst);
         let promotion = mv.is_promotion();
-        let can_spill = usize::from(dst.0) + 1 < self.params.n_tiers();
+        let can_spill = usize::from(dst.0) + 1 < core.params.n_tiers();
         let down = TierId(dst.0 + 1);
-        let total = if self.legacy {
-            self.dh_ref().tracker.total().max(1) as f64
+        let total = if core.legacy {
+            dh_ref(core).tracker.total().max(1) as f64
         } else {
             units.iter().map(|u| u.count).sum::<u64>().max(1) as f64
         };
@@ -457,8 +412,7 @@ impl Memtis {
                 let mut freed = false;
                 for cold in units.iter().rev() {
                     if cold.tier == dst && cold.count == 0 {
-                        let moved = self.migrate_unit(machine, cold, down);
-                        self.stats.demoted += moved;
+                        self.stats.demoted += migrate_unit(core, machine, cold, down);
                         if machine.free_pages(dst) >= u.pages {
                             freed = true;
                             break;
@@ -469,7 +423,7 @@ impl Memtis {
                     continue;
                 }
             }
-            let moved = self.migrate_unit(machine, u, dst);
+            let moved = migrate_unit(core, machine, u, dst);
             if moved > 0 {
                 rem_p -= prob;
                 rem_bytes = rem_bytes.saturating_sub(moved * PAGE_SIZE);
@@ -501,38 +455,32 @@ impl Memtis {
     }
 }
 
-impl TieringSystem for Memtis {
-    fn on_tick(&mut self, machine: &mut Machine, report: &TickReport) {
-        if !self.initialized {
-            self.initialize(machine);
+/// Migrates a unit's pages that are not yet on `dst`, page by page within
+/// the budget; returns pages enqueued.
+fn migrate_unit(core: &mut SystemCore, machine: &mut Machine, unit: &Unit, dst: TierId) -> u64 {
+    let mut moved = 0;
+    for page in unit.first_vpn..unit.first_vpn + unit.pages {
+        if machine.tier_of(page) == Some(dst) {
+            continue;
         }
-        // Migrations that aborted in flight never landed: re-sync the
-        // policy with the page's actual tier and park the move for retry.
-        self.retry.note_failures(report);
-        for f in &report.failed_migrations {
-            if self.policy.tier_of(f.vpn).is_some() {
-                if let Some(actual) = machine.tier_of(f.vpn) {
-                    self.policy.move_tier(f.vpn, actual);
-                }
-            }
+        if !core.budget.try_take_page() {
+            break;
         }
-        for (vpn, dst) in self.retry.on_tick(machine) {
-            if self.policy.tier_of(vpn).is_some() {
-                self.policy.move_tier(vpn, dst);
-            }
+        if core.retry.request(machine, page, dst) {
+            core.policy.move_tier(page, dst);
+            moved += 1;
         }
-        // Pages force-evacuated by a tier shrink already moved: re-sync
-        // the policy with where each page actually landed.
-        for &(vpn, dst) in &report.evacuated {
-            if self.policy.tier_of(vpn).is_some() {
-                self.policy.move_tier(vpn, dst);
-            }
-        }
+    }
+    moved
+}
+
+impl SystemLogic for MemtisLogic {
+    fn on_tick(&mut self, core: &mut SystemCore, machine: &mut Machine, report: &TickReport) {
         self.adapt_sampling(machine, report.pebs.len());
         // The default policy's managed-range gate reproduces the original
         // sample filter exactly.
         for s in &report.pebs {
-            self.policy.record_access(s.vpn);
+            core.policy.record_access(s.vpn);
         }
         for (i, t) in report.tiers.iter().enumerate() {
             self.acc_meas[i].0 += t.occupancy;
@@ -545,118 +493,31 @@ impl TieringSystem for Memtis {
         }
 
         // kmigrated quantum boundary.
-        self.budget.refill();
-        self.split_pass();
-        self.coalesce_pass(machine);
-        let units = self.build_units(machine);
+        core.budget.refill();
+        self.split_pass(core);
+        self.coalesce_pass(core, machine);
+        let units = self.build_units(core, machine);
         let window = self.drain_measurements();
-        match self.colloid.as_mut().map(|c| c.on_quantum(&window)) {
+        match core.colloid.as_mut().map(|c| c.on_quantum(&window)) {
             None => {
                 // A frozen vanilla system keeps tracking but stops moving.
-                if !self.frozen {
-                    self.vanilla_place(machine, &units)
+                if !core.frozen {
+                    self.vanilla_place(core, machine, &units)
                 }
             }
-            Some(Some(d)) => self.colloid_place(machine, &units, &d.into()),
+            Some(Some(d)) => self.colloid_place(core, machine, &units, &d.into()),
             Some(None) => {}
         }
         // MEMTIS's quantum is the kmigrated period; observation-only for
         // the default histogram, aging for the approximation policies.
-        self.policy.end_quantum();
-    }
-
-    fn name(&self) -> String {
-        if self.colloid.is_some() {
-            "MEMTIS+Colloid".into()
-        } else {
-            "MEMTIS".into()
-        }
-    }
-
-    fn retry_stats(&self) -> Option<RetryStats> {
-        Some(self.retry.stats())
-    }
-
-    fn set_frozen(&mut self, frozen: bool) {
-        self.frozen = frozen;
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_frozen(frozen);
-        }
-    }
-
-    fn reset_equilibrium(&mut self) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.reset_equilibrium();
-        }
-    }
-
-    fn heat_of(&self, vpn: Vpn) -> f64 {
-        // The default policy reports the raw frequency count, exactly the
-        // pre-extraction histogram read.
-        self.policy.heat_of(vpn)
-    }
-
-    fn swap_policy(&mut self, kind: PolicyKind) -> bool {
-        if self.policy.kind() == kind {
-            return true;
-        }
-        let (from, pages) = policy::swap_boxed(
-            &mut self.policy,
-            kind,
-            self.params.n_tiers(),
-            self.params.managed.clone(),
-        );
-        self.legacy = kind == PolicyKind::DensityHistogram;
-        self.swaps += 1;
-        if let Some(hub) = &self.metrics {
-            hub.counter_with(
-                "policy_swap_total",
-                &[("from", from.name()), ("to", kind.name())],
-            )
-            .inc();
-        }
-        self.sink.emit(telemetry::Source::System, || {
-            telemetry::EventKind::PolicySwap {
-                from: from.name(),
-                to: kind.name(),
-                pages,
-            }
-        });
-        true
-    }
-
-    fn policy_kind(&self) -> Option<PolicyKind> {
-        Some(self.policy.kind())
-    }
-
-    fn policy_stats(&self) -> Option<PolicyStats> {
-        Some(self.policy.stats())
-    }
-
-    fn export_policy_ranking(&self) -> Option<Vec<(Vpn, TierId, f64)>> {
-        Some(self.policy.export_ranking())
-    }
-
-    fn set_telemetry(&mut self, sink: telemetry::Sink) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_telemetry(sink.clone());
-        }
-        self.sink = sink.clone();
-        self.retry.set_telemetry(sink);
-    }
-
-    fn set_metrics(&mut self, hub: telemetry::MetricsHub) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_metrics(hub.clone());
-        }
-        self.metrics = Some(hub.clone());
-        self.retry.set_metrics(hub);
+        core.policy.end_quantum();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TieringSystem;
     use memsim::machine::AccessStream;
     use memsim::{
         CoreConfig, MachineConfig, ObjectAccess, TrafficClass, LINES_PER_PAGE, LINE_SIZE,
@@ -835,7 +696,7 @@ mod tests {
             "uniform phase must eventually coalesce, stats = {:?}",
             s.stats()
         );
-        assert!(s.split.is_empty());
+        assert!(s.logic.split.is_empty());
     }
 
     #[test]
@@ -892,7 +753,7 @@ mod tests {
         // Unsplit regions must be tier-homogeneous.
         for region in 0..(256 / 16) {
             let base = region * 16;
-            if s.split.contains(&base) {
+            if s.logic.split.contains(&base) {
                 continue;
             }
             let tiers: Vec<_> = (base..base + 16).map(|v| m.tier_of(v)).collect();

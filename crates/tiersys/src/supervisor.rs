@@ -484,20 +484,13 @@ impl Supervisor {
         // Expected copy time at the *configured* bandwidth — what a healthy
         // engine delivers regardless of queue depth (pacing is per page).
         let expected_ns = memsim::PAGE_SIZE as f64 / machine.config().migration_bandwidth * 1e9;
-        let copy_slowdown = if machine.config().tiers.len() == 2 {
-            report
-                .mig_copy_ns
-                .map(|obs| obs / expected_ns.max(1.0))
-                .unwrap_or(0.0)
-        } else {
-            // N tiers: the worst adjacent pair's mean copy time — a single
-            // collapsed link must not be averaged away by healthy ones.
-            report
-                .mig_copy_pair_ns
-                .iter()
-                .map(|&(_, _, ns)| ns / expected_ns.max(1.0))
-                .fold(0.0, f64::max)
-        };
+        // The worst (src, dst) pair's mean copy time: a single collapsed
+        // link must not be averaged away by healthy ones.
+        let copy_slowdown = report
+            .mig_copy_pair_ns
+            .iter()
+            .map(|&(_, _, ns)| ns / expected_ns.max(1.0))
+            .fold(0.0, f64::max);
         HealthSample {
             failed: report.failed_migrations.len() as u64,
             succeeded,

@@ -19,11 +19,10 @@
 //! can be *demoted* under memory interconnect contention.
 
 use memsim::{Machine, TickReport, TierId, Vpn, PAGE_SIZE};
-use tierctl::{MigrationBudget, RegionScanner};
+use tierctl::RegionScanner;
 
-use crate::policy::{self, HotnessPolicy, PolicyKind, PolicyStats, TimeToFault};
-use crate::retry::{RetryPolicy, RetryQueue, RetryStats};
-use crate::{measurements, SystemParams, TierMove, TieringSystem};
+use crate::policy::TimeToFault;
+use crate::{measurements, SystemCore, SystemKind, SystemLogic, SystemParams, TierMove};
 
 /// TPP-specific knobs.
 #[derive(Debug, Clone)]
@@ -99,29 +98,22 @@ pub struct TppStats {
 /// The TPP tiering system (vanilla or +Colloid).
 ///
 /// Recency tracking (the last-time-to-fault map and the kswapd clock
-/// hand) lives behind a [`HotnessPolicy`]. On the extracted default
-/// ([`TimeToFault`]) the system takes its original code paths over the
-/// concrete structures — bit-identical to the pre-extraction TPP; other
-/// policies drive the same fault/kswapd mechanism through the trait.
-pub struct Tpp {
-    params: SystemParams,
+/// hand) lives behind a [`HotnessPolicy`](crate::HotnessPolicy). On the
+/// extracted default ([`TimeToFault`]) the system takes its original code
+/// paths over the concrete structures — bit-identical to the
+/// pre-extraction TPP; other policies drive the same fault/kswapd
+/// mechanism through the trait.
+pub type Tpp = crate::System<TppLogic>;
+
+/// TPP's own parts: the page-table scanner, hint-fault handling,
+/// threshold adaptation, kswapd and THP units. Everything else lives in
+/// the [`SystemCore`].
+pub struct TppLogic {
     cfg: TppConfig,
     scanner: RegionScanner,
-    budget: MigrationBudget,
-    colloid: Option<colloid::ColloidController>,
     /// Dynamic time-to-fault threshold (vanilla hotness test).
     threshold_ns: f64,
-    policy: Box<dyn HotnessPolicy>,
-    /// `policy` is the extracted default — take the verbatim legacy paths
-    /// over the concrete [`TimeToFault`].
-    legacy: bool,
-    initialized: bool,
-    retry: RetryQueue,
-    frozen: bool,
     stats: TppStats,
-    swaps: u64,
-    sink: telemetry::Sink,
-    metrics: Option<telemetry::MetricsHub>,
 }
 
 impl Tpp {
@@ -129,104 +121,88 @@ impl Tpp {
     /// hotness policy selected by `params.policy` ([`TimeToFault`] if
     /// unset).
     pub fn new(params: SystemParams, cfg: TppConfig) -> Self {
-        let colloid = params.build_colloid();
-        let scanner = RegionScanner::new(params.managed.clone());
-        let kind = params.policy.unwrap_or(PolicyKind::TimeToFault);
-        Tpp {
+        let logic = TppLogic {
             threshold_ns: cfg.initial_threshold_ns,
-            scanner,
-            budget: MigrationBudget::new(params.migration_limit_per_tick),
-            colloid,
-            policy: kind.build(params.n_tiers(), params.managed.clone()),
-            legacy: kind == PolicyKind::TimeToFault,
-            initialized: false,
-            retry: RetryQueue::new(RetryPolicy::default()),
-            frozen: false,
+            scanner: RegionScanner::new(params.managed.clone()),
             stats: TppStats::default(),
-            swaps: 0,
-            sink: telemetry::Sink::disabled(),
-            metrics: None,
             cfg,
-            params,
+        };
+        let budget = params.migration_limit_per_tick;
+        crate::System {
+            core: SystemCore::new(SystemKind::Tpp, params, budget),
+            logic,
         }
     }
 
     /// Telemetry counters.
     pub fn stats(&self) -> TppStats {
-        self.stats
+        self.logic.stats
     }
 
     /// Current dynamic time-to-fault threshold (ns).
     pub fn threshold_ns(&self) -> f64 {
-        self.threshold_ns
+        self.logic.threshold_ns
     }
+}
 
-    fn managed(&self, vpn: Vpn) -> bool {
-        self.params.managed.iter().any(|r| r.contains(&vpn))
-    }
+fn managed(core: &SystemCore, vpn: Vpn) -> bool {
+    core.params.managed.iter().any(|r| r.contains(&vpn))
+}
 
-    fn ttf(&mut self) -> &mut TimeToFault {
-        self.policy
-            .as_any_mut()
-            .downcast_mut()
-            .expect("legacy TPP path requires the TimeToFault policy")
-    }
+fn ttf(core: &mut SystemCore) -> &mut TimeToFault {
+    core.policy
+        .as_any_mut()
+        .downcast_mut()
+        .expect("legacy TPP path requires the TimeToFault policy")
+}
 
-    /// Registers every managed page with the policy. For the default
-    /// [`TimeToFault`], insertion in managed-range order rebuilds exactly
-    /// the flattened clock-hand list the pre-extraction TPP built at
-    /// construction.
-    fn initialize(&mut self, machine: &Machine) {
-        let last = TierId(self.params.n_tiers() as u8 - 1);
-        for range in self.params.managed.clone() {
-            for vpn in range {
-                let tier = machine.tier_of(vpn).unwrap_or(last);
-                self.policy.insert(vpn, tier);
-            }
-        }
-        self.initialized = true;
-    }
-
+impl TppLogic {
     /// All pages of `vpn`'s THP region (or just the page without THP).
-    fn unit_pages(&self, vpn: Vpn) -> Vec<Vpn> {
+    fn unit_pages(&self, core: &SystemCore, vpn: Vpn) -> Vec<Vpn> {
         if !self.cfg.huge {
             return vec![vpn];
         }
         let base = vpn / REGION_PAGES * REGION_PAGES;
         (base..base + REGION_PAGES)
-            .filter(|&v| self.managed(v))
+            .filter(|&v| managed(core, v))
             .collect()
     }
 
     /// Migrates a page's whole unit to `dst` (all-or-nothing with respect
     /// to the budget, so THP regions never straddle tiers); returns pages
     /// enqueued.
-    fn migrate_unit(&mut self, machine: &mut Machine, vpn: Vpn, dst: TierId) -> u64 {
+    fn migrate_unit(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        vpn: Vpn,
+        dst: TierId,
+    ) -> u64 {
         let pages: Vec<Vpn> = self
-            .unit_pages(vpn)
+            .unit_pages(core, vpn)
             .into_iter()
             .filter(|&p| machine.tier_of(p) != Some(dst))
             .collect();
         let need = pages.len() as u64;
-        if need == 0 || self.budget.remaining() < need * PAGE_SIZE {
+        if need == 0 || core.budget.remaining() < need * PAGE_SIZE {
             return 0;
         }
         // Make room by demoting one hop further down the chain — possible
         // for every destination except the last tier.
-        if usize::from(dst.0) + 1 < self.params.n_tiers() {
+        if usize::from(dst.0) + 1 < core.params.n_tiers() {
             while machine.free_pages(dst) < need {
-                if !self.kswapd_demote_one(machine, dst) {
+                if !self.kswapd_demote_one(core, machine, dst) {
                     return 0;
                 }
             }
         }
         let mut moved = 0;
         for page in pages {
-            if !self.budget.try_take_page() {
+            if !core.budget.try_take_page() {
                 break;
             }
-            if self.retry.request(machine, page, dst) {
-                self.policy.move_tier(page, dst);
+            if core.retry.request(machine, page, dst) {
+                core.policy.move_tier(page, dst);
                 moved += 1;
             }
         }
@@ -239,13 +215,18 @@ impl Tpp {
     /// — if every resident page looks hot — the coldest page seen. Returns
     /// whether a frame was freed (enqueued for demotion). `tier` must not
     /// be the last tier.
-    fn kswapd_demote_one(&mut self, machine: &mut Machine, tier: TierId) -> bool {
-        if !self.legacy {
-            return self.kswapd_demote_one_generic(machine, tier);
+    fn kswapd_demote_one(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        tier: TierId,
+    ) -> bool {
+        if !core.legacy {
+            return self.kswapd_demote_one_generic(core, machine, tier);
         }
         let cold_cutoff = (self.threshold_ns * 10.0).max(150_000.0);
         let victim = {
-            let tp = self.ttf();
+            let tp = ttf(core);
             if tp.clock_pages.is_empty() {
                 return false;
             }
@@ -276,7 +257,7 @@ impl Tpp {
             chosen.or(coldest.map(|(vpn, _)| vpn))
         };
         match victim {
-            Some(vpn) => self.demote_unit_of(machine, vpn, tier),
+            Some(vpn) => self.demote_unit_of(core, machine, vpn, tier),
             None => false,
         }
     }
@@ -284,35 +265,46 @@ impl Tpp {
     /// Trait-driven victim selection for the approximation policies: take
     /// the policy's coldest-first candidates, skipping any whose tracked
     /// tier drifted from the machine's.
-    fn kswapd_demote_one_generic(&mut self, machine: &mut Machine, tier: TierId) -> bool {
-        for vpn in self.policy.victims(tier, 64) {
+    fn kswapd_demote_one_generic(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        tier: TierId,
+    ) -> bool {
+        for vpn in core.policy.victims(tier, 64) {
             if machine.tier_of(vpn) != Some(tier) {
                 continue;
             }
-            return self.demote_unit_of(machine, vpn, tier);
+            return self.demote_unit_of(core, machine, vpn, tier);
         }
         false
     }
 
     /// Demotes the whole unit of `vpn` from `from` one hop down the tier
     /// chain (THP regions stay intact). `from` must not be the last tier.
-    fn demote_unit_of(&mut self, machine: &mut Machine, vpn: Vpn, from: TierId) -> bool {
+    fn demote_unit_of(
+        &mut self,
+        core: &mut SystemCore,
+        machine: &mut Machine,
+        vpn: Vpn,
+        from: TierId,
+    ) -> bool {
         let down = TierId(from.0 + 1);
         let pages: Vec<Vpn> = self
-            .unit_pages(vpn)
+            .unit_pages(core, vpn)
             .into_iter()
             .filter(|&p| machine.tier_of(p) == Some(from))
             .collect();
-        if self.budget.remaining() < pages.len() as u64 * PAGE_SIZE {
+        if core.budget.remaining() < pages.len() as u64 * PAGE_SIZE {
             return false;
         }
         let mut any = false;
         for page in pages {
-            if !self.budget.try_take_page() {
+            if !core.budget.try_take_page() {
                 break;
             }
-            if self.retry.request(machine, page, down) {
-                self.policy.move_tier(page, down);
+            if core.retry.request(machine, page, down) {
+                core.policy.move_tier(page, down);
                 self.stats.demoted += 1;
                 any = true;
             }
@@ -323,8 +315,8 @@ impl Tpp {
     /// kswapd main loop: keep every non-terminal tier's free frames above
     /// the watermarks (on a two-tier machine this is exactly the
     /// default-tier kswapd; deeper tiers spill one hop further down).
-    fn kswapd(&mut self, machine: &mut Machine) {
-        for i in 0..self.params.n_tiers().saturating_sub(1) {
+    fn kswapd(&mut self, core: &mut SystemCore, machine: &mut Machine) {
+        for i in 0..core.params.n_tiers().saturating_sub(1) {
             let tier = TierId(i as u8);
             // Effective capacity: watermarks must track post-shrink reality.
             let cap = machine.capacity_pages(tier);
@@ -334,7 +326,7 @@ impl Tpp {
                 continue;
             }
             while machine.free_pages(tier) < high {
-                if !self.kswapd_demote_one(machine, tier) {
+                if !self.kswapd_demote_one(core, machine, tier) {
                     break;
                 }
             }
@@ -346,8 +338,8 @@ impl Tpp {
     /// control: if more hot-qualifying bytes fault than the rate limit
     /// allows, the threshold tightens; if the budget is underused, it
     /// loosens).
-    fn adapt_threshold(&mut self, candidate_bytes: u64, faults_this_tick: usize) {
-        let target = (self.budget.per_quantum() as f64 * self.cfg.promotion_boost) as u64;
+    fn adapt_threshold(&mut self, per_quantum: u64, candidate_bytes: u64, faults_this_tick: usize) {
+        let target = (per_quantum as f64 * self.cfg.promotion_boost) as u64;
         if candidate_bytes > target {
             self.threshold_ns *= 0.9; // too many candidates: be stricter
         } else if faults_this_tick > 0 && candidate_bytes < target / 4 {
@@ -357,38 +349,13 @@ impl Tpp {
     }
 }
 
-impl TieringSystem for Tpp {
-    fn on_tick(&mut self, machine: &mut Machine, report: &TickReport) {
-        if !self.initialized {
-            self.initialize(machine);
-        }
-        // Migrations that aborted in flight never landed: re-sync the
-        // policy with the page's actual tier and park the move for retry.
-        self.retry.note_failures(report);
-        for f in &report.failed_migrations {
-            if self.policy.tier_of(f.vpn).is_some() {
-                if let Some(actual) = machine.tier_of(f.vpn) {
-                    self.policy.move_tier(f.vpn, actual);
-                }
-            }
-        }
-        for (vpn, dst) in self.retry.on_tick(machine) {
-            if self.policy.tier_of(vpn).is_some() {
-                self.policy.move_tier(vpn, dst);
-            }
-        }
-        // Pages force-evacuated by a tier shrink already moved: re-sync
-        // the policy with where each page actually landed.
-        for &(vpn, dst) in &report.evacuated {
-            if self.policy.tier_of(vpn).is_some() {
-                self.policy.move_tier(vpn, dst);
-            }
-        }
-        self.budget.refill();
+impl SystemLogic for TppLogic {
+    fn on_tick(&mut self, core: &mut SystemCore, machine: &mut Machine, report: &TickReport) {
+        core.budget.refill();
 
         // Colloid move/Δp for this quantum (None = vanilla, or balanced).
-        let has_colloid = self.colloid.is_some();
-        let mv = self
+        let has_colloid = core.colloid.is_some();
+        let mv = core
             .colloid
             .as_mut()
             .and_then(|c| c.on_quantum(&measurements(report)))
@@ -400,17 +367,16 @@ impl TieringSystem for Tpp {
         // p = 1 / (Δt · r)   (paper §4.3).
         let rate_of = |tier: TierId| report.tiers[tier.index()].rate_per_ns;
 
-        let mut promoted_this_tick = 0u64;
         // Bytes of promotion *candidates* (hot-qualifying faults on
         // alternate-tier pages) this tick — the signal Linux's hot-page
         // selection adapts its threshold on (rate-limit targeting).
         let mut candidate_bytes = 0u64;
         for fault in &report.faults {
-            if !self.managed(fault.vpn) {
+            if !managed(core, fault.vpn) {
                 continue;
             }
             self.stats.faults += 1;
-            self.policy.record_fault(fault.vpn, fault.time_to_fault_ns);
+            core.policy.record_fault(fault.vpn, fault.time_to_fault_ns);
 
             match (has_colloid, mv) {
                 // Vanilla: promote hot (fast-faulting) pages one hop up the
@@ -419,17 +385,16 @@ impl TieringSystem for Tpp {
                 // raw time-to-fault; the approximation policies answer the
                 // same question through `is_hot`.
                 (false, _) => {
-                    let hot = if self.legacy {
+                    let hot = if core.legacy {
                         fault.time_to_fault_ns <= self.threshold_ns * self.cfg.promotion_boost
                     } else {
-                        self.policy.is_hot(fault.vpn)
+                        core.policy.is_hot(fault.vpn)
                     };
-                    if !self.frozen && fault.tier != TierId::DEFAULT && hot {
-                        candidate_bytes += self.unit_pages(fault.vpn).len() as u64 * PAGE_SIZE;
+                    if !core.frozen && fault.tier != TierId::DEFAULT && hot {
+                        candidate_bytes +=
+                            self.unit_pages(core, fault.vpn).len() as u64 * PAGE_SIZE;
                         let dst = TierId(fault.tier.0 - 1);
-                        let moved = self.migrate_unit(machine, fault.vpn, dst);
-                        promoted_this_tick += moved;
-                        self.stats.promoted += moved;
+                        self.stats.promoted += self.migrate_unit(core, machine, fault.vpn, dst);
                     }
                 }
                 // Colloid, but balanced this quantum: no migrations.
@@ -445,14 +410,13 @@ impl TieringSystem for Tpp {
                         continue;
                     }
                     let prob = 1.0 / (fault.time_to_fault_ns.max(1.0) * r);
-                    let unit_bytes = self.unit_pages(fault.vpn).len() as u64 * PAGE_SIZE;
+                    let unit_bytes = self.unit_pages(core, fault.vpn).len() as u64 * PAGE_SIZE;
                     if prob <= rem_p && unit_bytes <= rem_bytes {
-                        let moved = self.migrate_unit(machine, fault.vpn, m.dst);
+                        let moved = self.migrate_unit(core, machine, fault.vpn, m.dst);
                         if moved > 0 {
                             rem_p -= prob;
                             rem_bytes -= moved * PAGE_SIZE;
                             if m.is_promotion() {
-                                promoted_this_tick += moved;
                                 self.stats.promoted += moved;
                             } else {
                                 self.stats.demoted += moved;
@@ -463,17 +427,20 @@ impl TieringSystem for Tpp {
             }
         }
 
-        let _ = promoted_this_tick;
         // Threshold rate-control only exists for the time-to-fault test;
         // the approximation policies carry their own aging.
-        if self.colloid.is_none() && !self.frozen && self.legacy {
-            self.adapt_threshold(candidate_bytes, report.faults.len());
+        if !has_colloid && !core.frozen && core.legacy {
+            self.adapt_threshold(
+                core.budget.per_quantum(),
+                candidate_bytes,
+                report.faults.len(),
+            );
         }
 
         // Capacity-driven cold demotion continues in both variants, but a
         // frozen system must not move pages at all.
-        if !self.frozen {
-            self.kswapd(machine);
+        if !core.frozen {
+            self.kswapd(core, machine);
         }
 
         // Re-arm the scanner: vanilla TPP only tracks alternate-tier pages
@@ -486,106 +453,21 @@ impl TieringSystem for Tpp {
         }
         // TPP's quantum is one tick; observation-only for the default
         // TimeToFault tracker, aging for the approximation policies.
-        self.policy.end_quantum();
-    }
-
-    fn name(&self) -> String {
-        if self.colloid.is_some() {
-            "TPP+Colloid".into()
-        } else {
-            "TPP".into()
-        }
-    }
-
-    fn retry_stats(&self) -> Option<RetryStats> {
-        Some(self.retry.stats())
-    }
-
-    fn set_frozen(&mut self, frozen: bool) {
-        self.frozen = frozen;
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_frozen(frozen);
-        }
+        core.policy.end_quantum();
     }
 
     fn reset_equilibrium(&mut self) {
         // The machine's operating point changed for good: restart the
-        // hotness threshold search and (when attached) Colloid's watermark
-        // search. Recency data (`last_ttf`) is kept — it is still valid.
+        // hotness threshold search (the core restarts Colloid's watermark
+        // search). Recency data (`last_ttf`) is kept — it is still valid.
         self.threshold_ns = self.cfg.initial_threshold_ns;
-        if let Some(c) = self.colloid.as_mut() {
-            c.reset_equilibrium();
-        }
-    }
-
-    fn heat_of(&self, vpn: Vpn) -> f64 {
-        // Hot pages fault quickly: on the default policy heat is inverse
-        // time-to-fault (never-faulted pages are coldest); other policies
-        // report their own notion on the same non-negative scale.
-        self.policy.heat_of(vpn)
-    }
-
-    fn swap_policy(&mut self, kind: PolicyKind) -> bool {
-        if kind == self.policy.kind() {
-            return true;
-        }
-        let (from, pages) = policy::swap_boxed(
-            &mut self.policy,
-            kind,
-            self.params.n_tiers(),
-            self.params.managed.clone(),
-        );
-        self.legacy = kind == PolicyKind::TimeToFault;
-        self.swaps += 1;
-        if let Some(hub) = &self.metrics {
-            hub.counter_with(
-                "policy_swap_total",
-                &[("from", from.name()), ("to", kind.name())],
-            )
-            .inc();
-        }
-        self.sink.emit(telemetry::Source::System, || {
-            telemetry::EventKind::PolicySwap {
-                from: from.name(),
-                to: kind.name(),
-                pages,
-            }
-        });
-        true
-    }
-
-    fn policy_kind(&self) -> Option<PolicyKind> {
-        Some(self.policy.kind())
-    }
-
-    fn policy_stats(&self) -> Option<PolicyStats> {
-        Some(self.policy.stats())
-    }
-
-    fn export_policy_ranking(&self) -> Option<Vec<(Vpn, TierId, f64)>> {
-        Some(self.policy.export_ranking())
-    }
-
-    fn set_telemetry(&mut self, sink: telemetry::Sink) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_telemetry(sink.clone());
-        }
-        self.sink = sink.clone();
-        self.retry.set_telemetry(sink);
-    }
-
-    fn set_metrics(&mut self, hub: telemetry::MetricsHub) {
-        if let Some(c) = self.colloid.as_mut() {
-            c.set_metrics(hub.clone());
-        }
-        self.metrics = Some(hub.clone());
-        self.retry.set_metrics(hub);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TieringSystem;
     use memsim::machine::AccessStream;
     use memsim::{
         CoreConfig, MachineConfig, ObjectAccess, TrafficClass, LINES_PER_PAGE, LINE_SIZE,
