@@ -78,7 +78,6 @@ pub const MAX_STALE_QUANTA: u32 = 8;
 /// ]);
 /// assert!((mon.latency_ns(0) - 150.0).abs() < 1e-9);
 /// assert!((mon.latency_ns(1) - 135.0).abs() < 1e-9);
-/// assert!((mon.default_share() - 2.0 / 3.0).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyMonitor {
@@ -166,17 +165,6 @@ impl LatencyMonitor {
         }
     }
 
-    /// The sum of access probabilities of pages in tier 0 (the default
-    /// tier): `p = R_D / ΣR`. Returns 0.0 before any traffic.
-    pub fn default_share(&self) -> f64 {
-        let total: f64 = (0..self.tiers()).map(|i| self.rate[i].get()).sum();
-        if total < IDLE_RATE {
-            0.0
-        } else {
-            self.rate[0].get() / total
-        }
-    }
-
     /// Total smoothed arrival rate across tiers (requests/ns).
     pub fn total_rate_per_ns(&self) -> f64 {
         (0..self.tiers()).map(|i| self.rate[i].get()).sum()
@@ -222,7 +210,6 @@ mod tests {
         let mut m = LatencyMonitor::new(vec![70.0, 135.0], 0.5);
         m.update(&[meas(10.0, 0.1), TierMeasurement::IDLE]);
         assert_eq!(m.latency_ns(1), 135.0);
-        assert_eq!(m.default_share(), 1.0);
     }
 
     #[test]
@@ -248,21 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn default_share_tracks_rates() {
-        let mut m = LatencyMonitor::new(vec![70.0, 135.0], 1.0);
-        m.update(&[meas(10.0, 0.3), meas(10.0, 0.1)]);
-        assert!((m.default_share() - 0.75).abs() < 1e-9);
-        m.update(&[meas(10.0, 0.0), meas(10.0, 0.1)]);
-        assert_eq!(m.default_share(), 0.0);
-    }
-
-    #[test]
     fn cold_start_is_sane() {
         let m = LatencyMonitor::new(vec![70.0, 135.0], 0.3);
         assert!(!m.is_warm());
         assert_eq!(m.latency_ns(0), 70.0);
         assert_eq!(m.latency_ns(1), 135.0);
-        assert_eq!(m.default_share(), 0.0);
         assert_eq!(m.total_rate_per_ns(), 0.0);
     }
 
@@ -309,9 +286,9 @@ mod tests {
             m.update(&[meas(f64::NAN, f64::NAN), meas(13.5, 0.1)]);
         }
         // The held estimate expired: back to the unloaded latency and no
-        // share attributed to the distrusted tier.
+        // rate attributed to the distrusted tier.
         assert_eq!(m.latency_ns(0), 70.0);
-        assert_eq!(m.default_share(), 0.0);
+        assert_eq!(m.rate_per_ns(0), 0.0);
         // A good window immediately restores measurement.
         m.update(&[meas(20.0, 0.2), meas(13.5, 0.1)]);
         assert!((m.latency_ns(0) - 100.0).abs() < 1e-9);
@@ -334,8 +311,6 @@ mod tests {
                 assert!(m.latency_ns(t).is_finite());
                 assert!(m.latency_ns(t) > 0.0);
             }
-            assert!(m.default_share().is_finite());
-            assert!((0.0..=1.0).contains(&m.default_share()));
             assert!(m.total_rate_per_ns().is_finite());
         }
     }

@@ -320,6 +320,35 @@ mod tests {
     }
 
     #[test]
+    fn without_reset_a_moved_equilibrium_is_never_reacquired() {
+        // The reset ablation of `all-figs --fig ext`: Figure 4's toy
+        // (slopes +250/-120 ns per unit p), p* moving 0.3 -> 0.8 after 80
+        // of 230 quanta.
+        let run = |mut c: ShiftController| {
+            let mut p: f64 = 0.9;
+            for (p_star, quanta) in [(0.3, 80), (0.8, 150)] {
+                for _ in 0..quanta {
+                    let l_d = (150.0 + 250.0 * (p - p_star)).max(1.0);
+                    let l_a = (150.0 - 120.0 * (p - p_star)).max(1.0);
+                    let dp = c.compute_shift(p, l_d, l_a);
+                    p = if l_d < l_a {
+                        (p + dp).min(1.0)
+                    } else {
+                        (p - dp).max(0.0)
+                    };
+                }
+            }
+            (p, c.resets())
+        };
+        let (p_on, resets_on) = run(ShiftController::new(0.01, 0.02));
+        assert!((p_on - 0.8).abs() < 0.05, "reset ON: p={p_on}");
+        assert!(resets_on > 0, "reset ON must fire a reset");
+        let (p_off, resets_off) = run(ShiftController::without_reset(0.01, 0.02));
+        assert!((p_off - 0.3).abs() < 0.05, "reset OFF: p={p_off}");
+        assert_eq!(resets_off, 0, "reset OFF must never reset");
+    }
+
+    #[test]
     fn equilibrium_move_down_also_reconverges() {
         let mut toy = ToyTiers { p_star: 0.8 };
         let mut c = ShiftController::new(0.01, 0.02);

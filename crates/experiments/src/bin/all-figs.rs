@@ -1,7 +1,7 @@
 //! Regenerates every figure in one pass, sharing the GUPS sweep between
 //! Figures 1/2 and 5/6. Pass `--quick` (or set `COLLOID_QUICK=1`) for the
 //! reduced sweeps, and `--fig N` to regenerate only figure `N` (`1`–`11`,
-//! or `ext` for the extended-version sensitivity analyses).
+//! or `ext` for the extended-version analyses and ablations).
 
 use experiments::figures;
 

@@ -8,8 +8,18 @@
 //! - **varying application core counts** (5/10/15);
 //! - **varying read/write ratios** (read-only, 1:1, write-heavy GUPS);
 //! - the §5.1 in-text claim that larger objects raise the **effective
-//!   per-core parallelism** (in-flight L3 misses per core) via prefetching.
+//!   per-core parallelism** (in-flight L3 misses per core) via prefetching;
+//!
+//! and two ablations of Colloid's design choices:
+//!
+//! - the Algorithm 2 **watermark reset** on and off, on Figure 4's toy
+//!   model (without it a moved equilibrium is never re-acquired);
+//! - the §3.2 **dynamic migration limit** on and off, on the real
+//!   simulator.
 
+use colloid::ShiftController;
+
+use super::fig4::{step, Toy};
 use crate::report::{mops, ratio, Table};
 use crate::runner::{run as run_exp, RunConfig};
 use crate::scenario::{build_gups, build_gups_with_colloid, GupsScenario, Policy};
@@ -205,6 +215,70 @@ pub fn tpp_thp(quick: bool) -> String {
     out
 }
 
+/// Figure 4c's watermark reset on and off: the toy equilibrium moves from
+/// 0.3 to 0.8 after 80 quanta, and the controller runs 150 more.
+pub fn watermark_reset() -> String {
+    let mut out =
+        String::from("== Extended: watermark reset ablation (toy model, p* moves 0.3 -> 0.8) ==\n");
+    let mut t = Table::new(vec!["variant", "final p", "resets"]);
+    for (label, mut c) in [
+        ("reset ON", ShiftController::new(0.01, 0.02)),
+        ("reset OFF", ShiftController::without_reset(0.01, 0.02)),
+    ] {
+        let mut p = 0.9;
+        for (p_star, quanta) in [(0.3, 80), (0.8, 150)] {
+            let toy = Toy { p_star };
+            for _ in 0..quanta {
+                p = step(&mut c, &toy, p);
+            }
+        }
+        t.row(vec![
+            label.into(),
+            format!("{p:.3}"),
+            c.resets().to_string(),
+        ]);
+    }
+    out.push_str(&t.render());
+    out
+}
+
+/// The §3.2 dynamic migration limit on and off (HeMem+Colloid, GUPS @ 1x):
+/// migration traffic over the measurement window once warm, and
+/// throughput. Both variants use one short fixed run configuration, in
+/// quick mode too.
+pub fn dynamic_limit() -> String {
+    let rc = RunConfig {
+        min_warmup_ticks: 40,
+        max_warmup_ticks: 150,
+        measure_ticks: 50,
+        window: 30,
+        tolerance: 0.03,
+        collect_series: false,
+    };
+    let mut out = String::from(
+        "== Extended: dynamic migration limit ablation (HeMem+Colloid, GUPS @ 1x) ==\n",
+    );
+    let mut t = Table::new(vec!["dynamic limit", "migration MB", "Mops/s"]);
+    for dynamic_limit in [true, false] {
+        eprintln!("[ext] dynamic_limit={dynamic_limit} ...");
+        let params = ColloidParams {
+            dynamic_limit,
+            ..ColloidParams::default()
+        };
+        let mut e = build_gups_with_colloid(&GupsScenario::intensity(1), SystemKind::Hemem, params);
+        let r = run_exp(&mut e, &rc);
+        let mig = memsim::TrafficClass::Migration.index();
+        let mig_bytes: u64 = r.bytes_by_tier_class.iter().map(|t| t[mig]).sum();
+        t.row(vec![
+            if dynamic_limit { "on" } else { "off" }.into(),
+            format!("{:.2}", mig_bytes as f64 / 1e6),
+            format!("{:.1}", r.ops_per_sec / 1e6),
+        ]);
+    }
+    out.push_str(&t.render());
+    out
+}
+
 /// Runs all extended-version analyses.
 pub fn run(quick: bool) -> String {
     let mut out = String::new();
@@ -217,6 +291,10 @@ pub fn run(quick: bool) -> String {
     out.push_str(&rw_ratios(quick));
     out.push('\n');
     out.push_str(&tpp_thp(quick));
+    out.push('\n');
+    out.push_str(&watermark_reset());
+    out.push('\n');
+    out.push_str(&dynamic_limit());
     println!("{out}");
     out
 }

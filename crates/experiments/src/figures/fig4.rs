@@ -11,8 +11,8 @@ use colloid::ShiftController;
 use std::fmt::Write as _;
 
 /// Synthetic tiers whose latencies cross at `p_star`.
-struct Toy {
-    p_star: f64,
+pub(crate) struct Toy {
+    pub(crate) p_star: f64,
 }
 
 impl Toy {
@@ -23,7 +23,9 @@ impl Toy {
     }
 }
 
-fn step(c: &mut ShiftController, toy: &Toy, p: f64) -> f64 {
+/// One closed-loop quantum: move `p` by the controller's shift towards
+/// the faster tier.
+pub(crate) fn step(c: &mut ShiftController, toy: &Toy, p: f64) -> f64 {
     let (l_d, l_a) = toy.latencies(p);
     let dp = c.compute_shift(p, l_d, l_a);
     if l_d < l_a {

@@ -29,8 +29,8 @@ use crate::scenario::{build_gups, GupsScenario, Policy};
 use tiersys::SystemKind;
 
 /// The driver of figure `name` (`1`–`11`, or `ext` for the
-/// extended-version analyses): it regenerates, prints and returns the
-/// figure, in quick mode when passed `true`.
+/// extended-version analyses and ablations): it regenerates, prints and
+/// returns the figure, in quick mode when passed `true`.
 pub fn select(name: &str) -> Result<fn(bool) -> String, String> {
     Ok(match name {
         "1" => fig1::run,

@@ -56,8 +56,8 @@
 //!   dashboard is the `observe` binary.
 //!
 //! Every driver accepts a *quick* mode (fewer sweep points, shorter
-//! warm-up) used by the Criterion benches; the binaries run full mode by
-//! default and quick mode with `--quick` or `COLLOID_QUICK=1`.
+//! warm-up); the binaries run full mode by default and quick mode with
+//! `--quick` or `COLLOID_QUICK=1`.
 
 pub mod bench;
 pub mod colocation;

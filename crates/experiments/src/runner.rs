@@ -91,8 +91,8 @@ impl RunConfig {
     /// way to disable convergence detection ([`RunConfig::timeline`] uses
     /// it); `window == 0` is always a bug (every tick would form its own
     /// "window" and the tolerance test would run against single samples).
-    /// `measure_ticks == 0` stays legal: warm-up-only runs (the benches)
-    /// use it deliberately, and the zero-duration guard reports 0 ops/s.
+    /// `measure_ticks == 0` stays legal: it makes a warm-up-only run, for
+    /// which the zero-duration guard reports 0 ops/s.
     pub fn validate(&self) -> Result<(), String> {
         if self.window == 0 {
             return Err("window must be >= 1 (usize::MAX disables convergence checks)".into());

@@ -375,8 +375,9 @@ fn build_policy(
     }
 }
 
-/// Assembles the GUPS experiment of §2.1 with explicit Colloid knobs
-/// (used by the ablation benches; [`build_gups`] covers the common case).
+/// Assembles the GUPS experiment of §2.1 with explicit Colloid knobs (the
+/// ε/δ sensitivity and dynamic-limit ablation of `all-figs --fig ext`;
+/// [`build_gups`] covers the common case).
 pub fn build_gups_with_colloid(
     scenario: &GupsScenario,
     kind: SystemKind,

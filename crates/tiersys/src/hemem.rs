@@ -18,18 +18,15 @@
 //! limit.
 
 use memsim::{Machine, TickReport, TierId, Vpn, PAGE_SIZE};
-use tierctl::{FreqTracker, TierBins};
 
 use crate::policy::{FreqBins, HotnessPolicy};
 use crate::{measurements, SystemCore, SystemKind, SystemLogic, SystemParams, TierMove};
 
 /// HeMem's cooling threshold (counts halve when any page reaches it).
 /// Lives with the extracted [`FreqBins`] policy now; re-exported here for
-/// the doc examples and tests that grew up with it.
+/// the tests that grew up with it.
 #[cfg(test)]
 const COOLING_THRESHOLD: u32 = crate::policy::FREQ_BINS_COOLING;
-/// Vanilla hot threshold: a page is hot once its count reaches this.
-const HOT_THRESHOLD: u32 = 2;
 /// Work bound per quantum for the page finder.
 const MAX_EXAMINED: usize = 65_536;
 
@@ -40,87 +37,20 @@ pub struct HememStats {
     pub promoted: u64,
     /// Pages demoted to the alternate tier (including room-making).
     pub demoted: u64,
-    /// Cooling passes performed.
+    /// Aging epochs of the hotness policy: cooling passes on the default
+    /// [`FreqBins`].
     pub coolings: u64,
-}
-
-/// The §4.1 page-finding procedure over frequency-binned lists: walk the
-/// source tier's bins from hottest to coldest, collecting pages whose
-/// summed access probability stays within Δp and whose summed size stays
-/// within the byte limit.
-///
-/// # Examples
-///
-/// ```
-/// use memsim::TierId;
-/// use tierctl::{FreqTracker, TierBins};
-/// use tiersys::hemem::BinnedFinder;
-///
-/// let mut tracker = FreqTracker::new(16);
-/// let mut bins = TierBins::new(2, 5, 16);
-/// for vpn in 0..4u64 {
-///     bins.insert(vpn, TierId::DEFAULT, 0);
-/// }
-/// for _ in 0..10 {
-///     tracker.record(0); // page 0 carries all the probability
-/// }
-/// bins.update_count(0, tracker.count(0));
-/// let finder = BinnedFinder::new(&bins, &tracker);
-/// // Demotion out of the default tier with Δp = 1: the hot page is picked
-/// // first.
-/// let pages = finder.find_pages_from(TierId::DEFAULT, 1.0, 4096);
-/// assert_eq!(pages, vec![0]);
-/// ```
-pub struct BinnedFinder<'a> {
-    bins: &'a TierBins,
-    tracker: &'a FreqTracker,
-}
-
-impl<'a> BinnedFinder<'a> {
-    /// Creates a finder over a system's bins and frequency counts.
-    pub fn new(bins: &'a TierBins, tracker: &'a FreqTracker) -> Self {
-        BinnedFinder { bins, tracker }
-    }
-
-    /// The §4.1 bin walk over the source tier `from`.
-    pub fn find_pages_from(&self, from: TierId, delta_p: f64, byte_limit: u64) -> Vec<Vpn> {
-        let mut rem_p = delta_p;
-        let mut rem_bytes = byte_limit;
-        let mut out = Vec::new();
-        let mut examined = 0;
-        for bin in (0..self.bins.n_bins()).rev() {
-            for &vpn in self.bins.pages(from, bin) {
-                if rem_bytes < PAGE_SIZE || examined >= MAX_EXAMINED {
-                    return out;
-                }
-                examined += 1;
-                let prob = self.tracker.access_prob(vpn);
-                if prob <= 0.0 || prob > rem_p {
-                    // Zero-probability pages cannot shift latency; pages
-                    // that overshoot the remaining Δp are skipped in favour
-                    // of colder ones (paper §3.2).
-                    continue;
-                }
-                out.push(vpn);
-                rem_p -= prob;
-                rem_bytes -= PAGE_SIZE;
-            }
-        }
-        out
-    }
 }
 
 /// The HeMem tiering system (vanilla or +Colloid).
 ///
-/// Hotness tracking lives behind a [`HotnessPolicy`]. On the extracted
-/// default ([`FreqBins`]) the system takes its original code paths over
-/// the concrete tracker/bins — bit-identical to the pre-extraction HeMem;
-/// on any other policy the same mechanism (budget, retry, room-making,
-/// Colloid moves) runs against the trait's rank/heat/victim queries.
+/// Hotness tracking lives behind a [`HotnessPolicy`], and placement asks
+/// it the same rank/heat/victim questions whichever policy runs; on the
+/// default [`FreqBins`] the answers are HeMem's frequency bins.
 pub type HeMem = crate::System<HememLogic>;
 
-/// HeMem's own parts: PEBS ingest, vanilla placement, the [`BinnedFinder`]
-/// walk and room-making. Everything else lives in the [`SystemCore`].
+/// HeMem's own parts: PEBS ingest, vanilla placement, the §4.1 page
+/// finder and room-making. Everything else lives in the [`SystemCore`].
 #[derive(Default)]
 pub struct HememLogic {
     stats: HememStats,
@@ -137,15 +67,10 @@ impl HeMem {
         }
     }
 
-    /// Telemetry counters (cooling passes come from the policy's epoch
-    /// counter when the default [`FreqBins`] is active).
+    /// Telemetry counters.
     pub fn stats(&self) -> HememStats {
         HememStats {
-            coolings: if self.core.legacy {
-                self.core.policy.stats().epochs
-            } else {
-                self.logic.stats.coolings
-            },
+            coolings: self.core.policy.stats().epochs,
             ..self.logic.stats
         }
     }
@@ -156,33 +81,19 @@ impl HeMem {
     ///
     /// Panics when a non-default policy is active.
     pub fn freq_bins(&self) -> &FreqBins {
-        fb_ref(&self.core)
+        self.core
+            .policy
+            .as_any()
+            .downcast_ref()
+            .expect("freq_bins requires the FreqBins policy")
     }
 }
 
-fn fb_ref(core: &SystemCore) -> &FreqBins {
-    core.policy
-        .as_any()
-        .downcast_ref()
-        .expect("legacy HeMem path requires the FreqBins policy")
-}
-
-fn fb(core: &mut SystemCore) -> &mut FreqBins {
-    core.policy
-        .as_any_mut()
-        .downcast_mut()
-        .expect("legacy HeMem path requires the FreqBins policy")
-}
-
-/// Ranking-driven stand-in for [`BinnedFinder`] when a non-default policy
-/// is active: walk the source tier hottest-first, normalising heat into
-/// an access probability against Δp.
-fn find_pages_generic(
-    policy: &dyn HotnessPolicy,
-    from: TierId,
-    delta_p: f64,
-    byte_limit: u64,
-) -> Vec<Vpn> {
+/// The §4.1 page finder: walk the source tier hottest-first, collecting
+/// pages whose summed access probability (heat over total heat) stays
+/// within Δp and whose summed size stays within the byte limit. On
+/// [`FreqBins`] the walk visits the bins from hottest to coldest.
+fn find_pages(policy: &dyn HotnessPolicy, from: TierId, delta_p: f64, byte_limit: u64) -> Vec<Vpn> {
     let total = policy.heat_total().max(1.0);
     let mut rem_p = delta_p;
     let mut rem_bytes = byte_limit;
@@ -193,6 +104,9 @@ fn find_pages_generic(
         }
         let prob = policy.heat_of(vpn) / total;
         if prob <= 0.0 || prob > rem_p {
+            // Zero-probability pages cannot shift latency; pages that
+            // overshoot the remaining Δp are skipped in favour of colder
+            // ones (paper §3.2).
             continue;
         }
         out.push(vpn);
@@ -205,42 +119,10 @@ fn find_pages_generic(
 impl HememLogic {
     /// Demotes the coldest page of `from` one hop down the tier chain to
     /// make room; returns whether a frame was freed (the migration was
-    /// enqueued). Prefers never-sampled pages so recently-cooled hot pages
-    /// are not churned out. `from` must not be the last tier.
+    /// enqueued). Tries the policy's first 64 victims, which on
+    /// [`FreqBins`] puts never-sampled pages first so recently-cooled hot
+    /// pages are not churned out. `from` must not be the last tier.
     fn demote_one_cold(
-        &mut self,
-        core: &mut SystemCore,
-        machine: &mut Machine,
-        from: TierId,
-    ) -> bool {
-        if !core.legacy {
-            return self.demote_one_cold_generic(core, machine, from);
-        }
-        let down = TierId(from.0 + 1);
-        let n_bins = fb_ref(core).bins.n_bins();
-        for pass in 0..2 {
-            for bin in 0..n_bins {
-                let candidates = fb_ref(core).bins.pages(from, bin).to_vec();
-                for vpn in candidates {
-                    if pass == 0 && fb_ref(core).tracker.count(vpn) > 0 {
-                        continue;
-                    }
-                    if !core.budget.try_take_page() {
-                        return false;
-                    }
-                    if machine.enqueue_migration(vpn, down).is_ok() {
-                        fb(core).bins.move_tier(vpn, down);
-                        self.stats.demoted += 1;
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Trait-driven room-making: demote the policy's first viable victim.
-    fn demote_one_cold_generic(
         &mut self,
         core: &mut SystemCore,
         machine: &mut Machine,
@@ -260,52 +142,23 @@ impl HememLogic {
         false
     }
 
-    /// Vanilla HeMem placement: pack pages with count >= HOT_THRESHOLD one
-    /// hop up the tier chain (on a two-tier machine: into the default
-    /// tier; hot pages on deeper tiers ratchet upwards tick by tick).
+    /// Vanilla HeMem placement: promote the policy's hot pages one hop up
+    /// the tier chain, hottest first (on a two-tier machine: into the
+    /// default tier; hot pages on deeper tiers ratchet upwards tick by
+    /// tick), making room with cold demotions. Each source tier is ranked
+    /// once, so a page demoted into it to make room is not promoted back
+    /// in the same tick.
     fn vanilla_place(&mut self, core: &mut SystemCore, machine: &mut Machine) {
-        if !core.legacy {
-            return self.vanilla_place_generic(core, machine);
-        }
-        let n_tiers = core.params.n_tiers() as u8;
-        let hot_bin_floor = fb_ref(core).bins.bin_of_count(HOT_THRESHOLD);
-        let n_bins = fb_ref(core).bins.n_bins();
-        for src in 1..n_tiers {
-            let (src, dst) = (TierId(src), TierId(src - 1));
-            for bin in (hot_bin_floor..n_bins).rev() {
-                let candidates = fb_ref(core).bins.pages(src, bin).to_vec();
-                for vpn in candidates {
-                    if fb_ref(core).tracker.count(vpn) < HOT_THRESHOLD {
-                        continue;
-                    }
-                    // Make room if needed.
-                    if machine.free_pages(dst) == 0 && !self.demote_one_cold(core, machine, dst) {
-                        return;
-                    }
-                    if !core.budget.try_take_page() {
-                        return;
-                    }
-                    if core.retry.request(machine, vpn, dst) {
-                        fb(core).bins.move_tier(vpn, dst);
-                        self.stats.promoted += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Vanilla placement through the trait: promote the policy's hot set
-    /// one hop up, hottest first, with the same room-making and budget
-    /// mechanics as the legacy path.
-    fn vanilla_place_generic(&mut self, core: &mut SystemCore, machine: &mut Machine) {
         let n_tiers = core.params.n_tiers() as u8;
         for src in 1..n_tiers {
             let (src, dst) = (TierId(src), TierId(src - 1));
             for vpn in core.policy.ranked(src) {
+                // Not `break`: hottest-first ranking does not put every hot
+                // page before every cold one (FreqBins files counts 0-3 in
+                // one bin; CLOCK ranks by hits + 0.5·ref but calls a page
+                // hot on ref ∧ hits >= 2).
                 if !core.policy.is_hot(vpn) {
-                    // Ranked is hottest-first: past the hot set, the rest
-                    // of this tier is cold too.
-                    break;
+                    continue;
                 }
                 if machine.free_pages(dst) == 0 && !self.demote_one_cold(core, machine, dst) {
                     return;
@@ -321,19 +174,12 @@ impl HememLogic {
         }
     }
 
-    /// Colloid placement (§4.1): find pages with [`BinnedFinder`] (or the
-    /// policy ranking) in the move's source tier, then migrate them
-    /// through the machine's engine, making room with cold demotions when
-    /// promoting into a full tier.
+    /// Colloid placement (§4.1): find pages in the move's source tier,
+    /// then migrate them through the machine's engine, making room with
+    /// cold demotions when promoting into a full tier.
     fn colloid_place(&mut self, core: &mut SystemCore, machine: &mut Machine, mv: &TierMove) {
         let byte_limit = mv.byte_limit.min(core.budget.remaining());
-        let candidates = if core.legacy {
-            let fb = fb_ref(core);
-            let finder = BinnedFinder::new(&fb.bins, &fb.tracker);
-            finder.find_pages_from(mv.src, mv.delta_p, byte_limit)
-        } else {
-            find_pages_generic(&*core.policy, mv.src, mv.delta_p, byte_limit)
-        };
+        let candidates = find_pages(&*core.policy, mv.src, mv.delta_p, byte_limit);
         let promotion = mv.is_promotion();
         for vpn in candidates {
             if promotion

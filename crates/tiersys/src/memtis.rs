@@ -173,6 +173,8 @@ fn dh_ref(core: &SystemCore) -> &DensityHistogram {
 /// A unit's aggregate hotness count for one page: the raw frequency
 /// histogram on the default policy, a scaled `heat_of` otherwise.
 fn count_of(core: &SystemCore, vpn: Vpn) -> u64 {
+    // Kept fork: the `heat × 1000` scale would change split's
+    // `total >= region_pages` rule on the default policy.
     if core.legacy {
         dh_ref(core).tracker.count(vpn) as u64
     } else {
@@ -198,7 +200,8 @@ impl MemtisLogic {
     }
 
     /// Splits hot regions whose internal access distribution is skewed.
-    /// Needs the per-page frequency histogram: default policy only.
+    /// A kept fork: it reads `DensityHistogram`'s raw per-page counts, so
+    /// it runs on the default policy only.
     fn split_pass(&mut self, core: &SystemCore) {
         if !core.legacy {
             return;
@@ -389,6 +392,8 @@ impl MemtisLogic {
         let promotion = mv.is_promotion();
         let can_spill = usize::from(dst.0) + 1 < core.params.n_tiers();
         let down = TierId(dst.0 + 1);
+        // Kept fork: on the default policy unit counts are raw histogram
+        // counts, so probabilities divide by the histogram's own total.
         let total = if core.legacy {
             dh_ref(core).tracker.total().max(1) as f64
         } else {

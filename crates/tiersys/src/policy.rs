@@ -45,6 +45,9 @@ use tierctl::{FreqTracker, TierBins};
 
 /// HeMem's cooling threshold (counts halve when any page reaches it).
 pub const FREQ_BINS_COOLING: u32 = 16;
+/// HeMem's vanilla hot threshold: a page is hot once its count reaches
+/// this.
+pub const FREQ_BINS_HOT: u32 = 2;
 /// HeMem's bin count ("We use 5 bins by default").
 pub const FREQ_BINS_N_BINS: usize = 5;
 /// MEMTIS's cooling threshold for the density histogram.
@@ -267,9 +270,10 @@ fn sorted_keys<V>(map: &HashMap<Vpn, V>) -> Vec<Vpn> {
 /// HeMem's hotness tracking, extracted verbatim: per-page PEBS frequency
 /// counts with halving cooling, filed into per-tier frequency bins.
 ///
-/// Fields are `pub` so [`HeMem`](crate::hemem::HeMem)'s extracted fast
-/// path (the §4.1 `BinnedFinder` walk, cold demotion, cooling re-bin) can
-/// keep operating on the concrete structures bit-identically.
+/// [`HeMem`](crate::hemem::HeMem) reaches it only through the trait:
+/// `ranked` walks the bins hottest-first, `victims` is HeMem's two-pass
+/// cold scan and `is_hot` its vanilla threshold. The fields are `pub` for
+/// tests that compare bin lists and counts directly.
 pub struct FreqBins {
     /// Per-page access counts with cooling.
     pub tracker: FreqTracker,
@@ -375,8 +379,7 @@ impl HotnessPolicy for FreqBins {
     }
 
     fn is_hot(&self, vpn: Vpn) -> bool {
-        // HeMem's vanilla hot threshold.
-        self.tracker.count(vpn) >= 2
+        self.tracker.count(vpn) >= FREQ_BINS_HOT
     }
 
     fn ranked(&self, tier: TierId) -> Vec<Vpn> {

@@ -19,8 +19,9 @@ pub struct SystemCore {
     kind: SystemKind,
     pub(crate) params: SystemParams,
     pub(crate) policy: Box<dyn HotnessPolicy>,
-    /// `policy` is this kind's extracted default: the system takes its
-    /// verbatim legacy code paths over the concrete tracker.
+    /// `policy` is this kind's extracted default: TPP and MEMTIS then take
+    /// their verbatim legacy code paths over the concrete tracker (HeMem
+    /// has none).
     pub(crate) legacy: bool,
     pub(crate) retry: RetryQueue,
     pub(crate) colloid: Option<colloid::ColloidController>,
@@ -56,7 +57,8 @@ impl SystemCore {
     }
 
     /// The start of every tick: register the managed pages on the first
-    /// one, then bring the policy in step with where pages really are.
+    /// one, then bring the policy in step with where pages really are. A
+    /// frozen system re-drives no parked moves: they wait for the thaw.
     fn preamble(&mut self, machine: &mut Machine, report: &TickReport) {
         if !self.initialized {
             self.register(machine);
@@ -69,8 +71,10 @@ impl SystemCore {
                 self.resync(f.vpn, actual);
             }
         }
-        for (vpn, dst) in self.retry.on_tick(machine) {
-            self.resync(vpn, dst);
+        if !self.frozen {
+            for (vpn, dst) in self.retry.on_tick(machine) {
+                self.resync(vpn, dst);
+            }
         }
         // Pages force-evacuated by a tier shrink already moved: re-sync
         // the policy with where each page actually landed.

@@ -221,6 +221,8 @@ impl TppLogic {
         machine: &mut Machine,
         tier: TierId,
     ) -> bool {
+        // Kept fork: the cold cutoff reads TPP's adaptive threshold, which
+        // `HotnessPolicy` does not carry.
         if !core.legacy {
             return self.kswapd_demote_one_generic(core, machine, tier);
         }
@@ -382,8 +384,9 @@ impl SystemLogic for TppLogic {
                 // Vanilla: promote hot (fast-faulting) pages one hop up the
                 // chain (on a two-tier machine: alternate → default). The
                 // default policy keeps the original threshold test on the
-                // raw time-to-fault; the approximation policies answer the
-                // same question through `is_hot`.
+                // raw time-to-fault, a kept fork because it reads TPP's
+                // adaptive threshold, which `HotnessPolicy` does not carry;
+                // the approximation policies answer through `is_hot`.
                 (false, _) => {
                     let hot = if core.legacy {
                         fault.time_to_fault_ns <= self.threshold_ns * self.cfg.promotion_boost

@@ -5,9 +5,10 @@
 //! policy after failed, retried and evacuated migrations. This test runs
 //! every system × {default policy, SIEVE, LRU} × ±Colloid × seeds 1–3 on a
 //! three-tier machine, with and without injected migration failures. Each
-//! case warms up, freezes the system, ticks until no migration is queued,
-//! in flight or parked for retry, and then checks that every page the
-//! policy files under a tier is resident in that tier.
+//! case warms up, freezes the system, ticks until no migration is queued
+//! or in flight, and then checks that the frozen system re-drove no parked
+//! retry and that every page the policy files under a tier is resident in
+//! that tier.
 
 // `SystemParams::new` genuinely takes a Vec of managed page ranges.
 #![allow(clippy::single_range_in_vec_init)]
@@ -19,15 +20,16 @@ use memsim::{
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simkit::SimTime;
-use tiersys::{
-    build_system, ColloidParams, PolicyKind, RetryPolicy, SystemKind, SystemParams, TieringSystem,
-};
+use tiersys::{build_system, ColloidParams, PolicyKind, SystemKind, SystemParams, TieringSystem};
 
 /// Working-set pages, all starting on the far tier.
 const WS: u64 = 160;
 /// Pages that receive 90% of the accesses.
 const HOT: u64 = 16;
 const WARMUP_TICKS: usize = 60;
+/// Frozen ticks allowed for queued and in-flight migrations to drain
+/// (every case drains within 2).
+const MAX_SETTLE_TICKS: usize = 20;
 
 /// 90/10 hot/cold stream over `[0, HOT)` vs `[0, WS)`.
 struct HotCold;
@@ -61,15 +63,17 @@ fn machine(seed: u64, migration_fail_prob: f64) -> Machine {
     m
 }
 
-/// Migrations not yet settled: queued, in flight, or parked for retry.
-fn unsettled(m: &Machine, system: &dyn TieringSystem) -> u64 {
-    let r = system
+/// Migrations not yet settled: queued or in flight.
+fn unsettled(m: &Machine) -> u64 {
+    m.migration_backlog() as u64 + m.migration_counters().in_flight()
+}
+
+/// Parked moves the system's retry queue has re-enqueued so far.
+fn recovered(system: &dyn TieringSystem) -> u64 {
+    system
         .retry_stats()
-        .expect("every system drives a retry queue");
-    let parked = r
-        .scheduled
-        .saturating_sub(r.recovered + r.resolved_moot + r.dropped);
-    m.migration_backlog() as u64 + m.migration_counters().in_flight() + parked
+        .expect("every system drives a retry queue")
+        .recovered
 }
 
 fn tick(m: &mut Machine, system: &mut dyn TieringSystem) {
@@ -103,22 +107,24 @@ fn run_case(
     for _ in 0..WARMUP_TICKS {
         tick(&mut m, system.as_mut());
     }
-    // A frozen system makes no room, so a move parked towards a full tier
-    // only settles when the retry queue gives up on it: after
-    // `max_attempts` retries, each at most `max_delay_ticks` apart.
-    let retry = RetryPolicy::default();
-    let max_settle_ticks = u64::from(retry.max_attempts) * retry.max_delay_ticks;
     system.set_frozen(true);
+    let recovered_at_freeze = recovered(system.as_ref());
     let mut settle = 0;
-    while unsettled(&m, system.as_ref()) > 0 {
-        if settle == max_settle_ticks {
+    while unsettled(&m) > 0 {
+        if settle == MAX_SETTLE_TICKS {
             return Err(format!(
                 "{case}: {} migrations still unsettled after {settle} frozen ticks",
-                unsettled(&m, system.as_ref())
+                unsettled(&m)
             ));
         }
         tick(&mut m, system.as_mut());
         settle += 1;
+    }
+    let redriven = recovered(system.as_ref()) - recovered_at_freeze;
+    if redriven > 0 {
+        return Err(format!(
+            "{case}: the frozen system re-enqueued {redriven} parked moves"
+        ));
     }
     let ranking = system
         .export_policy_ranking()
