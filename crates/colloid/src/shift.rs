@@ -321,7 +321,7 @@ mod tests {
 
     #[test]
     fn without_reset_a_moved_equilibrium_is_never_reacquired() {
-        // The reset ablation of `all-figs --fig ext`: Figure 4's toy
+        // The reset ablation of `grid ext`: Figure 4's toy
         // (slopes +250/-120 ns per unit p), p* moving 0.3 -> 0.8 after 80
         // of 230 quanta.
         let run = |mut c: ShiftController| {

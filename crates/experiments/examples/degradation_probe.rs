@@ -10,7 +10,7 @@
 //! - `sweepdisc` / `convdisc` / `phasedisc` — the (scan, boost) sweeps
 //!   behind `TppConfig::fast_discovery()`: steady-state throughput,
 //!   convergence trajectory, and hot-set-shift recovery respectively.
-//! - `fastdisc` — renders the Fig 1 fast-discovery comparison row.
+//!   `grid fig1` prints the preset's comparison rows.
 
 use experiments::runner::{run, RunConfig};
 use experiments::scenario::{build_gups, build_tpp_with_config, GupsScenario, Policy};
@@ -41,10 +41,6 @@ fn main() {
         "sharedisc" => sharedisc(),
         "convdisc" => convdisc(),
         "phasedisc" => phasedisc(tick),
-        "fastdisc" => println!(
-            "{}",
-            experiments::figures::fig1::render_fast_discovery(&[0, 3], true)
-        ),
         _ => migration_trace(tick, &which),
     }
 }

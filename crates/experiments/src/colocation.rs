@@ -30,7 +30,6 @@
 
 use memsim::{CoreConfig, Machine, MachineConfig, TickReport, TrafficClass, Vpn, PAGE_SIZE};
 use simkit::SimTime;
-use std::collections::HashMap;
 use tenancy::{
     AdmissionHook, ArbiterConfig, ArbiterMode, Colocation, PingPongSuppressor, QosArbiter, RateCap,
     Slo, SloClass, Tenant, TenantId, TenantSpec, WorkloadKind,
@@ -450,23 +449,6 @@ pub fn run_cell(
     }
 }
 
-/// Runs one tenant alone on the same machine shape (the isolation
-/// reference) and returns its p99.
-fn run_solo(
-    sc: &ColocationScenario,
-    spec: &TenantSpec,
-    kind: SystemKind,
-    colloid: bool,
-) -> Option<f64> {
-    let solo = ColocationScenario {
-        name: sc.name,
-        tenants: vec![spec.clone()],
-        ..sc.clone()
-    };
-    let r = run_cell(&solo, kind, colloid, false);
-    r.tenants[0].p99_ns
-}
-
 /// Formats the grid as the per-tenant score table.
 pub fn render(results: &[ColoResult]) -> String {
     let mut t = Table::new(vec![
@@ -710,14 +692,24 @@ pub fn smoke_failures(results: &[ColoResult]) -> Vec<String> {
     fails
 }
 
+/// One cell of the colocation grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell {
+    /// `(mix index, system, colloid, arbiter)`: a mix colocated.
+    Mix(usize, SystemKind, bool, bool),
+    /// `(tenant, system, colloid)`: one tenant alone on its mix's machine
+    /// without the arbiter, the reference its isolation is scored against.
+    /// Tenant names are unique across the mixes.
+    Solo(&'static str, SystemKind, bool),
+}
+
 /// The colocation grid (`grid colocation`): every mix × system ×
-/// ±Colloid × ±arbiter, each tenant's isolation scored afterwards against
-/// a cached solo reference.
+/// ±Colloid × ±arbiter, then each tenant's solo reference under every
+/// system ± Colloid, against which `finish` scores its isolation.
 pub struct Grid(pub Opts);
 
 impl Harness for Grid {
-    /// `(mix index, system, colloid, arbiter)`.
-    type Cell = (usize, SystemKind, bool, bool);
+    type Cell = Cell;
     type Outcome = ColoResult;
 
     fn preamble(&mut self) -> Result<String, String> {
@@ -736,8 +728,9 @@ impl Harness for Grid {
         Ok(out)
     }
 
-    fn cells(&self) -> Vec<(String, Self::Cell)> {
+    fn cells(&self) -> Vec<(String, Cell)> {
         let mut cells = Vec::new();
+        let mut solos = Vec::new();
         for (mix, sc) in mixes(self.0.quick).iter().enumerate() {
             for kind in SystemKind::ALL {
                 for colloid in [false, true] {
@@ -745,34 +738,56 @@ impl Harness for Grid {
                     for arbiter in [false, true] {
                         let qos = if arbiter { "+qos" } else { "" };
                         let label = format!("{}/{policy}{qos}", sc.name);
-                        cells.push((label, (mix, kind, colloid, arbiter)));
+                        cells.push((label, Cell::Mix(mix, kind, colloid, arbiter)));
+                    }
+                    for t in &sc.tenants {
+                        let label = format!("solo/{}/{policy}", t.name);
+                        solos.push((label, Cell::Solo(t.name, kind, colloid)));
                     }
                 }
             }
         }
+        cells.extend(solos);
         cells
     }
 
-    fn run(&mut self, &(mix, kind, colloid, arbiter): &Self::Cell) -> ColoResult {
-        run_cell(&mixes(self.0.quick)[mix], kind, colloid, arbiter)
+    fn run(&self, cell: &Cell) -> ColoResult {
+        let mixes = mixes(self.0.quick);
+        match *cell {
+            Cell::Mix(mix, kind, colloid, arbiter) => run_cell(&mixes[mix], kind, colloid, arbiter),
+            Cell::Solo(name, kind, colloid) => {
+                let (sc, spec) = mixes
+                    .iter()
+                    .find_map(|sc| Some((sc, sc.tenants.iter().find(|t| t.name == name)?)))
+                    .expect("a solo cell names a tenant of some mix");
+                let solo = ColocationScenario {
+                    tenants: vec![spec.clone()],
+                    ..sc.clone()
+                };
+                run_cell(&solo, kind, colloid, false)
+            }
+        }
     }
 
     fn end_state(outcome: &ColoResult) -> EndState {
         outcome.end
     }
 
-    fn finish(&mut self, results: Vec<(Self::Cell, ColoResult)>, ctx: &mut Ctx) -> Vec<String> {
-        let mut solo_cache: HashMap<(&'static str, &'static str, bool), Option<f64>> =
-            HashMap::new();
+    fn finish(&mut self, results: Vec<(Cell, ColoResult)>, ctx: &mut Ctx) -> Vec<String> {
+        let solo_p99 = |name, kind, colloid| {
+            let solo = results
+                .iter()
+                .find(|(c, _)| *c == Cell::Solo(name, kind, colloid));
+            solo.expect("every tenant has a solo cell").1.tenants[0].p99_ns
+        };
         let mut scored = Vec::new();
-        let mixes = mixes(self.0.quick);
-        for ((mix, kind, colloid, _), mut r) in results {
-            let sc = &mixes[mix];
-            for (spec, t) in sc.tenants.iter().zip(r.tenants.iter_mut()) {
-                let solo = *solo_cache
-                    .entry((spec.name, kind.name(), colloid))
-                    .or_insert_with(|| run_solo(sc, spec, kind, colloid));
-                t.isolation = match (t.p99_ns, solo) {
+        for (cell, r) in &results {
+            let &Cell::Mix(_, kind, colloid, _) = cell else {
+                continue;
+            };
+            let mut r = r.clone();
+            for t in &mut r.tenants {
+                t.isolation = match (t.p99_ns, solo_p99(t.name, kind, colloid)) {
                     (Some(c), Some(s)) if s > 0.0 => Some(c / s),
                     _ => None,
                 };
@@ -791,7 +806,7 @@ impl Harness for Grid {
         Some(Bench {
             scenario: format!("{} (quick axis)", sc.name),
             ticks: sc.warmup_ticks + sc.measure_ticks,
-            pinned: |&(mix, _, colloid, arbiter)| mix == 0 && colloid && arbiter,
+            pinned: |&c| matches!(c, Cell::Mix(0, _, true, true)),
         })
     }
 

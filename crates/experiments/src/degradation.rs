@@ -302,7 +302,7 @@ impl Harness for Matrix {
         cells
     }
 
-    fn run(&mut self, &(fault, kind, transactional, supervised): &Self::Cell) -> CellResult {
+    fn run(&self, &(fault, kind, transactional, supervised): &Self::Cell) -> CellResult {
         run_cell(fault, kind, supervised, transactional, self.0.quick)
     }
 

@@ -18,39 +18,116 @@
 //!   simulator.
 
 use colloid::ShiftController;
-
-use super::fig4::{step, Toy};
-use crate::report::{mops, ratio, Table};
-use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::{build_gups, build_gups_with_colloid, GupsScenario, Policy};
+use tiersys::tpp::TppConfig;
 use tiersys::{ColloidParams, SystemKind};
 
-/// ε/δ sensitivity on GUPS at 2× contention (HeMem+Colloid).
-pub fn sensitivity(quick: bool) -> String {
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
+use super::fig4::{step, Toy};
+use super::{Figure, Gups, Runs, Sim};
+use crate::report::{mops, ratio, Table};
+use crate::runner::RunConfig;
+use crate::scenario::{build_gups, GupsScenario, Policy};
+
+/// The extended-version analyses and ablations.
+pub const FIGURE: Figure = Figure { sims, render };
+
+/// The (ε, δ) points of the sensitivity table, the paper's defaults first.
+const EPSILON_DELTA: [(f64, f64); 5] = [
+    (0.01, 0.05),
+    (0.005, 0.05),
+    (0.05, 0.05),
+    (0.01, 0.01),
+    (0.01, 0.15),
+];
+
+/// Application core counts of the cores table.
+const CORES: [usize; 3] = [5, 10, 15];
+
+/// Write fractions of the read/write table.
+const WRITE_FRACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
+
+/// HeMem+Colloid at 2× with ε and δ set.
+fn sensitivity_run((epsilon, delta): (f64, f64)) -> Gups {
+    let colloid = ColloidParams {
+        epsilon,
+        delta,
+        ..ColloidParams::default()
     };
-    let mut out =
-        String::from("== Extended: epsilon/delta sensitivity (HeMem+Colloid, GUPS @ 2x) ==\n");
+    Gups {
+        colloid: Some(colloid),
+        ..Gups::new(2, SystemKind::Hemem, true)
+    }
+}
+
+/// HeMem ± Colloid at 2× with `app_cores` cores.
+fn cores_run(app_cores: usize, colloid: bool) -> Gups {
+    Gups {
+        app_cores,
+        ..Gups::new(2, SystemKind::Hemem, colloid)
+    }
+}
+
+/// HeMem ± Colloid at 2× with `write_fraction` of updates writing.
+fn writes_run(write_fraction: f64, colloid: bool) -> Gups {
+    Gups {
+        write_fraction,
+        ..Gups::new(2, SystemKind::Hemem, colloid)
+    }
+}
+
+/// TPP at `intensity`, with or without Transparent Huge Pages.
+fn thp_run(huge: bool, intensity: usize) -> Gups {
+    let tpp = TppConfig {
+        huge,
+        ..TppConfig::default()
+    };
+    Gups {
+        tpp,
+        ..Gups::new(intensity, SystemKind::Tpp, false)
+    }
+}
+
+/// HeMem+Colloid at 1× with the dynamic migration limit on or off, over
+/// one short fixed run configuration (in quick mode too).
+fn limit_run(dynamic_limit: bool) -> Gups {
+    let colloid = ColloidParams {
+        dynamic_limit,
+        ..ColloidParams::default()
+    };
+    let rc = RunConfig {
+        min_warmup_ticks: 40,
+        max_warmup_ticks: 150,
+        measure_ticks: 50,
+        window: 30,
+        tolerance: 0.03,
+        collect_series: false,
+    };
+    Gups {
+        colloid: Some(colloid),
+        rc: Some(rc),
+        ..Gups::new(1, SystemKind::Hemem, true)
+    }
+}
+
+fn sims(_quick: bool) -> Vec<Sim> {
+    let mut runs: Vec<Gups> = EPSILON_DELTA.map(sensitivity_run).to_vec();
+    for colloid in [false, true] {
+        runs.extend(CORES.map(|c| cores_run(c, colloid)));
+        runs.extend(WRITE_FRACTIONS.map(|w| writes_run(w, colloid)));
+    }
+    for huge in [true, false] {
+        runs.extend([0, 3].map(|i| thp_run(huge, i)));
+    }
+    runs.extend([true, false].map(limit_run));
+    runs.into_iter().map(Sim::Gups).collect()
+}
+
+fn render(_quick: bool, runs: &Runs) -> String {
+    let ops = |g| runs.gups(g).ops_per_sec;
+    let mut sections = vec![effective_mlp()];
+
     let mut t = Table::new(vec!["eps", "delta", "Mops/s", "L_D/L_A"]);
-    for (eps, delta) in [
-        (0.01, 0.05), // paper defaults
-        (0.005, 0.05),
-        (0.05, 0.05),
-        (0.01, 0.01),
-        (0.01, 0.15),
-    ] {
-        eprintln!("[ext] sensitivity eps={eps} delta={delta} ...");
-        let sc = GupsScenario::intensity(2);
-        let params = ColloidParams {
-            epsilon: eps,
-            delta,
-            ..ColloidParams::default()
-        };
-        let mut e = build_gups_with_colloid(&sc, SystemKind::Hemem, params);
-        let r = run_exp(&mut e, &rc);
+    for (eps, delta) in EPSILON_DELTA {
+        let r = runs.gups(sensitivity_run((eps, delta)));
         let gap = match (r.l_default_ns, r.l_alternate_ns) {
             (Some(d), Some(a)) => format!("{:.2}", d / a),
             _ => "-".into(),
@@ -62,97 +139,70 @@ pub fn sensitivity(quick: bool) -> String {
             gap,
         ]);
     }
-    out.push_str(&t.render());
-    out
-}
+    sections.push(format!(
+        "== Extended: epsilon/delta sensitivity (HeMem+Colloid, GUPS @ 2x) ==\n{}",
+        t.render()
+    ));
 
-/// Varying application core counts (5/10/15) at 2× contention.
-pub fn core_counts(quick: bool) -> String {
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
+    // Colloid's speedup over HeMem as one knob varies (GUPS @ 2x).
+    let speedups = |title: &str, knob: &str, rows: Vec<(String, Gups, Gups)>| {
+        let mut t = Table::new(vec![knob, "HeMem", "HeMem+Colloid", "speedup"]);
+        for (label, vanilla, colloid) in rows {
+            let (v, c) = (ops(vanilla), ops(colloid));
+            t.row(vec![label, mops(v), mops(c), ratio(c / v.max(1.0))]);
+        }
+        format!("== Extended: {title} (GUPS @ 2x) ==\n{}", t.render())
     };
-    let mut out = String::from("== Extended: varying application cores (GUPS @ 2x) ==\n");
-    let mut t = Table::new(vec!["cores", "HeMem", "HeMem+Colloid", "speedup"]);
-    for cores in [5usize, 10, 15] {
-        eprintln!("[ext] cores={cores} ...");
-        let mut sc = GupsScenario::intensity(2);
-        sc.app_cores = cores;
-        let vanilla = {
-            let mut e = build_gups(
-                &sc,
-                Policy::System {
-                    kind: SystemKind::Hemem,
-                    colloid: false,
-                },
-            );
-            run_exp(&mut e, &rc).ops_per_sec
-        };
-        let colloid = {
-            let mut e = build_gups(
-                &sc,
-                Policy::System {
-                    kind: SystemKind::Hemem,
-                    colloid: true,
-                },
-            );
-            run_exp(&mut e, &rc).ops_per_sec
-        };
+    let cores = CORES.map(|c| (c.to_string(), cores_run(c, false), cores_run(c, true)));
+    sections.push(speedups(
+        "varying application cores",
+        "cores",
+        cores.to_vec(),
+    ));
+    let writes =
+        WRITE_FRACTIONS.map(|w| (format!("{w}"), writes_run(w, false), writes_run(w, true)));
+    sections.push(speedups(
+        "varying read/write ratio",
+        "write-frac",
+        writes.to_vec(),
+    ));
+
+    let mut t = Table::new(vec!["variant", "0x", "3x"]);
+    for (name, huge) in [("TPP (THP)", true), ("TPP (4K only)", false)] {
+        let row = [0, 3].map(|i| mops(ops(thp_run(huge, i))));
+        t.row([name.to_string()].into_iter().chain(row).collect());
+    }
+    sections.push(format!(
+        "== Extended: TPP with and without THP (GUPS) ==\n{}\
+         (THP promotes whole regions per fault: fewer faults per byte migrated)\n",
+        t.render()
+    ));
+
+    sections.push(watermark_reset());
+
+    let mut t = Table::new(vec!["dynamic limit", "migration MB", "Mops/s"]);
+    for dynamic_limit in [true, false] {
+        let r = runs.gups(limit_run(dynamic_limit));
+        let mig = memsim::TrafficClass::Migration.index();
+        let mig_bytes: u64 = r.bytes_by_tier_class.iter().map(|t| t[mig]).sum();
         t.row(vec![
-            cores.to_string(),
-            mops(vanilla),
-            mops(colloid),
-            ratio(colloid / vanilla.max(1.0)),
+            if dynamic_limit { "on" } else { "off" }.into(),
+            format!("{:.2}", mig_bytes as f64 / 1e6),
+            format!("{:.1}", r.ops_per_sec / 1e6),
         ]);
     }
-    out.push_str(&t.render());
-    out
-}
-
-/// Varying GUPS read/write mix at 2× contention.
-pub fn rw_ratios(quick: bool) -> String {
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
-    };
-    let mut out = String::from("== Extended: varying read/write ratio (GUPS @ 2x) ==\n");
-    let mut t = Table::new(vec!["write-frac", "HeMem", "HeMem+Colloid", "speedup"]);
-    for wf in [0.0, 0.5, 1.0] {
-        eprintln!("[ext] write_fraction={wf} ...");
-        let sc = GupsScenario::intensity(2);
-        let with_wf = |colloid: bool| {
-            let mut g = sc.gups_config();
-            g.write_fraction = wf;
-            let mut e = crate::scenario::build_gups_with_stream(
-                &sc,
-                g,
-                Policy::System {
-                    kind: SystemKind::Hemem,
-                    colloid,
-                },
-            );
-            run_exp(&mut e, &rc).ops_per_sec
-        };
-        let vanilla = with_wf(false);
-        let colloid = with_wf(true);
-        t.row(vec![
-            format!("{wf}"),
-            mops(vanilla),
-            mops(colloid),
-            ratio(colloid / vanilla.max(1.0)),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
+    sections.push(format!(
+        "== Extended: dynamic migration limit ablation (HeMem+Colloid, GUPS @ 1x) ==\n{}",
+        t.render()
+    ));
+    sections.join("\n")
 }
 
 /// The §5.1 in-text claim: effective per-core parallelism (average
 /// in-flight L3 misses per core, i.e. CHA occupancy / app cores) rises with
 /// object size thanks to prefetching — 2.82× from 64 B to 4096 B in the
 /// paper.
-pub fn effective_mlp(_quick: bool) -> String {
+pub fn effective_mlp() -> String {
     let mut out = String::from(
         "== Extended: effective per-core parallelism vs object size (GUPS @ 0x, hot packed) ==\n",
     );
@@ -184,37 +234,6 @@ pub fn effective_mlp(_quick: bool) -> String {
     out
 }
 
-/// TPP with vs without Transparent Huge Pages (the paper evaluates both;
-/// THP-disabled results live in its extended version).
-pub fn tpp_thp(quick: bool) -> String {
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
-    };
-    let mut out = String::from(
-        "== Extended: TPP with and without THP (GUPS) ==
-",
-    );
-    let mut t = Table::new(vec!["variant", "0x", "3x"]);
-    for huge in [true, false] {
-        let mut row = vec![if huge { "TPP (THP)" } else { "TPP (4K only)" }.to_string()];
-        for intensity in [0usize, 3] {
-            eprintln!("[ext] TPP huge={huge} @ {intensity}x ...");
-            let sc = GupsScenario::intensity(intensity);
-            let mut e = crate::scenario::build_tpp_variant(&sc, huge, false);
-            row.push(mops(run_exp(&mut e, &rc).ops_per_sec));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-    out.push_str(
-        "(THP promotes whole regions per fault: fewer faults per byte migrated)
-",
-    );
-    out
-}
-
 /// Figure 4c's watermark reset on and off: the toy equilibrium moves from
 /// 0.3 to 0.8 after 80 quanta, and the controller runs 150 more.
 pub fn watermark_reset() -> String {
@@ -239,62 +258,5 @@ pub fn watermark_reset() -> String {
         ]);
     }
     out.push_str(&t.render());
-    out
-}
-
-/// The §3.2 dynamic migration limit on and off (HeMem+Colloid, GUPS @ 1x):
-/// migration traffic over the measurement window once warm, and
-/// throughput. Both variants use one short fixed run configuration, in
-/// quick mode too.
-pub fn dynamic_limit() -> String {
-    let rc = RunConfig {
-        min_warmup_ticks: 40,
-        max_warmup_ticks: 150,
-        measure_ticks: 50,
-        window: 30,
-        tolerance: 0.03,
-        collect_series: false,
-    };
-    let mut out = String::from(
-        "== Extended: dynamic migration limit ablation (HeMem+Colloid, GUPS @ 1x) ==\n",
-    );
-    let mut t = Table::new(vec!["dynamic limit", "migration MB", "Mops/s"]);
-    for dynamic_limit in [true, false] {
-        eprintln!("[ext] dynamic_limit={dynamic_limit} ...");
-        let params = ColloidParams {
-            dynamic_limit,
-            ..ColloidParams::default()
-        };
-        let mut e = build_gups_with_colloid(&GupsScenario::intensity(1), SystemKind::Hemem, params);
-        let r = run_exp(&mut e, &rc);
-        let mig = memsim::TrafficClass::Migration.index();
-        let mig_bytes: u64 = r.bytes_by_tier_class.iter().map(|t| t[mig]).sum();
-        t.row(vec![
-            if dynamic_limit { "on" } else { "off" }.into(),
-            format!("{:.2}", mig_bytes as f64 / 1e6),
-            format!("{:.1}", r.ops_per_sec / 1e6),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// Runs all extended-version analyses.
-pub fn run(quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&effective_mlp(quick));
-    out.push('\n');
-    out.push_str(&sensitivity(quick));
-    out.push('\n');
-    out.push_str(&core_counts(quick));
-    out.push('\n');
-    out.push_str(&rw_ratios(quick));
-    out.push('\n');
-    out.push_str(&tpp_thp(quick));
-    out.push('\n');
-    out.push_str(&watermark_reset());
-    out.push('\n');
-    out.push_str(&dynamic_limit());
-    println!("{out}");
     out
 }

@@ -4,116 +4,82 @@
 //! Paper headline: "Even at moderate memory interconnect contention
 //! intensity, existing memory tiering systems achieve performance that is
 //! far from optimal" — gaps up to 2.3×/2.36×/2.46× at 3×.
+//!
+//! The extra rows compare TPP at default and fast-discovery settings:
+//! with discovery fast enough to actually pack the hot set into the
+//! default tier (>75 % traffic share, as the paper's TPP does), TPP
+//! degrades under contention like HeMem/MEMTIS — vanilla TPP's small
+//! Figure 1 gap is slow discovery, not robustness.
 
-use crate::figures::{collect_gups_grid, intensity_label, vanilla_policies, GupsGrid};
-use crate::report::{mops, ratio, Table};
-use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::{build_tpp_with_config, GupsScenario, Policy};
+use tiersys::tpp::TppConfig;
+use tiersys::SystemKind;
 
-/// Renders Figure 1 from an already-collected grid.
-pub fn render(grid: &GupsGrid) -> String {
+use super::{intensities, intensity_label, intensity_row, intensity_table, sweep};
+use super::{system_policies, Figure, Gups, Runs, Sim};
+use crate::report::{mops, ratio};
+
+/// Figure 1.
+pub const FIGURE: Figure = Figure { sims, render };
+
+/// TPP at `intensity`, with fast discovery when `fast`.
+fn tpp(intensity: usize, fast: bool) -> Gups {
+    let tpp = if fast {
+        TppConfig::fast_discovery()
+    } else {
+        TppConfig::default()
+    };
+    Gups {
+        tpp,
+        ..Gups::new(intensity, SystemKind::Tpp, false)
+    }
+}
+
+fn sims(quick: bool) -> Vec<Sim> {
+    let mut sims = sweep(quick, &system_policies(false));
+    sims.extend(
+        intensities(quick)
+            .into_iter()
+            .map(|i| Sim::Gups(tpp(i, true))),
+    );
+    sims
+}
+
+fn render(quick: bool, runs: &Runs) -> String {
+    let is = intensities(quick);
+    let best = |i| runs.oracle(i).best_ops_per_sec();
+    let ops = |i, p| runs.gups(Gups::of(i, p)).ops_per_sec;
     let mut out = String::from("== Figure 1: GUPS throughput (Mops/s), systems vs best-case ==\n");
-    let mut headers = vec!["policy"];
-    let labels: Vec<String> = grid
-        .intensities
-        .iter()
-        .map(|&i| intensity_label(i))
-        .collect();
-    headers.extend(labels.iter().map(String::as_str));
-    let mut t = Table::new(headers.clone());
-
-    let mut best_row = vec!["best-case".to_string()];
-    for &i in &grid.intensities {
-        best_row.push(mops(grid.oracle(i).best_ops_per_sec()));
-    }
-    t.row(best_row);
-    for policy in vanilla_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            row.push(mops(grid.get(policy, i).ops_per_sec));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
+    out.push_str(&runs.vs_best(&system_policies(false), |r| mops(r.ops_per_sec)));
 
     out.push_str("\n-- gap vs best-case (best/system; paper: up to 2.3-2.46x at 3x) --\n");
-    let mut g = Table::new(headers);
-    for policy in vanilla_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            let best = grid.oracle(i).best_ops_per_sec();
-            let sys = grid.get(policy, i).ops_per_sec;
-            row.push(ratio(best / sys.max(1.0)));
-        }
-        g.row(row);
+    let mut g = intensity_table("policy", &is);
+    for p in system_policies(false) {
+        g.row(intensity_row(p.name(), &is, |i| {
+            ratio(best(i) / ops(i, p).max(1.0))
+        }));
     }
     out.push_str(&g.render());
 
     out.push_str("\n-- best-case hot fraction in default tier --\n");
-    for &i in &grid.intensities {
-        let o = grid.oracle(i);
+    for &i in &is {
         out.push_str(&format!(
             "{}: best at {:.0}% hot in default\n",
             intensity_label(i),
-            o.best_fraction() * 100.0
+            runs.oracle(i).best_fraction() * 100.0
         ));
     }
-    out
-}
 
-/// Runs TPP at default and fast-discovery settings across intensities and
-/// renders the comparison: with discovery fast enough to actually pack
-/// the hot set into the default tier (>75 % traffic share, as the
-/// paper's TPP does), TPP degrades under contention like HeMem/MEMTIS —
-/// vanilla TPP's small Figure 1 gap is slow discovery, not robustness.
-pub fn render_fast_discovery(intensities: &[usize], quick: bool) -> String {
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
-    };
-    let mut out = String::from(
+    out.push_str(
         "\n-- TPP discovery speed: default vs fast discovery (Mops/s, default-tier traffic share) --\n",
     );
-    let mut headers = vec!["policy".to_string()];
-    headers.extend(intensities.iter().map(|&i| intensity_label(i)));
-    let mut t = Table::new(headers.iter().map(String::as_str).collect());
-    for fast in [false, true] {
-        let name = if fast { "TPP (fast discovery)" } else { "TPP" };
-        let cfg = if fast {
-            tiersys::tpp::TppConfig::fast_discovery()
-        } else {
-            tiersys::tpp::TppConfig::default()
-        };
-        let mut row = vec![name.to_string()];
-        for &i in intensities {
-            eprintln!("[fig1] {name} @ {i}x ...");
-            let sc = GupsScenario::intensity(i);
-            let mut exp = build_tpp_with_config(&sc, cfg.clone(), false);
-            let r = run_exp(&mut exp, &rc);
-            row.push(format!(
-                "{} ({:.0}%)",
-                mops(r.ops_per_sec),
-                r.default_tier_app_share() * 100.0
-            ));
-        }
-        t.row(row);
+    let mut t = intensity_table("policy", &is);
+    for (name, fast) in [("TPP", false), ("TPP (fast discovery)", true)] {
+        t.row(intensity_row(name, &is, |i| {
+            let r = runs.gups(tpp(i, fast));
+            let share = r.default_tier_app_share() * 100.0;
+            format!("{} ({share:.0}%)", mops(r.ops_per_sec))
+        }));
     }
     out.push_str(&t.render());
     out
-}
-
-/// Runs the Figure 1 experiments and prints the result.
-pub fn run(quick: bool) -> String {
-    let intensities = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let grid = collect_gups_grid(&vanilla_policies(), &intensities, true, quick);
-    let mut s = render(&grid);
-    s.push_str(&render_fast_discovery(&intensities, quick));
-    println!("{s}");
-    s
-}
-
-/// Exposes which policies this figure needs (for the shared all-figs run).
-pub fn policies() -> Vec<Policy> {
-    vanilla_policies()
 }

@@ -9,69 +9,52 @@
 //! throughput in operations/s — the improvement ratios are directly
 //! comparable (time ratio = inverse throughput ratio).
 
-use crate::report::{mops, ratio, Table};
-use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::{build_app, AppKind, Policy};
 use tiersys::SystemKind;
 
-/// Runs the Figure 11 experiments and prints per-application tables.
-pub fn run(quick: bool) -> String {
-    let intensities: Vec<usize> = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
-    };
+use super::{intensities, intensity_row, intensity_table, Figure, Runs, Sim};
+use crate::report::{mops, ratio};
+use crate::scenario::{AppKind, Policy};
+
+/// Figure 11.
+pub const FIGURE: Figure = Figure { sims, render };
+
+fn sims(quick: bool) -> Vec<Sim> {
+    let mut sims = Vec::new();
+    for app in AppKind::ALL {
+        for kind in SystemKind::ALL {
+            for i in intensities(quick) {
+                for colloid in [false, true] {
+                    sims.push(Sim::App(app, i, Policy::System { kind, colloid }));
+                }
+            }
+        }
+    }
+    sims
+}
+
+fn render(quick: bool, runs: &Runs) -> String {
+    let is = intensities(quick);
     let mut out = String::from("== Figure 11: real-application performance with Colloid ==\n");
     for app in AppKind::ALL {
         out.push_str(&format!("\n-- {} (throughput, Mops/s) --\n", app.name()));
-        let mut headers = vec!["policy".to_string()];
-        headers.extend(intensities.iter().map(|i| format!("{i}x")));
-        let mut t = Table::new(headers.iter().map(String::as_str).collect());
-        let mut speedups = Table::new(headers.iter().map(String::as_str).collect());
+        let mut t = intensity_table("policy", &is);
+        let mut speedups = intensity_table("policy", &is);
         for kind in SystemKind::ALL {
-            let mut vrow = vec![kind.name().to_string()];
-            let mut crow = vec![format!("{}+Colloid", kind.name())];
-            let mut srow = vec![kind.name().to_string()];
-            for &i in &intensities {
-                let antagonists = i * 5;
-                eprintln!("[fig11] {} {} @ {i}x ...", app.name(), kind.name());
-                let vanilla = {
-                    let mut e = build_app(
-                        app,
-                        antagonists,
-                        Policy::System {
-                            kind,
-                            colloid: false,
-                        },
-                        7,
-                    );
-                    run_exp(&mut e, &rc).ops_per_sec
-                };
-                let colloid = {
-                    let mut e = build_app(
-                        app,
-                        antagonists,
-                        Policy::System {
-                            kind,
-                            colloid: true,
-                        },
-                        7,
-                    );
-                    run_exp(&mut e, &rc).ops_per_sec
-                };
-                vrow.push(mops(vanilla));
-                crow.push(mops(colloid));
-                srow.push(ratio(colloid / vanilla.max(1.0)));
+            let ops = |i, colloid| {
+                let sim = Sim::App(app, i, Policy::System { kind, colloid });
+                runs.get(&sim).ops_per_sec
+            };
+            for colloid in [false, true] {
+                let name = Policy::System { kind, colloid }.name();
+                t.row(intensity_row(name, &is, |i| mops(ops(i, colloid))));
             }
-            t.row(vrow);
-            t.row(crow);
-            speedups.row(srow);
+            speedups.row(intensity_row(kind.name(), &is, |i| {
+                ratio(ops(i, true) / ops(i, false).max(1.0))
+            }));
         }
         out.push_str(&t.render());
         out.push_str("\nColloid speedup:\n");
         out.push_str(&speedups.render());
     }
-    println!("{out}");
     out
 }

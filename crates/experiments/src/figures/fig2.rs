@@ -7,24 +7,32 @@
 //! tier by 1.2×/1.8×/2.4× — while the existing systems keep serving >75 %
 //! of GUPS traffic from the default tier.
 
-use crate::figures::{collect_gups_grid, intensity_label, vanilla_policies, GupsGrid};
+use super::{intensities, intensity_label, sweep, system_policies, Figure, Gups, Runs, Sim};
 use crate::report::{ns, pct, Table};
+use crate::runner::RunResult;
 
-/// Renders Figure 2 from an already-collected grid.
-pub fn render(grid: &GupsGrid) -> String {
+/// Figure 2.
+pub const FIGURE: Figure = Figure { sims, render };
+
+fn sims(quick: bool) -> Vec<Sim> {
+    sweep(quick, &system_policies(false))
+}
+
+fn render(quick: bool, runs: &Runs) -> String {
+    let is = intensities(quick);
     let mut out = String::from(
         "== Figure 2a: per-tier loaded access latency (ns), systems pack hot set in default ==\n",
     );
     let mut headers = vec!["policy".to_string()];
-    for &i in &grid.intensities {
+    for &i in &is {
         headers.push(format!("{} L_D", intensity_label(i)));
         headers.push(format!("{} L_A", intensity_label(i)));
     }
     let mut t = Table::new(headers.iter().map(String::as_str).collect());
-    for policy in vanilla_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            let r = grid.get(policy, i);
+    for p in system_policies(false) {
+        let mut row = vec![p.name()];
+        for &i in &is {
+            let r = runs.gups(Gups::of(i, p));
             row.push(ns(r.l_default_ns));
             row.push(ns(r.l_alternate_ns));
         }
@@ -35,9 +43,9 @@ pub fn render(grid: &GupsGrid) -> String {
     out.push_str(
         "\n-- default-tier latency inflation vs unloaded (70 ns; paper: 2.5x/3.8x/5x at 1-3x) --\n",
     );
-    for &i in &grid.intensities {
+    for &i in &is {
         // Use the HeMem run as representative (all pack the hot set).
-        let r = grid.get(vanilla_policies()[0], i);
+        let r = runs.gups(Gups::of(i, system_policies(false)[0]));
         if let Some(l) = r.l_default_ns {
             out.push_str(&format!(
                 "{}: L_D = {:.0} ns = {:.1}x unloaded, {:.2}x of L_A\n",
@@ -50,35 +58,7 @@ pub fn render(grid: &GupsGrid) -> String {
     }
 
     out.push_str("\n== Figure 2b: share of GUPS bandwidth served by the default tier ==\n");
-    let mut headers2 = vec!["policy"];
-    let labels: Vec<String> = grid
-        .intensities
-        .iter()
-        .map(|&i| intensity_label(i))
-        .collect();
-    headers2.extend(labels.iter().map(String::as_str));
-    let mut b = Table::new(headers2);
-    let mut best_row = vec!["best-case".to_string()];
-    for &i in &grid.intensities {
-        best_row.push(pct(grid.oracle(i).best_result().default_tier_app_share()));
-    }
-    b.row(best_row);
-    for policy in vanilla_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            row.push(pct(grid.get(policy, i).default_tier_app_share()));
-        }
-        b.row(row);
-    }
-    out.push_str(&b.render());
+    let share = |r: &RunResult| pct(r.default_tier_app_share());
+    out.push_str(&runs.vs_best(&system_policies(false), share));
     out
-}
-
-/// Runs the Figure 2 experiments and prints the result.
-pub fn run(quick: bool) -> String {
-    let intensities = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let grid = collect_gups_grid(&vanilla_policies(), &intensities, true, quick);
-    let s = render(&grid);
-    println!("{s}");
-    s
 }

@@ -10,6 +10,14 @@ use colloid::ShiftController;
 
 use std::fmt::Write as _;
 
+use super::{Figure, Runs};
+
+/// Figure 4: no simulation, only the controller.
+pub const FIGURE: Figure = Figure {
+    sims: |_| Vec::new(),
+    render,
+};
+
 /// Synthetic tiers whose latencies cross at `p_star`.
 pub(crate) struct Toy {
     pub(crate) p_star: f64,
@@ -85,8 +93,8 @@ fn trace(
     );
 }
 
-/// Runs the Figure 4 traces and prints them.
-pub fn run(_quick: bool) -> String {
+/// The Figure 4 traces.
+pub fn render(_quick: bool, _: &Runs) -> String {
     let mut out = String::from("== Figure 4: watermark controller convergence (toy model) ==\n");
     trace(
         &mut out,
@@ -115,6 +123,5 @@ pub fn run(_quick: bool) -> String {
         None,
         Some((12, 0.8)),
     );
-    println!("{out}");
     out
 }

@@ -6,94 +6,45 @@
 //! improvements of 1.2–2.3× (HeMem), 1.35–2.35× (TPP), 1.29–2.3× (MEMTIS),
 //! landing within 3 %/8 %/13 % of best-case.
 
-use crate::figures::{all_system_policies, collect_gups_grid, intensity_label, GupsGrid};
-use crate::report::{mops, ratio, Table};
-use crate::scenario::Policy;
 use tiersys::SystemKind;
 
-/// Renders Figure 5 from an already-collected grid.
-pub fn render(grid: &GupsGrid) -> String {
+use super::{all_system_policies, intensities, intensity_row, intensity_table, sweep};
+use super::{Figure, Gups, Runs, Sim};
+use crate::report::{mops, ratio};
+
+/// Figure 5.
+pub const FIGURE: Figure = Figure { sims, render };
+
+fn sims(quick: bool) -> Vec<Sim> {
+    sweep(quick, &all_system_policies())
+}
+
+fn render(quick: bool, runs: &Runs) -> String {
+    let is = intensities(quick);
+    let best = |i| runs.oracle(i).best_ops_per_sec();
+    let ops = |i, kind, colloid| runs.gups(Gups::new(i, kind, colloid)).ops_per_sec;
     let mut out =
         String::from("== Figure 5: GUPS throughput (Mops/s) with and without Colloid ==\n");
-    let mut headers = vec!["policy"];
-    let labels: Vec<String> = grid
-        .intensities
-        .iter()
-        .map(|&i| intensity_label(i))
-        .collect();
-    headers.extend(labels.iter().map(String::as_str));
-    let mut t = Table::new(headers.clone());
-    let mut best_row = vec!["best-case".to_string()];
-    for &i in &grid.intensities {
-        best_row.push(mops(grid.oracle(i).best_ops_per_sec()));
-    }
-    t.row(best_row);
-    for policy in all_system_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            row.push(mops(grid.get(policy, i).ops_per_sec));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
+    out.push_str(&runs.vs_best(&all_system_policies(), |r| mops(r.ops_per_sec)));
 
     out.push_str("\n-- Colloid speedup (with/without; paper: 1.2-2.35x at 1-3x) --\n");
-    let mut s = Table::new(headers.clone());
+    let mut s = intensity_table("policy", &is);
     for kind in SystemKind::ALL {
-        let mut row = vec![kind.name().to_string()];
-        for &i in &grid.intensities {
-            let vanilla = grid
-                .get(
-                    Policy::System {
-                        kind,
-                        colloid: false,
-                    },
-                    i,
-                )
-                .ops_per_sec;
-            let colloid = grid
-                .get(
-                    Policy::System {
-                        kind,
-                        colloid: true,
-                    },
-                    i,
-                )
-                .ops_per_sec;
-            row.push(ratio(colloid / vanilla.max(1.0)));
-        }
-        s.row(row);
+        s.row(intensity_row(kind.name(), &is, |i| {
+            ratio(ops(i, kind, true) / ops(i, kind, false).max(1.0))
+        }));
     }
     out.push_str(&s.render());
 
     out.push_str("\n-- distance from best-case with Colloid (paper: within 3%/8%/13%) --\n");
-    let mut d = Table::new(headers);
+    let mut d = intensity_table("policy", &is);
     for kind in SystemKind::ALL {
-        let mut row = vec![format!("{}+Colloid", kind.name())];
-        for &i in &grid.intensities {
-            let best = grid.oracle(i).best_ops_per_sec();
-            let colloid = grid
-                .get(
-                    Policy::System {
-                        kind,
-                        colloid: true,
-                    },
-                    i,
-                )
-                .ops_per_sec;
-            row.push(format!("{:+.1}%", (colloid / best - 1.0) * 100.0));
-        }
-        d.row(row);
+        d.row(intensity_row(
+            format!("{}+Colloid", kind.name()),
+            &is,
+            |i| format!("{:+.1}%", (ops(i, kind, true) / best(i) - 1.0) * 100.0),
+        ));
     }
     out.push_str(&d.render());
     out
-}
-
-/// Runs the Figure 5 experiments and prints the result.
-pub fn run(quick: bool) -> String {
-    let intensities = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let grid = collect_gups_grid(&all_system_policies(), &intensities, true, quick);
-    let s = render(&grid);
-    println!("{s}");
-    s
 }

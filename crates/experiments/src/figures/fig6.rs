@@ -2,61 +2,37 @@
 //! split with Colloid (tracks the best-case placement), (b) per-tier access
 //! latencies with Colloid (the gap shrinks vs Figure 2a).
 
-use crate::figures::{collect_gups_grid, intensity_label, GupsGrid};
+use super::{intensities, intensity_label, sweep, system_policies, Figure, Gups, Runs, Sim};
 use crate::report::{ns, pct, Table};
-use crate::scenario::Policy;
-use tiersys::SystemKind;
+use crate::runner::RunResult;
 
-fn colloid_policies() -> Vec<Policy> {
-    SystemKind::ALL
-        .into_iter()
-        .map(|kind| Policy::System {
-            kind,
-            colloid: true,
-        })
-        .collect()
+/// Figure 6.
+pub const FIGURE: Figure = Figure { sims, render };
+
+fn sims(quick: bool) -> Vec<Sim> {
+    sweep(quick, &system_policies(true))
 }
 
-/// Renders Figure 6 from an already-collected grid (needs Colloid runs and
-/// oracles).
-pub fn render(grid: &GupsGrid) -> String {
+fn render(quick: bool, runs: &Runs) -> String {
+    let is = intensities(quick);
     let mut out = String::from(
         "== Figure 6a: share of GUPS bandwidth served by the default tier (with Colloid) ==\n",
     );
-    let mut headers = vec!["policy"];
-    let labels: Vec<String> = grid
-        .intensities
-        .iter()
-        .map(|&i| intensity_label(i))
-        .collect();
-    headers.extend(labels.iter().map(String::as_str));
-    let mut t = Table::new(headers);
-    let mut best_row = vec!["best-case".to_string()];
-    for &i in &grid.intensities {
-        best_row.push(pct(grid.oracle(i).best_result().default_tier_app_share()));
-    }
-    t.row(best_row);
-    for policy in colloid_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            row.push(pct(grid.get(policy, i).default_tier_app_share()));
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
+    let share = |r: &RunResult| pct(r.default_tier_app_share());
+    out.push_str(&runs.vs_best(&system_policies(true), share));
 
     out.push_str("\n== Figure 6b: per-tier access latency with Colloid (gap shrinks) ==\n");
-    let mut headers2 = vec!["policy".to_string()];
-    for &i in &grid.intensities {
-        headers2.push(format!("{} L_D", intensity_label(i)));
-        headers2.push(format!("{} L_A", intensity_label(i)));
-        headers2.push(format!("{} gap", intensity_label(i)));
+    let mut headers = vec!["policy".to_string()];
+    for &i in &is {
+        headers.push(format!("{} L_D", intensity_label(i)));
+        headers.push(format!("{} L_A", intensity_label(i)));
+        headers.push(format!("{} gap", intensity_label(i)));
     }
-    let mut l = Table::new(headers2.iter().map(String::as_str).collect());
-    for policy in colloid_policies() {
-        let mut row = vec![policy.name()];
-        for &i in &grid.intensities {
-            let r = grid.get(policy, i);
+    let mut l = Table::new(headers.iter().map(String::as_str).collect());
+    for p in system_policies(true) {
+        let mut row = vec![p.name()];
+        for &i in &is {
+            let r = runs.gups(Gups::of(i, p));
             row.push(ns(r.l_default_ns));
             row.push(ns(r.l_alternate_ns));
             match (r.l_default_ns, r.l_alternate_ns) {
@@ -68,13 +44,4 @@ pub fn render(grid: &GupsGrid) -> String {
     }
     out.push_str(&l.render());
     out
-}
-
-/// Runs the Figure 6 experiments and prints the result.
-pub fn run(quick: bool) -> String {
-    let intensities = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let grid = collect_gups_grid(&colloid_policies(), &intensities, true, quick);
-    let s = render(&grid);
-    println!("{s}");
-    s
 }

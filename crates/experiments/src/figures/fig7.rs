@@ -6,64 +6,28 @@
 //! throughput with Colloid / without Colloid. Paper: benefits shrink with
 //! higher alternate latency but persist — 1.01–1.76× even at 2.7×.
 
-use crate::report::{ratio, Table};
-use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::{build_gups, GupsScenario, Policy};
 use tiersys::SystemKind;
 
-/// Runs the Figure 7 sweep and prints the per-system heatmaps.
-pub fn run(quick: bool) -> String {
-    let ratios: Vec<f64> = if quick {
-        vec![1.9, 2.7]
-    } else {
-        vec![1.9, 2.3, 2.7]
-    };
-    let intensities: Vec<usize> = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
-    };
+use super::{Figure, Gups, Heatmaps, Runs};
 
-    let mut out =
-        String::from("== Figure 7: Colloid speedup vs alternate-tier unloaded latency ==\n");
-    for kind in SystemKind::ALL {
-        out.push_str(&format!("\n-- {} --\n", kind.name()));
-        let mut headers = vec!["alt-lat".to_string()];
-        headers.extend(intensities.iter().map(|i| format!("{i}x")));
-        let mut t = Table::new(headers.iter().map(String::as_str).collect());
-        for &r in &ratios {
-            let mut row = vec![format!("{r:.1}x")];
-            for &i in &intensities {
-                let mut sc = GupsScenario::intensity(i);
-                sc.alt_latency_ratio = r;
-                eprintln!("[fig7] {} ratio={r} @ {i}x ...", kind.name());
-                let vanilla = {
-                    let mut e = build_gups(
-                        &sc,
-                        Policy::System {
-                            kind,
-                            colloid: false,
-                        },
-                    );
-                    run_exp(&mut e, &rc).ops_per_sec
-                };
-                let colloid = {
-                    let mut e = build_gups(
-                        &sc,
-                        Policy::System {
-                            kind,
-                            colloid: true,
-                        },
-                    );
-                    run_exp(&mut e, &rc).ops_per_sec
-                };
-                row.push(ratio(colloid / vanilla.max(1.0)));
-            }
-            t.row(row);
-        }
-        out.push_str(&t.render());
+/// Figure 7.
+pub const FIGURE: Figure = Figure {
+    sims: |quick| heatmaps(quick).sims(quick),
+    render: |quick, runs: &Runs| heatmaps(quick).render(quick, runs),
+};
+
+fn heatmaps(quick: bool) -> Heatmaps {
+    let ratios: &[f64] = if quick { &[1.9, 2.7] } else { &[1.9, 2.3, 2.7] };
+    let row = |&alt_latency_ratio: &f64| {
+        let variant = Gups {
+            alt_latency_ratio,
+            ..Gups::new(0, SystemKind::Hemem, false)
+        };
+        (format!("{alt_latency_ratio:.1}x"), variant)
+    };
+    Heatmaps {
+        title: "== Figure 7: Colloid speedup vs alternate-tier unloaded latency ==",
+        header: "alt-lat",
+        rows: ratios.iter().map(row).collect(),
     }
-    println!("{out}");
-    out
 }

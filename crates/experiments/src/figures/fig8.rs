@@ -7,63 +7,32 @@
 //! helps (1.17–1.35×) even without an antagonist, while at 3× benefits
 //! shrink slightly as the alternate tier's own interconnect saturates.
 
-use crate::report::{ratio, Table};
-use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::{build_gups, GupsScenario, Policy};
 use tiersys::SystemKind;
 
-/// Runs the Figure 8 sweep and prints the per-system heatmaps.
-pub fn run(quick: bool) -> String {
-    let sizes: Vec<u32> = if quick {
-        vec![64, 4096]
-    } else {
-        vec![64, 256, 1024, 4096]
-    };
-    let intensities: Vec<usize> = if quick { vec![0, 3] } else { vec![0, 1, 2, 3] };
-    let rc = if quick {
-        RunConfig::steady_state().quick()
-    } else {
-        RunConfig::steady_state()
-    };
+use super::{Figure, Gups, Heatmaps, Runs};
 
-    let mut out = String::from("== Figure 8: Colloid speedup vs GUPS object size ==\n");
-    for kind in SystemKind::ALL {
-        out.push_str(&format!("\n-- {} --\n", kind.name()));
-        let mut headers = vec!["object".to_string()];
-        headers.extend(intensities.iter().map(|i| format!("{i}x")));
-        let mut t = Table::new(headers.iter().map(String::as_str).collect());
-        for &size in &sizes {
-            let mut row = vec![format!("{size}B")];
-            for &i in &intensities {
-                let mut sc = GupsScenario::intensity(i);
-                sc.object_size = size;
-                eprintln!("[fig8] {} {size}B @ {i}x ...", kind.name());
-                let vanilla = {
-                    let mut e = build_gups(
-                        &sc,
-                        Policy::System {
-                            kind,
-                            colloid: false,
-                        },
-                    );
-                    run_exp(&mut e, &rc).ops_per_sec
-                };
-                let colloid = {
-                    let mut e = build_gups(
-                        &sc,
-                        Policy::System {
-                            kind,
-                            colloid: true,
-                        },
-                    );
-                    run_exp(&mut e, &rc).ops_per_sec
-                };
-                row.push(ratio(colloid / vanilla.max(1.0)));
-            }
-            t.row(row);
-        }
-        out.push_str(&t.render());
+/// Figure 8.
+pub const FIGURE: Figure = Figure {
+    sims: |quick| heatmaps(quick).sims(quick),
+    render: |quick, runs: &Runs| heatmaps(quick).render(quick, runs),
+};
+
+fn heatmaps(quick: bool) -> Heatmaps {
+    let sizes: &[u32] = if quick {
+        &[64, 4096]
+    } else {
+        &[64, 256, 1024, 4096]
+    };
+    let row = |&object_size: &u32| {
+        let variant = Gups {
+            object_size,
+            ..Gups::new(0, SystemKind::Hemem, false)
+        };
+        (format!("{object_size}B"), variant)
+    };
+    Heatmaps {
+        title: "== Figure 8: Colloid speedup vs GUPS object size ==",
+        header: "object",
+        rows: sizes.iter().map(row).collect(),
     }
-    println!("{out}");
-    out
 }

@@ -13,15 +13,12 @@
 
 use simkit::SimTime;
 
+use super::{all_system_policies, Figure, Runs, Sim};
 use crate::report::series;
-use crate::runner::{run as run_exp, RunConfig, RunResult};
-use crate::scenario::{build_gups, GupsScenario, Policy};
-use tiersys::SystemKind;
+use crate::scenario::GupsScenario;
 
-/// Ticks before the dynamic change.
-const PRE_TICKS: usize = 300;
-/// Ticks after the change.
-const POST_TICKS: usize = 300;
+/// Figure 9.
+pub const FIGURE: Figure = Figure { sims, render };
 
 /// The three Figure 9 scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,45 +71,33 @@ impl Dynamic {
     }
 }
 
-/// Runs one timeline (system × scenario) and returns the full series.
-pub fn timeline(kind: SystemKind, colloid: bool, dynamic: Dynamic, quick: bool) -> RunResult {
-    let (pre, post) = if quick {
-        (PRE_TICKS / 2, POST_TICKS / 2)
-    } else {
-        (PRE_TICKS, POST_TICKS)
+/// Every system ± Colloid in each scenario, in the paper's order.
+fn sims(_quick: bool) -> Vec<Sim> {
+    let each = |d| {
+        all_system_policies()
+            .into_iter()
+            .map(move |p| Sim::Timeline(d, p))
     };
-    let tick = SimTime::from_us(100.0);
-    let sc = dynamic.scenario(tick, pre);
-    let mut exp = build_gups(&sc, Policy::System { kind, colloid });
-    run_exp(&mut exp, &RunConfig::timeline(pre + post))
+    Dynamic::ALL.into_iter().flat_map(each).collect()
 }
 
-/// Runs the Figure 9 grid and prints throughput timelines.
-pub fn run(quick: bool) -> String {
+fn render(_quick: bool, runs: &Runs) -> String {
     let mut out = String::from("== Figure 9: convergence under dynamic changes ==\n");
     for dynamic in Dynamic::ALL {
-        for kind in SystemKind::ALL {
-            for colloid in [false, true] {
-                let name = if colloid {
-                    format!("{}+Colloid", kind.name())
-                } else {
-                    kind.name().to_string()
-                };
-                eprintln!("[fig9] {name} / {} ...", dynamic.label());
-                let r = timeline(kind, colloid, dynamic, quick);
-                let pts: Vec<(f64, f64)> = r
-                    .series
-                    .iter()
-                    .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
-                    .collect();
-                out.push_str(&series(
-                    &format!("{name} | {} | Mops/s over time (ms)", dynamic.label()),
-                    &pts,
-                    20,
-                ));
-            }
+        for policy in all_system_policies() {
+            let pts: Vec<(f64, f64)> = runs
+                .get(&Sim::Timeline(dynamic, policy))
+                .series
+                .iter()
+                .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
+                .collect();
+            let label = format!(
+                "{} | {} | Mops/s over time (ms)",
+                policy.name(),
+                dynamic.label()
+            );
+            out.push_str(&series(&label, &pts, 20));
         }
     }
-    println!("{out}");
     out
 }

@@ -806,7 +806,7 @@ impl Harness for Gauntlet {
         cells
     }
 
-    fn run(&mut self, &(tkind, id): &Self::Cell) -> CellScore {
+    fn run(&self, &(tkind, id): &Self::Cell) -> CellScore {
         let fixture = self
             .fixture
             .as_ref()

@@ -20,6 +20,8 @@ use std::time::Instant;
 use memsim::{Machine, TierId, Vpn};
 
 use crate::bench::{self, BenchCell};
+use crate::figures::{self, ext, fig1, fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9};
+use crate::figures::{Figure, Figures};
 use crate::{colocation, degradation, gauntlet, migration, multitier, observe, policy};
 use crate::{robustness, timeline, trace};
 
@@ -173,7 +175,7 @@ pub trait Harness {
     /// findings and baselines.
     fn cells(&self) -> Vec<(String, Self::Cell)>;
     /// Runs one cell.
-    fn run(&mut self, cell: &Self::Cell) -> Self::Outcome;
+    fn run(&self, cell: &Self::Cell) -> Self::Outcome;
     /// The end state the invariant gate checks.
     fn end_state(outcome: &Self::Outcome) -> EndState;
     /// Turns every result into the score tables, in print order (together
@@ -250,9 +252,9 @@ impl<H: Harness> DynHarness for H {
 
 type Entry = (&'static str, fn(Opts) -> Box<dyn DynHarness>);
 
-/// Every harness by name, in CI order. The name also names its
-/// `<name>_out/` directory and its `BENCH_<name>.json`.
-static HARNESSES: [Entry; 10] = [
+/// Every harness by name, in CI order, then the figures one by one. The
+/// name also names its `<name>_out/` directory and its `BENCH_<name>.json`.
+static HARNESSES: [Entry; 22] = [
     ("robustness", |o| Box::new(robustness::Matrix(o))),
     ("degradation", |o| Box::new(degradation::Matrix(o))),
     ("multitier", |o| Box::new(multitier::Grid(o))),
@@ -263,7 +265,24 @@ static HARNESSES: [Entry; 10] = [
     ("timeline", |o| Box::new(timeline::Timeline(o))),
     ("trace", |o| Box::new(trace::Trace(o))),
     ("observe", |o| Box::new(observe::Observe(o))),
+    ("figures", |o| figs(o, &figures::PAPER)),
+    ("ext", |o| figs(o, &[ext::FIGURE])),
+    ("fig1", |o| figs(o, &[fig1::FIGURE])),
+    ("fig2", |o| figs(o, &[fig2::FIGURE])),
+    ("fig4", |o| figs(o, &[fig4::FIGURE])),
+    ("fig5", |o| figs(o, &[fig5::FIGURE])),
+    ("fig6", |o| figs(o, &[fig6::FIGURE])),
+    ("fig7", |o| figs(o, &[fig7::FIGURE])),
+    ("fig8", |o| figs(o, &[fig8::FIGURE])),
+    ("fig9", |o| figs(o, &[fig9::FIGURE])),
+    ("fig10", |o| figs(o, &[fig10::FIGURE])),
+    ("fig11", |o| figs(o, &[fig11::FIGURE])),
 ];
+
+/// The harness that runs `list`'s figures.
+fn figs(opts: Opts, list: &[Figure]) -> Box<dyn DynHarness> {
+    Box::new(Figures(opts, list.to_vec()))
+}
 
 const USAGE: &str = "usage: grid <harness> [--quick] [--smoke] [--bench] [--regen] [--replay <path>]\n       grid --drift [harness]";
 
@@ -455,12 +474,14 @@ mod tests {
         );
         // A harness without bench cells is no drift selector either.
         assert!(parse(&args(&["--drift", "robustness"])).is_err());
-        // `all-figs --fig` exits 2 with this error.
-        let Err(e) = crate::figures::select("3") else {
-            panic!("figure 3 has no driver");
+        // Figure 3 has no harness; the error lists the figures too.
+        let Err(e) = parse(&args(&["fig3"])) else {
+            panic!("figure 3 has no harness");
         };
         assert!(
-            e.ends_with("valid: 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, ext"),
+            e.contains(
+                "figures, ext, fig1, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fig10, fig11"
+            ),
             "{e}"
         );
         for bad in [
@@ -496,7 +517,7 @@ mod tests {
         fn cells(&self) -> Vec<(String, usize)> {
             (0..self.0.len()).map(|i| (format!("toy/{i}"), i)).collect()
         }
-        fn run(&mut self, cell: &usize) -> EndState {
+        fn run(&self, cell: &usize) -> EndState {
             self.0[*cell]
         }
         fn end_state(outcome: &EndState) -> EndState {

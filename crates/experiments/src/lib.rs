@@ -9,16 +9,17 @@
 //!   (adaptive convergence detection) and measures throughput, per-tier
 //!   latencies and bandwidth splits; optionally records per-tick series for
 //!   the convergence figures.
-//! - [`oracle`] — the best-case baseline: sweeps manual placements of
-//!   0–100 % of the hot set into the default tier (10 % steps, the paper's
-//!   `mbind` methodology) and reports the best.
-//! - [`figures`] — one driver per paper figure; each prints the same
-//!   rows/series the paper reports and returns them as a string. The
-//!   `all-figs` binary runs them all, or one with `--fig N`.
+//! - [`oracle`] — the best-case baseline: manual placements of 0–100 %
+//!   of the hot set in the default tier (10 % steps, the paper's `mbind`
+//!   methodology) and the best of them.
+//! - [`figures`] — one module per paper figure; each declares the
+//!   simulations it needs and renders the same rows/series the paper
+//!   reports. They run as grid harnesses: `grid figures` (Figures 1–11,
+//!   each shared simulation once), `grid figN` and `grid ext`.
 //! - [`report`] — plain-text table formatting.
-//! - [`grid`] — the driver (binary `grid`) every harness below runs
-//!   under as `grid <name>`, with bench baselines ([`bench`](mod@bench)) and one
-//!   invariant gate for every cell.
+//! - [`grid`] — the driver (binary `grid`) the figures and every harness
+//!   below run under as `grid <name>`, with bench baselines
+//!   ([`bench`](mod@bench)) and one invariant gate for every cell.
 //! - [`robustness`] — the fault-injection matrix: throughput degradation
 //!   of every system ± Colloid under graded counter/migration/PEBS fault
 //!   intensities.
@@ -77,7 +78,7 @@ pub mod scenario;
 pub mod timeline;
 pub mod trace;
 
-pub use oracle::{best_case, OracleResult};
+pub use oracle::OracleResult;
 pub use runner::{run, RunConfig, RunResult, TickSample};
 pub use scenario::{AppKind, Experiment, GupsScenario, Policy};
 

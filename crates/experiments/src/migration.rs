@@ -412,7 +412,7 @@ impl Harness for Matrix {
         cells
     }
 
-    fn run(&mut self, &(stress, engine): &Self::Cell) -> MigrationCell {
+    fn run(&self, &(stress, engine): &Self::Cell) -> MigrationCell {
         run_cell(engine, stress, self.0.quick)
     }
 

@@ -391,7 +391,7 @@ impl Harness for Grid {
         cells
     }
 
-    fn run(&mut self, &(kind, colloid, transactional): &Self::Cell) -> MultiTierResult {
+    fn run(&self, &(kind, colloid, transactional): &Self::Cell) -> MultiTierResult {
         let sc = MultiTierScenario::paper_default(self.0.quick);
         run_cell(&sc, kind, colloid, transactional)
     }

@@ -21,6 +21,22 @@ pub struct OracleResult {
 }
 
 impl OracleResult {
+    /// The sweep's `(hot fraction, result)` points and the best of them
+    /// (the last of equally fast points).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `points` is empty.
+    pub fn new(points: Vec<(f64, RunResult)>) -> Self {
+        let best = points
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1 .1.ops_per_sec.total_cmp(&b.1 .1.ops_per_sec))
+            .map(|(i, _)| i)
+            .expect("oracle sweep needs at least one point");
+        OracleResult { points, best }
+    }
+
     /// The best-case throughput (ops/s).
     pub fn best_ops_per_sec(&self) -> f64 {
         self.points[self.best].1.ops_per_sec
@@ -44,40 +60,16 @@ pub fn best_case_over(
     fractions: impl IntoIterator<Item = f64>,
     rc: &RunConfig,
 ) -> OracleResult {
-    let mut points = Vec::new();
-    for f in fractions {
+    let run_at = |hot_default_fraction| {
         let mut exp = build_gups(
             scenario,
             Policy::Static {
-                hot_default_fraction: f,
+                hot_default_fraction,
             },
         );
-        let result = run(&mut exp, rc);
-        points.push((f, result));
-    }
-    assert!(!points.is_empty(), "oracle sweep needs at least one point");
-    let best = points
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1 .1.ops_per_sec.total_cmp(&b.1 .1.ops_per_sec))
-        .map(|(i, _)| i)
-        .expect("non-empty sweep");
-    OracleResult { points, best }
-}
-
-/// The paper's 0–100 % sweep in 10 % increments.
-pub fn best_case(scenario: &GupsScenario, quick: bool) -> OracleResult {
-    let rc = if quick {
-        RunConfig::static_placement().quick()
-    } else {
-        RunConfig::static_placement()
+        (hot_default_fraction, run(&mut exp, rc))
     };
-    let fractions: Vec<f64> = if quick {
-        vec![0.0, 0.25, 0.5, 0.75, 1.0]
-    } else {
-        (0..=10).map(|i| i as f64 / 10.0).collect()
-    };
-    best_case_over(scenario, fractions, &rc)
+    OracleResult::new(fractions.into_iter().map(run_at).collect())
 }
 
 #[cfg(test)]

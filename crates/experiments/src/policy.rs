@@ -686,7 +686,7 @@ impl Harness for ShootOut {
         cells
     }
 
-    fn run(&mut self, &(trace, kind, policy): &Self::Cell) -> PolicyCellScore {
+    fn run(&self, &(trace, kind, policy): &Self::Cell) -> PolicyCellScore {
         run_cell(&self.sc, trace, kind, Some(policy))
     }
 

@@ -162,7 +162,7 @@ impl Harness for Matrix {
         cells
     }
 
-    fn run(&mut self, &(kind, colloid, level): &Self::Cell) -> Self::Outcome {
+    fn run(&self, &(kind, colloid, level): &Self::Cell) -> Self::Outcome {
         run_cell(kind, colloid, level, self.0.quick)
     }
 

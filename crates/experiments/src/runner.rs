@@ -23,7 +23,7 @@ use crate::scenario::Experiment;
 pub type TickSample = telemetry::TickMetrics;
 
 /// Runner configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Minimum warm-up ticks before convergence checks begin.
     pub min_warmup_ticks: usize,

@@ -154,6 +154,22 @@ impl AppKind {
             AppKind::KvCache => "CacheLib-HeMemKV",
         }
     }
+
+    /// The application's working set, which its tiering system manages.
+    pub fn ws_range(self) -> std::ops::Range<Vpn> {
+        let pages = match self {
+            AppKind::PageRank => {
+                let r = PageRankConfig::paper_default(APP_BASE).ws_range();
+                r.end - r.start
+            }
+            AppKind::Silo => SiloConfig::paper_default(APP_BASE).ws_pages(),
+            AppKind::KvCache => {
+                let r = KvCacheConfig::paper_default(APP_BASE).ws_range();
+                r.end - r.start
+            }
+        };
+        APP_BASE..APP_BASE + pages
+    }
 }
 
 /// A fully assembled, runnable experiment.
@@ -375,42 +391,9 @@ fn build_policy(
     }
 }
 
-/// Assembles the GUPS experiment of §2.1 with explicit Colloid knobs (the
-/// ε/δ sensitivity and dynamic-limit ablation of `all-figs --fig ext`;
-/// [`build_gups`] covers the common case).
-pub fn build_gups_with_colloid(
-    scenario: &GupsScenario,
-    kind: SystemKind,
-    colloid: ColloidParams,
-) -> Experiment {
-    let mut exp = build_gups(
-        scenario,
-        Policy::System {
-            kind,
-            colloid: false,
-        },
-    );
-    let ws = scenario.gups_config().ws_range();
-    exp.system = build_system(kind, system_params(&exp.machine, vec![ws], Some(colloid)));
-    exp
-}
-
 /// Assembles the GUPS experiment of §2.1.
 pub fn build_gups(scenario: &GupsScenario, policy: Policy) -> Experiment {
     build_gups_with_stream(scenario, scenario.gups_config(), policy)
-}
-
-/// Assembles the GUPS experiment under TPP with explicit THP and Colloid
-/// choices (the paper evaluates TPP both with and without THP).
-pub fn build_tpp_variant(scenario: &GupsScenario, huge: bool, colloid: bool) -> Experiment {
-    build_tpp_with_config(
-        scenario,
-        tiersys::tpp::TppConfig {
-            huge,
-            ..tiersys::tpp::TppConfig::default()
-        },
-        colloid,
-    )
 }
 
 /// Builds a GUPS experiment running TPP under an arbitrary configuration
@@ -483,36 +466,20 @@ pub fn build_gups_with_stream(
 /// sized to one third of the application's working set (plus the pinned
 /// antagonist buffer).
 pub fn build_app(app: AppKind, antagonist_cores: usize, policy: Policy, seed: u64) -> Experiment {
-    // Working-set shape per application.
-    let (ws_pages, core_cfg): (u64, CoreConfig) = match app {
-        AppKind::PageRank => {
-            let c = PageRankConfig::paper_default(APP_BASE);
-            let r = c.ws_range();
-            (
-                r.end - r.start,
-                CoreConfig {
-                    demand_slots: 8,
-                    prefetch_slots: 20,
-                    think_time: SimTime::ZERO,
-                },
-            )
-        }
-        AppKind::Silo => {
-            let c = SiloConfig::paper_default(APP_BASE);
-            (c.ws_pages(), CoreConfig::app_default())
-        }
-        AppKind::KvCache => {
-            let c = KvCacheConfig::paper_default(APP_BASE);
-            let r = c.ws_range();
-            (
-                r.end - r.start,
-                CoreConfig {
-                    demand_slots: 4,
-                    prefetch_slots: 30,
-                    think_time: SimTime::ZERO,
-                },
-            )
-        }
+    let ws = app.ws_range();
+    let ws_pages = ws.end - ws.start;
+    let core_cfg = match app {
+        AppKind::PageRank => CoreConfig {
+            demand_slots: 8,
+            prefetch_slots: 20,
+            think_time: SimTime::ZERO,
+        },
+        AppKind::Silo => CoreConfig::app_default(),
+        AppKind::KvCache => CoreConfig {
+            demand_slots: 4,
+            prefetch_slots: 30,
+            think_time: SimTime::ZERO,
+        },
     };
 
     let mut cfg = MachineConfig::icelake_two_tier();
@@ -523,7 +490,6 @@ pub fn build_app(app: AppKind, antagonist_cores: usize, policy: Policy, seed: u6
     let mut machine = Machine::new(cfg);
     let antagonist_core_ids = add_antagonist(&mut machine, antagonist_cores);
 
-    let ws = APP_BASE..APP_BASE + ws_pages;
     place_working_set(&mut machine, ws.clone(), ws.start..ws.start, policy, 0);
     for i in 0..APP_CORES {
         let stream: Box<dyn memsim::AccessStream> = match app {

@@ -147,7 +147,7 @@ impl Harness for Timeline {
             .to_vec()
     }
 
-    fn run(&mut self, &colloid: &bool) -> CellOutcome {
+    fn run(&self, &colloid: &bool) -> CellOutcome {
         run_cell(SystemKind::Hemem, colloid, self.0.quick)
     }
 

@@ -153,7 +153,7 @@ impl Harness for Trace {
         ["contention", "quickstart"].map(|c| (c.into(), c)).to_vec()
     }
 
-    fn run(&mut self, cell: &&'static str) -> TraceOutcome {
+    fn run(&self, cell: &&'static str) -> TraceOutcome {
         match *cell {
             "contention" => run_contention_cell(self.0.quick),
             _ => run_quickstart_cell(),

@@ -1,11 +1,11 @@
 //! Golden bit-identity tests: replication runs with telemetry recorders
 //! attached must reproduce the committed baseline outputs byte for byte.
 //!
-//! The baselines (`figures_output.txt` for Figure 4 and the files under
-//! `tests/golden/`) were captured from the pre-telemetry tree, so these
-//! tests pin the subsystem's core contract — recording is passive and a
-//! disabled sink is free: attaching a `NoopRecorder` or even a full
-//! `RingRecorder` changes nothing about simulated behaviour.
+//! The baselines (`figures_output.txt` for Figures 1, 4 and 9, and the
+//! files under `tests/golden/`) were captured from the pre-telemetry
+//! tree, so these tests pin the subsystem's core contract — recording is
+//! passive and a disabled sink is free: attaching a `NoopRecorder` or
+//! even a full `RingRecorder` changes nothing about simulated behaviour.
 //!
 //! The full Figure 1 / Figure 9 grids take minutes and are `#[ignore]`d;
 //! CI and `cargo test` always run the quickstart, Figure 4, and one
@@ -14,6 +14,8 @@
 use std::path::Path;
 
 use experiments::figures::fig9::Dynamic;
+use experiments::figures::{fig1, fig4, fig9, Figure, Figures};
+use experiments::grid::{Ctx, Harness, Opts};
 use experiments::runner::{run, RunConfig};
 use experiments::scenario::{build_gups, GupsScenario, Policy};
 use simkit::SimTime;
@@ -45,6 +47,25 @@ fn section(text: &str, header: &str) -> String {
     out.trim_end().to_string()
 }
 
+/// Renders `figure` through its grid harness, as `grid figN` writes it
+/// to `scores.txt` (quick mode when `quick`).
+fn render(figure: Figure, quick: bool) -> String {
+    let opts = Opts {
+        quick,
+        ..Opts::default()
+    };
+    let mut harness = Figures(opts, vec![figure]);
+    let results = harness
+        .cells()
+        .into_iter()
+        .map(|(_, sim)| {
+            let outcome = harness.run(&sim);
+            (sim, outcome)
+        })
+        .collect();
+    harness.finish(results, &mut Ctx::default()).concat()
+}
+
 /// Reads one of the pre-telemetry goldens under `tests/golden/`.
 fn golden(name: &str) -> String {
     let p = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../tests/golden/{name}"));
@@ -53,7 +74,7 @@ fn golden(name: &str) -> String {
 
 #[test]
 fn fig4_matches_golden() {
-    let got = experiments::figures::fig4::run(false);
+    let got = render(fig4::FIGURE, false);
     assert_eq!(
         got.trim_end(),
         section(&figures_baseline(), "== Figure 4"),
@@ -349,14 +370,14 @@ fn live_policy_swap_conserves_pages_and_tags_telemetry() {
 #[ignore = "full Figure 1 grid takes minutes; run with --ignored"]
 fn fig1_matches_golden() {
     // The baseline was captured from the pre-telemetry tree in quick mode.
-    let got = experiments::figures::fig1::run(true);
-    assert_eq!(got.trim_end(), golden("fig1_quick.txt").trim_end());
+    let got = render(fig1::FIGURE, true);
+    assert_eq!(got.trim_end(), section(&figures_baseline(), "== Figure 1:"));
 }
 
 #[test]
 #[ignore = "full Figure 9 grid takes minutes; run with --ignored"]
 fn fig9_matches_golden() {
     // The baseline was captured from the pre-telemetry tree in quick mode.
-    let got = experiments::figures::fig9::run(true);
-    assert_eq!(got.trim_end(), golden("fig9_quick.txt").trim_end());
+    let got = render(fig9::FIGURE, true);
+    assert_eq!(got.trim_end(), section(&figures_baseline(), "== Figure 9:"));
 }

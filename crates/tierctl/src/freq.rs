@@ -92,6 +92,15 @@ impl FreqTracker {
         self.coolings += 1;
     }
 
+    /// Drops `vpn`'s count, so it no longer adds to the total.
+    pub fn forget(&mut self, vpn: Vpn) {
+        if let Some(c) = self.counts.get_mut(vpn as usize) {
+            self.total -= u64::from(*c);
+            self.nonzero -= usize::from(*c > 0);
+            *c = 0;
+        }
+    }
+
     /// Current count of `vpn` (0 if never sampled).
     pub fn count(&self, vpn: Vpn) -> u32 {
         self.counts.get(vpn as usize).copied().unwrap_or(0)
@@ -231,6 +240,17 @@ mod tests {
         assert_eq!(t.count(u64::MAX), 0);
         assert_eq!(t.tracked_pages(), 2);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(3, 1), (far, 1)]);
+    }
+
+    #[test]
+    fn forget_drops_a_count_from_the_total() {
+        let mut t = FreqTracker::new(100);
+        t.record(3);
+        t.record(3);
+        t.record(9);
+        t.forget(3);
+        t.forget(500);
+        assert_eq!((t.count(3), t.total(), t.tracked_pages()), (0, 1, 1));
     }
 
     #[test]

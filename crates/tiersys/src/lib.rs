@@ -174,7 +174,7 @@ pub struct SystemParams {
 }
 
 /// Colloid knobs (paper §5: ε = 0.01, δ = 0.05).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColloidParams {
     /// Watermark collapse threshold ε.
     pub epsilon: f64,

@@ -334,6 +334,7 @@ impl HotnessPolicy for FreqBins {
 
     fn remove(&mut self, vpn: Vpn) {
         self.bins.remove(vpn);
+        self.tracker.forget(vpn);
     }
 
     fn move_tier(&mut self, vpn: Vpn, dst: TierId) {
@@ -376,6 +377,14 @@ impl HotnessPolicy for FreqBins {
 
     fn heat_of(&self, vpn: Vpn) -> f64 {
         f64::from(self.tracker.count(vpn))
+    }
+
+    /// The tracker's running total. Only tracked pages hold counts
+    /// (`record_access` ignores the rest, `remove` forgets them), and an
+    /// integer sum is exact in any order, so this equals the ascending sum
+    /// (bit for bit, but for the sign of an empty sum).
+    fn heat_total(&self) -> f64 {
+        self.tracker.total() as f64
     }
 
     fn is_hot(&self, vpn: Vpn) -> bool {
@@ -1782,7 +1791,13 @@ mod tests {
         // LRU (`stamp / clock`) and time-to-fault (`1 / ttf`) heats are
         // not exactly representable, so their sum depends on the order it
         // is taken in. Each fresh policy gets a freshly keyed hash map.
-        for kind in [PolicyKind::Lru, PolicyKind::TimeToFault] {
+        // `FreqBins` returns its tracker's running total instead, which
+        // its coolings and removes must keep equal to the sum.
+        for kind in [
+            PolicyKind::Lru,
+            PolicyKind::TimeToFault,
+            PolicyKind::FreqBins,
+        ] {
             let run = || {
                 let mut p = build(kind);
                 for vpn in (0..64u64).rev() {
@@ -1795,16 +1810,22 @@ mod tests {
                     } else {
                         p.record_access(vpn);
                     }
+                    if i % 100 == 99 {
+                        p.remove(vpn);
+                    }
                 }
                 p
             };
             let p = run();
+            if kind == PolicyKind::FreqBins {
+                assert!(p.stats().epochs > 0, "the stream must cool FreqBins");
+            }
             let tracked = p.tracked();
             assert!(
                 tracked.windows(2).all(|w| w[0] < w[1]),
                 "{kind:?}: tracked() not ascending"
             );
-            let ascending: f64 = (0..64u64).map(|v| p.heat_of(v)).sum();
+            let ascending: f64 = tracked.iter().map(|&v| p.heat_of(v)).sum();
             assert_eq!(p.heat_total().to_bits(), ascending.to_bits(), "{kind:?}");
             assert_eq!(
                 run().heat_total().to_bits(),

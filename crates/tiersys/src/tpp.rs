@@ -25,7 +25,7 @@ use crate::policy::TimeToFault;
 use crate::{measurements, SystemCore, SystemKind, SystemLogic, SystemParams, TierMove};
 
 /// TPP-specific knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TppConfig {
     /// Pages marked per tick by the page-table scanner.
     pub scan_pages_per_tick: usize,

@@ -102,6 +102,10 @@ fn check_against_shadow(
     }
     // Untracked pages are uniformly cold, never NaN.
     prop_assert_eq!(p.heat_of(WS + 7), 0.0, "{}: untracked heat", ctx);
+    // A policy's own `heat_total` equals the trait's ascending sum (by
+    // value: an empty float sum is -0.0, `FreqBins`' integer total 0.0).
+    let summed: f64 = p.tracked().iter().map(|&v| p.heat_of(v)).sum();
+    prop_assert_eq!(p.heat_total(), summed, "{}: heat_total", ctx);
     for t in 0..N_TIERS as u8 {
         for vpn in p.ranked(TierId(t)) {
             prop_assert_eq!(
@@ -400,6 +404,7 @@ mod sparse_cooling_rebin {
                     BinOp::Remove(v) => {
                         fast.remove(v);
                         slow.bins.remove(v);
+                        slow.tracker.forget(v);
                     }
                     BinOp::MoveTier(v, t) => {
                         let tier = TierId(t % n_tiers as u8);
