@@ -211,8 +211,8 @@ pub fn supervise(exp: &mut Experiment, managed: Vec<std::ops::Range<Vpn>>) {
 
 /// Builds one cell's experiment. Panics if the fault plan is infeasible
 /// for the assembled machine ([`memsim::Machine::validate_fault_feasibility`]).
-/// `transactional` swaps the exclusive legacy migration engine for the
-/// multi-channel transactional one; everything else in the cell is
+/// `transactional` switches the migration engine from its exclusive mode
+/// to the multi-channel transactional one; everything else in the cell is
 /// identical, so the column pair isolates the engine.
 pub fn build_cell(
     fault: HardFault,

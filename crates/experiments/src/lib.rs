@@ -32,11 +32,11 @@
 //!   ± Colloid ± the [`tenancy`] QoS arbiter, scored on per-tenant p99,
 //!   fast-tier share vs entitlement, and isolation vs a solo reference
 //!   (DESIGN.md §15).
-//! - [`migration`] — the transactional-migration matrix: the exclusive
-//!   legacy engine vs the multi-channel transactional engine under
-//!   write-conflict storms and channel stalls.
+//! - [`migration`] — the transactional-migration matrix: the migration
+//!   engine's exclusive mode vs its multi-channel transactional mode
+//!   under write-conflict storms and channel stalls.
 //! - [`gauntlet`] — the adaptivity gauntlet: every system ± Colloid ±
-//!   supervisor, both migration engines, against
+//!   supervisor, both migration-engine modes, against
 //!   phase-shifting/diurnal/adversarial traces plus replayed NDJSON
 //!   fixtures, scored on time-to-equilibrium, wasted migration, and
 //!   worst-window tail latency, with a record → export → import → replay

@@ -1,5 +1,5 @@
-//! Transactional-migration matrix (`grid migration`): the exclusive
-//! legacy engine vs the multi-channel transactional engine under
+//! Transactional-migration matrix (`grid migration`): the migration
+//! engine's exclusive mode vs its multi-channel transactional mode under
 //! migration-hostile stress.
 //!
 //! Each cell runs the §2.1 GUPS machine (HeMem+Colloid) through a
@@ -8,12 +8,12 @@
 //! access latency over the post-jump window while one of three stresses
 //! targets the migration path:
 //!
-//! - **baseline** — no faults; the engines differ only in shape (one
+//! - **baseline** — no faults; the modes differ only in shape (one
 //!   paced channel vs four channels with batched shootdowns);
 //! - **write-storm** — a [`memsim::WriteConflictStorm`] dirties in-flight
 //!   copy transactions: a first window forces dirty-retry-then-commit, a
 //!   second forces retry exhaustion and clean aborts. The storm only has
-//!   teeth against the transactional engine (the exclusive engine has no
+//!   teeth against the transactional mode (the exclusive mode has no
 //!   validate step), so the comparison shows what the Nomad-style
 //!   non-exclusive copy costs — and that write-hot pages abort instead of
 //!   ping-ponging while read-mostly pages keep migrating;
@@ -24,8 +24,8 @@
 //! engine's robustness story: page conservation across induced aborts
 //! and failovers, double-entry reconciliation between per-tick transaction
 //! deltas and the engine's cumulative counters, and the read-mostly win —
-//! under the write storm the transactional engine's app latency stays at
-//! or below the exclusive engine's.
+//! under the write storm the transactional mode's app latency stays at
+//! or below the exclusive mode's.
 //!
 //! Not a paper figure; see EXPERIMENTS.md ("Transactional migration") for
 //! recorded results and DESIGN.md §13 for the engine design.
@@ -50,12 +50,12 @@ pub const JUMP_CORES: usize = 15;
 /// Fraction of the page-number space the write storm treats as write-hot.
 pub const STORM_HOT_FRACTION: f64 = 0.3;
 
-/// The two engines under comparison.
+/// The two engine modes under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// The single-channel, exclusive legacy engine.
+    /// The single-channel exclusive mode (the default engine config).
     Exclusive,
-    /// The multi-channel transactional engine
+    /// The multi-channel transactional mode
     /// ([`memsim::MigrationEngineConfig::transactional`]).
     Transactional,
 }

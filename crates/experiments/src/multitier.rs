@@ -199,8 +199,8 @@ fn gups_config(sc: &MultiTierScenario) -> GupsConfig {
 }
 
 /// Assembles one grid cell as a runnable [`Experiment`]. `transactional`
-/// swaps the exclusive legacy migration engine for the multi-channel
-/// transactional one.
+/// switches the migration engine from its exclusive mode to the
+/// multi-channel transactional one.
 pub fn build(
     sc: &MultiTierScenario,
     kind: SystemKind,

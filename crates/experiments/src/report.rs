@@ -151,7 +151,7 @@ pub fn retry_counts(rs: Option<&tiersys::RetryStats>) -> String {
 
 /// Formats cumulative migration-engine counters as
 /// `completed/aborted/dirty-retries/failovers/batches` (`-` when the
-/// engine never started a copy). Exclusive-engine rows show zeros in the
+/// engine never started a copy). Exclusive-mode rows show zeros in the
 /// transactional columns; transactional rows are where retries, failovers
 /// and shootdown batches appear.
 pub fn txn_counts(c: &memsim::MigrationCounters) -> String {

@@ -90,7 +90,7 @@ pub struct GupsScenario {
     /// nothing, which leaves every run bit-identical to the fault-free
     /// machine).
     pub faults: FaultPlan,
-    /// Migration-engine shape. Defaults to the exclusive legacy engine,
+    /// Migration-engine shape. Defaults to the engine's exclusive mode,
     /// which the golden outputs pin; the transactional-migration matrix
     /// swaps in [`memsim::MigrationEngineConfig::transactional`].
     pub engine: memsim::MigrationEngineConfig,

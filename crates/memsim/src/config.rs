@@ -195,20 +195,22 @@ impl CoreConfig {
 
 /// Configuration of the page-migration engine (DESIGN.md §13).
 ///
-/// The default is the *exclusive* legacy engine: one serial DMA channel,
-/// no transactions — bit-identical to the pre-transactional engine, which
-/// the golden-output tests pin. Setting [`Self::transactional`] switches to
-/// the Nomad-style non-exclusive pipeline: up to [`Self::channels`]
-/// concurrent copy transactions, each snapshot-copying while the source
-/// page stays readable, validating against write conflicts, and committing
-/// through a batched TLB shootdown.
+/// The machine has one copy pipeline with two modes. The default is the
+/// *exclusive* mode: one serial DMA channel, no transactions, the mapping
+/// flipped as each copy lands — bit-identical to the seed's engine, which
+/// the golden-output tests pin; its copies ignore the other fields. Setting
+/// [`Self::transactional`] runs the Nomad-style non-exclusive mode: up to
+/// [`Self::channels`] concurrent copy transactions, each snapshot-copying
+/// while the source page stays readable, validating against write
+/// conflicts, and committing through a batched TLB shootdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationEngineConfig {
-    /// Concurrent DMA copy channels. Only consulted by the transactional
-    /// engine; the exclusive engine is always a single serial channel.
+    /// Concurrent DMA copy channels of the transactional mode. The
+    /// exclusive mode always runs one serial channel, whatever this says
+    /// (a `ChannelStall` must still name a channel below it).
     pub channels: u32,
-    /// Use the transactional (non-exclusive) pipeline instead of the
-    /// exclusive legacy engine.
+    /// Run the pipeline in its transactional (non-exclusive) mode instead
+    /// of the exclusive one.
     pub transactional: bool,
     /// Dirty-retry budget: a transaction invalidated by a concurrent write
     /// re-copies at most this many times before aborting. `0` aborts on
@@ -222,8 +224,10 @@ pub struct MigrationEngineConfig {
     /// channel stalled — fails over to a healthy channel, or aborts when
     /// none exists.
     pub watchdog: SimTime,
-    /// Validated transactions commit together once this many are pending
-    /// (or when the batch linger timer fires), amortizing the shootdown.
+    /// At most this many validated transactions commit under one
+    /// shootdown flush, amortizing its cost; the flush fires
+    /// `shootdown_cost` after the first of them validates, and any
+    /// overflow rides the next flush.
     pub shootdown_batch: u32,
     /// Cost of one batched TLB-shootdown commit, charged once per batch
     /// between validation and the mapping flip.
@@ -231,7 +235,7 @@ pub struct MigrationEngineConfig {
 }
 
 impl Default for MigrationEngineConfig {
-    /// The exclusive legacy engine (provably inert: golden outputs pin it).
+    /// The exclusive mode (golden outputs pin it).
     fn default() -> Self {
         MigrationEngineConfig {
             channels: 1,
@@ -299,8 +303,8 @@ pub struct MachineConfig {
     /// (bytes/second); each DMA channel paces migration traffic at this
     /// rate.
     pub migration_bandwidth: f64,
-    /// Migration-engine shape (exclusive legacy vs. transactional
-    /// multi-channel pipeline; see [`MigrationEngineConfig`]).
+    /// Migration-engine shape (the pipeline's exclusive or transactional
+    /// multi-channel mode; see [`MigrationEngineConfig`]).
     pub engine: MigrationEngineConfig,
     /// Extra latency charged to an access that triggers a hint page fault
     /// (kernel fault-handler cost; TPP promotes from the handler).

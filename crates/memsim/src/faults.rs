@@ -16,14 +16,15 @@
 //!   exact: only the [`crate::TickReport`] the tiering system sees is
 //!   perturbed, and `TickReport::true_latency_ns` remains ground truth.
 //! - **Transient migration failures** — page migration is a failable
-//!   transaction (refcount pinning, concurrent unmaps): a queued `MigJob`
-//!   aborts with probability [`FaultPlan::migration_fail_prob`] when the
-//!   engine picks it up. The reserved destination frame is released and
-//!   the failure reported in `TickReport::failed_migrations` so tiering
-//!   systems can retry.
+//!   transaction (refcount pinning, concurrent unmaps): a queued migration
+//!   aborts with probability [`FaultPlan::migration_fail_prob`] when a
+//!   channel picks it up, in either engine mode. The reserved destination
+//!   frame is released and the failure reported in
+//!   `TickReport::failed_migrations` so tiering systems can retry.
 //! - **Migration-bandwidth degradation phases** — the kernel copy path
-//!   competes with other work; during a [`BandwidthPhase`] the migration
-//!   engine is paced at `factor ×` the configured bandwidth. A phase with
+//!   competes with other work; during a [`BandwidthPhase`] every channel
+//!   of the migration engine is paced at `factor ×` the configured
+//!   bandwidth. A phase with
 //!   `end: None` never lifts: a **permanent bandwidth collapse** (link
 //!   retrained at a lower width, persistent thermal throttling).
 //! - **PEBS sample loss** — the sampling buffer overflows under load;
@@ -33,14 +34,14 @@
 //!   while the window is active, validating a copy transaction on a
 //!   "write-hot" page (a hash-selected subset of the address space) fails
 //!   for the transaction's first `dirties_per_txn` passes, driving the
-//!   transactional engine's dirty-retry and abort paths. Inert on the
-//!   exclusive engine, which never validates.
+//!   transactional mode's dirty-retry and abort paths. Ignored by the
+//!   exclusive mode, which never validates.
 //! - **Channel stalls** ([`ChannelStall`]) — one DMA channel of the
-//!   transactional engine stops making copy progress during the window;
-//!   the engine's watchdog fails in-flight transactions over to a healthy
-//!   channel (or aborts them when none exists). Inert on the exclusive
-//!   engine, which models a single wedgeable copy thread via
-//!   [`EngineOutage`] instead.
+//!   transactional mode stops making copy progress during the window;
+//!   the watchdog fails in-flight transactions over to a healthy channel
+//!   (or aborts them when none exists). Ignored by the exclusive mode,
+//!   which models a single wedgeable copy thread via [`EngineOutage`]
+//!   instead.
 //!
 //! The *hard* faults model terminal conditions rather than observation
 //! noise:
@@ -143,8 +144,9 @@ impl WriteConflictStorm {
     }
 }
 
-/// A DMA-channel stall window: channel `channel` of the transactional
-/// migration engine makes no copy progress in `[start, end)`.
+/// A DMA-channel stall window: channel `channel` of the migration engine
+/// makes no copy progress in `[start, end)`. Ignored by the exclusive
+/// mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelStall {
     /// The stalled channel (must be below the engine's channel count;
@@ -169,8 +171,8 @@ pub struct FaultPlan {
     /// Probability that a tier's reported window is zeroed (dropped PMU
     /// read). Checked after staleness.
     pub counter_drop_prob: f64,
-    /// Probability that a queued migration aborts when the engine starts
-    /// it (transient migration failure).
+    /// Probability that a queued migration aborts when a channel starts it
+    /// (transient migration failure), in either engine mode.
     pub migration_fail_prob: f64,
     /// Probability that a captured PEBS sample is lost before the tiering
     /// system sees it.
@@ -182,11 +184,11 @@ pub struct FaultPlan {
     pub tier_shrinks: Vec<TierShrink>,
     /// Migration-engine outage windows (hard fault); must not overlap.
     pub engine_outages: Vec<EngineOutage>,
-    /// Write-conflict storms against in-flight copy transactions
-    /// (transactional engine only).
+    /// Write-conflict storms against in-flight copy transactions (ignored
+    /// by the exclusive mode).
     pub write_conflict_storms: Vec<WriteConflictStorm>,
-    /// DMA-channel stall windows (transactional engine only); windows on
-    /// the same channel must not overlap.
+    /// DMA-channel stall windows (ignored by the exclusive mode); windows
+    /// on the same channel must not overlap.
     pub channel_stalls: Vec<ChannelStall>,
 }
 

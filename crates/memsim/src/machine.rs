@@ -14,7 +14,11 @@
 //! - a **page-placement map** (virtual page → tier) that tiering systems
 //!   mutate through migrations;
 //! - a **migration DMA engine** that copies pages between tiers at a
-//!   configurable bandwidth, injecting real read/write traffic;
+//!   configurable bandwidth, injecting real read/write traffic. One copy
+//!   pipeline serves both engine modes: the exclusive mode copies a page
+//!   on one channel and flips its mapping as the last line lands; the
+//!   transactional mode adds channels, dirty tracking, validation,
+//!   watchdogs and batched commits (DESIGN.md §13);
 //! - **access-tracking hardware**: PEBS-style sampling of demand misses and
 //!   page-table-protection hint faults (TPP).
 //!
@@ -118,9 +122,10 @@ impl Core {
     }
 }
 
-/// One in-flight migration page job (a copy transaction on the
-/// transactional engine; a plain exclusive copy on the legacy engine,
-/// which ignores the transactional fields).
+/// One in-flight page copy. The exclusive mode runs every copy on
+/// channel 0 as one pass and never touches `attempt`, `dirty`,
+/// `committing` or `failovers`; the transactional mode treats the copy as
+/// a transaction that may re-copy, fail over or abort.
 #[derive(Debug, Clone, Copy)]
 struct MigJob {
     vpn: Vpn,
@@ -168,26 +173,20 @@ enum Ev {
         lines: u16,
         class: TrafficClass,
     },
-    /// Migration engine: issue the next read of job `job`.
-    MigRead { job: u32 },
-    /// Migration engine: a page-copy read returned; write to destination.
-    MigLineDone { job: u32, src: TierId },
-    /// Migration engine: start the next queued page.
-    MigStart,
-    /// Transactional engine: channel `ch` picks up the next queued page.
-    TxnStart { ch: u32 },
-    /// Transactional engine: issue the next snapshot read of a copy pass.
-    /// Stale epochs (abandoned passes) are ignored.
-    TxnRead { job: u32, epoch: u32 },
-    /// Transactional engine: a snapshot read returned; write to the
-    /// destination if the pass is still current.
-    TxnLineDone { job: u32, src: TierId, epoch: u32 },
-    /// Transactional engine: dirty-retry backoff expired; start a fresh
-    /// copy pass.
+    /// Migration engine: channel `ch` picks up the next queued page.
+    MigStart { ch: u32 },
+    /// Migration engine: issue the next read of a copy pass. Stale epochs
+    /// (passes the transactional mode abandoned) are ignored.
+    MigRead { job: u32, epoch: u32 },
+    /// Migration engine: a copy read returned; write it to the destination
+    /// if the pass is still current.
+    MigLineDone { job: u32, src: TierId, epoch: u32 },
+    /// Transactional mode: dirty-retry backoff expired; start a fresh copy
+    /// pass.
     TxnRetry { job: u32, epoch: u32 },
-    /// Transactional engine: watchdog deadline for one copy pass.
+    /// Transactional mode: watchdog deadline for one copy pass.
     TxnWatchdog { job: u32, epoch: u32 },
-    /// Transactional engine: batched TLB-shootdown commit flush.
+    /// Transactional mode: batched TLB-shootdown commit flush.
     TxnFlush,
     /// CHA read-queue departure decoupled from the core's completion (used
     /// when a hint fault delays the core beyond the memory response).
@@ -256,11 +255,7 @@ struct Shared {
     mig_queue: VecDeque<(Vpn, TierId, telemetry::SpanId)>,
     mig_jobs: Vec<MigJob>,
     mig_free_jobs: Vec<u32>,
-    mig_engine_free: SimTime,
-    mig_engine_idle: bool,
     mig_inflight_to: Vec<u64>,
-    migrated_pages: u64,
-    migrated_bytes: u64,
     /// Per-page count of queued or in-flight migrations (rejects duplicate
     /// enqueues); decremented on every exit path: drop, abort, commit.
     mig_pending: Vec<u16>,
@@ -272,18 +267,16 @@ struct Shared {
     /// Migrations aborted this tick, with typed reasons (drained into the
     /// tick report).
     tick_failed: Vec<FailedMigration>,
-    /// Cumulative engine accounting (see [`MigrationCounters`]).
-    mig_started: u64,
-    mig_aborted: [u64; 4],
-    txn_dirty_retries: u64,
-    txn_failovers: u64,
-    txn_batches: u64,
-    txn_batched_pages: u64,
-    // Transactional engine (used only when `cfg.engine.transactional`).
-    /// Per-channel pacing: when each DMA channel next has bandwidth budget.
-    txn_channel_free: Vec<SimTime>,
-    /// Channels with no pending `TxnStart` pickup event.
-    txn_channel_idle: Vec<bool>,
+    /// Cumulative engine accounting, reported as is by
+    /// [`Machine::migration_counters`]; each tick's [`TxnTickStats`] is
+    /// its difference across the tick.
+    mig_counters: MigrationCounters,
+    /// Per-channel pacing: when each DMA channel next has bandwidth budget
+    /// (one channel in the exclusive mode).
+    mig_channel_free: Vec<SimTime>,
+    /// Channels with no pending `MigStart` pickup event.
+    mig_channel_idle: Vec<bool>,
+    // Transactional mode only.
     /// Validated transactions parked for the next batched shootdown.
     txn_commit_batch: Vec<u32>,
     /// A `TxnFlush` event is already scheduled.
@@ -392,15 +385,6 @@ impl AbortReason {
             AbortReason::Watchdog => telemetry::FailReason::Watchdog,
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            AbortReason::Outage => 0,
-            AbortReason::Transient => 1,
-            AbortReason::WriteConflict => 2,
-            AbortReason::Watchdog => 3,
-        }
-    }
 }
 
 /// One migration that aborted this tick, with its typed reason. The page
@@ -458,9 +442,10 @@ impl MigrationCounters {
     }
 }
 
-/// Per-tick transactional-engine deltas, reported in [`TickReport::txn`].
-/// On the exclusive legacy engine only `begun` and `committed` are
-/// populated (legacy copies count too); the rest stay zero.
+/// Per-tick engine deltas, reported in [`TickReport::txn`]: the change of
+/// the matching [`MigrationCounters`] fields across the tick. The
+/// exclusive mode sets only `begun` and `committed`; it never retries,
+/// fails over, aborts at the watchdog or batches commits.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnTickStats {
     /// Copies the engine began this tick.
@@ -524,8 +509,8 @@ pub struct TickReport {
     /// stays at its source and the destination reservation has been
     /// released. Tiering systems decide per reason whether to retry.
     pub failed_migrations: Vec<FailedMigration>,
-    /// Transactional-engine deltas for this tick (all-zero except `begun`
-    /// on the exclusive legacy engine).
+    /// Migration-engine deltas for this tick (only `begun` and
+    /// `committed` on the exclusive mode).
     pub txn: TxnTickStats,
     /// Pages force-evacuated by a tier-shrink hard fault this tick, with
     /// the tier each page landed in. Tiering systems must re-sync any
@@ -563,11 +548,8 @@ pub struct Machine {
     tick_app_ops: u64,
     tick_mig_bytes: u64,
     tick_copy_ns: f64,
-    tick_copies: u64,
     /// Per-(src, dst) copy-time accumulator: `(src, dst, total_ns, count)`.
     tick_pair_copy: Vec<(u8, u8, f64, u64)>,
-    /// Per-tick engine deltas (see [`TxnTickStats`]).
-    tick_txn: TxnTickStats,
     /// Demand+prefetch lines served this tick, per core per tier — the
     /// per-core traffic split a colocation runtime needs to weight tier
     /// latencies into per-tenant latency. Reset at each `run_tick`.
@@ -623,6 +605,12 @@ impl Machine {
             .collect::<Vec<_>>();
         let n_tiers = tiers.len();
         let effective_capacity = cfg.tiers.iter().map(|t| t.capacity_pages()).collect();
+        // The exclusive mode runs one channel, whatever `channels` says.
+        let channels = if cfg.engine.transactional {
+            cfg.engine.channels as usize
+        } else {
+            1
+        };
         let sh = Shared {
             events: EventQueue::new(),
             tiers,
@@ -640,23 +628,14 @@ impl Machine {
             mig_queue: VecDeque::new(),
             mig_jobs: Vec::new(),
             mig_free_jobs: Vec::new(),
-            mig_engine_free: SimTime::ZERO,
-            mig_engine_idle: true,
             mig_inflight_to: vec![0; n_tiers],
-            migrated_pages: 0,
-            migrated_bytes: 0,
             mig_pending: vec![0; vp],
             mig_admitted_tick: 0,
             mig_admission_limit: None,
             tick_failed: Vec::new(),
-            mig_started: 0,
-            mig_aborted: [0; 4],
-            txn_dirty_retries: 0,
-            txn_failovers: 0,
-            txn_batches: 0,
-            txn_batched_pages: 0,
-            txn_channel_free: vec![SimTime::ZERO; cfg.engine.channels as usize],
-            txn_channel_idle: vec![true; cfg.engine.channels as usize],
+            mig_counters: MigrationCounters::default(),
+            mig_channel_free: vec![SimTime::ZERO; channels],
+            mig_channel_idle: vec![true; channels],
             txn_commit_batch: Vec::new(),
             txn_flush_scheduled: false,
             txn_batch_override: None,
@@ -675,9 +654,7 @@ impl Machine {
             tick_app_ops: 0,
             tick_mig_bytes: 0,
             tick_copy_ns: 0.0,
-            tick_copies: 0,
             tick_pair_copy: Vec::new(),
-            tick_txn: TxnTickStats::default(),
             tick_core_tier_lines: Vec::new(),
             mig_gate: None,
             rng_streams: 0,
@@ -953,10 +930,10 @@ impl Machine {
         if self.sh.pinned[vpn as usize] {
             return Err(EnqueueError::Pinned);
         }
-        // Only the transactional engine rejects duplicates up front. The
-        // legacy engine historically admitted them (reserving a second
-        // frame and dropping the stale entry at dequeue revalidation);
-        // golden outputs pin that behavior bit-for-bit.
+        // Only the transactional mode rejects duplicates up front. The
+        // exclusive mode admits them, reserving a second frame; the stale
+        // entry drops at dequeue revalidation, or runs as a second copy if
+        // the first is still landing. Golden outputs pin that behaviour.
         if self.sh.cfg.engine.transactional && self.sh.mig_pending[vpn as usize] > 0 {
             return Err(EnqueueError::DuplicateInFlight);
         }
@@ -980,13 +957,7 @@ impl Machine {
         self.sh
             .mig_queue
             .push_back((vpn, dst, self.sh.sink.cause()));
-        if self.sh.cfg.engine.transactional {
-            self.txn_kick(self.now);
-        } else if self.sh.mig_engine_idle {
-            self.sh.mig_engine_idle = false;
-            let t = self.now.max(self.sh.mig_engine_free);
-            self.sh.events.push(t, Ev::MigStart);
-        }
+        self.mig_kick(self.now);
         Ok(())
     }
 
@@ -1017,37 +988,29 @@ impl Machine {
 
     /// Total pages migrated since construction.
     pub fn migrated_pages(&self) -> u64 {
-        self.sh.migrated_pages
+        self.sh.mig_counters.completed
     }
 
     /// Cumulative migration-engine accounting. The books always balance:
     /// `started == completed + aborted() + in_flight()`.
     pub fn migration_counters(&self) -> MigrationCounters {
-        MigrationCounters {
-            started: self.sh.mig_started,
-            completed: self.sh.migrated_pages,
-            aborted_outage: self.sh.mig_aborted[AbortReason::Outage.index()],
-            aborted_transient: self.sh.mig_aborted[AbortReason::Transient.index()],
-            aborted_write_conflict: self.sh.mig_aborted[AbortReason::WriteConflict.index()],
-            aborted_watchdog: self.sh.mig_aborted[AbortReason::Watchdog.index()],
-            dirty_retries: self.sh.txn_dirty_retries,
-            failovers: self.sh.txn_failovers,
-            commit_batches: self.sh.txn_batches,
-            batched_pages: self.sh.txn_batched_pages,
-        }
+        self.sh.mig_counters
     }
 
-    /// Overrides the transactional engine's shootdown batch size at
-    /// runtime (`None` restores the configured value; clamped to ≥ 1).
-    /// A supervisor lever: smaller batches commit sooner under churn,
-    /// larger ones amortize shootdown cost. No-op on the legacy engine.
+    /// Overrides the transactional mode's shootdown batch size at runtime
+    /// (`None` restores the configured value; clamped to ≥ 1). A
+    /// supervisor lever: smaller batches commit sooner under churn, larger
+    /// ones amortize shootdown cost. The exclusive mode ignores it: it
+    /// flips each mapping as the copy's last line lands, with no flush.
     pub fn set_shootdown_batch(&mut self, batch: Option<u32>) {
         self.sh.txn_batch_override = batch.map(|b| b.max(1));
     }
 
-    /// Overrides the transactional engine's in-flight transaction cap at
+    /// Overrides the transactional mode's in-flight transaction cap at
     /// runtime (`None` restores the default — the channel count; clamped
-    /// to `1..=channels`). No-op on the legacy engine.
+    /// to `1..=channels`). The exclusive mode ignores it: it has no
+    /// in-flight cap, so a copy may start while the previous one is still
+    /// landing.
     pub fn set_max_inflight_txns(&mut self, limit: Option<u32>) {
         let ch = self.sh.cfg.engine.channels;
         self.sh.txn_inflight_override = limit.map(|l| l.clamp(1, ch));
@@ -1095,12 +1058,11 @@ impl Machine {
             .iter()
             .map(|h| (h.count(), h.mean_ns() * h.count() as f64))
             .collect();
+        let books = self.sh.mig_counters;
         self.tick_app_ops = 0;
         self.tick_mig_bytes = 0;
         self.tick_copy_ns = 0.0;
-        self.tick_copies = 0;
         self.tick_pair_copy.clear();
-        self.tick_txn = TxnTickStats::default();
         self.sh.mig_admitted_tick = 0;
         for row in &mut self.tick_core_tier_lines {
             row.iter_mut().for_each(|c| *c = 0);
@@ -1194,6 +1156,16 @@ impl Machine {
             });
         }
         self.sh.sink.span_exit_at(t_end, tick_span);
+        let c = self.sh.mig_counters;
+        let txn = TxnTickStats {
+            begun: c.started - books.started,
+            committed: c.completed - books.completed,
+            aborted_write_conflict: c.aborted_write_conflict - books.aborted_write_conflict,
+            aborted_watchdog: c.aborted_watchdog - books.aborted_watchdog,
+            dirty_retries: c.dirty_retries - books.dirty_retries,
+            failovers: c.failovers - books.failovers,
+            commit_batches: c.commit_batches - books.commit_batches,
+        };
         let report = TickReport {
             t_start,
             t_end,
@@ -1203,8 +1175,7 @@ impl Machine {
             app_ops: self.tick_app_ops,
             migrated_bytes: self.tick_mig_bytes,
             migration_backlog: self.sh.mig_queue.len(),
-            mig_copy_ns: (self.tick_copies > 0)
-                .then(|| self.tick_copy_ns / self.tick_copies as f64),
+            mig_copy_ns: (txn.committed > 0).then(|| self.tick_copy_ns / txn.committed as f64),
             mig_copy_pair_ns: self
                 .tick_pair_copy
                 .iter()
@@ -1213,7 +1184,7 @@ impl Machine {
             true_latency_ns,
             fault_stats,
             failed_migrations,
-            txn: self.tick_txn,
+            txn,
             evacuated,
         };
         self.record_tick_metrics(&report);
@@ -1225,7 +1196,9 @@ impl Machine {
     /// teleports to the first other tier with a free frame, synchronously
     /// and without generating interconnect traffic. Pinned pages never
     /// move; pages mid-copy in the migration engine are skipped until the
-    /// copy completes (their accounting flips at `mig_line_done`).
+    /// copy retires (their accounting flips at the commit: in
+    /// `mig_line_done` on the exclusive mode, in `txn_flush` on the
+    /// transactional one).
     fn evacuate_over_capacity(&mut self) -> Vec<(Vpn, TierId)> {
         let n_tiers = self.sh.tiers.len();
         let mut out = Vec::new();
@@ -1336,27 +1309,17 @@ impl Machine {
                     }
                 }
             }
-            Ev::MigStart => {
-                self.mig_start(t);
+            Ev::MigStart { ch } => {
+                self.mig_start(t, ch);
             }
-            Ev::MigRead { job } => {
-                self.mig_read(t, job);
+            Ev::MigRead { job, epoch } => {
+                self.mig_read(t, job, epoch);
             }
-            Ev::MigLineDone { job, src } => {
-                self.sh.cha.on_read_departure(src, t);
-                self.mig_line_done(t, job);
-            }
-            Ev::TxnStart { ch } => {
-                self.txn_start(t, ch);
-            }
-            Ev::TxnRead { job, epoch } => {
-                self.txn_read(t, job, epoch);
-            }
-            Ev::TxnLineDone { job, src, epoch } => {
+            Ev::MigLineDone { job, src, epoch } => {
                 // The DMA read completed and leaves the source queue even
                 // if the pass it belonged to has been abandoned.
                 self.sh.cha.on_read_departure(src, t);
-                self.txn_line_done(t, job, epoch);
+                self.mig_line_done(t, job, epoch);
             }
             Ev::TxnRetry { job, epoch } => {
                 self.txn_retry(t, job, epoch);
@@ -1532,11 +1495,78 @@ impl Machine {
     }
 
     // ---- Migration engine ---------------------------------------------------
+    //
+    // One copy pipeline, two modes. DMA channels pick queued pages up
+    // (`mig_start`), each channel paced at the migration bandwidth; a copy
+    // pass reads the page line by line (`mig_read`) and writes each line to
+    // the destination as it returns (`mig_line_done`).
+    //
+    // The exclusive mode runs one channel with no in-flight cap. It arms no
+    // watchdog, ignores channel stalls and write storms, marks nothing
+    // dirty, and flips the mapping inside the event that lands the page's
+    // last line: no validation, no flush, no commit batch.
+    //
+    // The transactional mode runs up to `channels` concurrent copy
+    // *transactions*: snapshot-copy → validate → batched-shootdown commit.
+    // The source page stays readable and writable throughout; a write to an
+    // in-flight page dirties the transaction, which backs off exponentially
+    // and re-copies up to `dirty_retry_max` times before aborting cleanly
+    // with `AbortReason::WriteConflict`. A watchdog bounds every pass; stuck
+    // passes fail over to a healthy channel or abort with
+    // `AbortReason::Watchdog`. Validated transactions commit in batches
+    // under one TLB shootdown.
 
-    fn mig_start(&mut self, t: SimTime) {
+    /// One page's copy time on one channel at `t`: the configured
+    /// migration bandwidth, degraded by any active fault phase.
+    fn page_time(&self, t: SimTime) -> SimTime {
+        let bw = self
+            .sh
+            .faults
+            .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
+        SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9)
+    }
+
+    /// When the stall on channel `ch` at `t` lifts, if it is stalled. The
+    /// exclusive mode ignores channel stalls.
+    fn stalled_until(&self, ch: u32, t: SimTime) -> Option<SimTime> {
+        if !self.sh.cfg.engine.transactional {
+            return None;
+        }
+        self.sh.faults.channel_stalled_until(ch, t)
+    }
+
+    /// Schedules pickup events on idle channels while queued pages remain.
+    fn mig_kick(&mut self, now: SimTime) {
+        let mut want = self.sh.mig_queue.len();
+        for ch in 0..self.sh.mig_channel_idle.len() {
+            if want == 0 {
+                break;
+            }
+            if self.sh.mig_channel_idle[ch] {
+                self.sh.mig_channel_idle[ch] = false;
+                let t = now.max(self.sh.mig_channel_free[ch]);
+                self.sh.events.push(t, Ev::MigStart { ch: ch as u32 });
+                want -= 1;
+            }
+        }
+    }
+
+    /// Channel `ch` tries to pick up the next queued migration.
+    fn mig_start(&mut self, t: SimTime, ch: u32) {
         let _prof = simkit::profile::scope("machine.mig_engine");
+        let txn = self.sh.cfg.engine.transactional;
+        // A stalled channel takes nothing until its stall lifts.
+        if let Some(end) = self.stalled_until(ch, t) {
+            self.sh.events.push(end, Ev::MigStart { ch });
+            return;
+        }
+        if txn && self.txn_live() >= self.txn_inflight_limit() as usize {
+            // At the in-flight cap: go idle; retiring a transaction re-kicks.
+            self.sh.mig_channel_idle[ch as usize] = true;
+            return;
+        }
         let Some((vpn, dst, cause)) = self.sh.mig_queue.pop_front() else {
-            self.sh.mig_engine_idle = true;
+            self.sh.mig_channel_idle[ch as usize] = true;
             return;
         };
         // Re-validate: the page may have been migrated or unmapped since.
@@ -1545,22 +1575,18 @@ impl Machine {
             self.sh.mig_inflight_to[dst.index()] -= 1;
             self.sh.mig_pending[vpn as usize] -= 1;
             // Try the next queued page immediately.
-            self.sh.events.push(t, Ev::MigStart);
+            self.sh.events.push(t, Ev::MigStart { ch });
             return;
         }
-        self.sh.mig_started += 1;
-        self.tick_txn.begun += 1;
+        self.sh.mig_counters.started += 1;
         // Engine outage (hard fault): the copy thread is wedged — the
-        // migration aborts *and still burns the engine's time budget*, so a
-        // backlog builds up exactly as it would behind a hung kthread.
+        // migration aborts *and still burns the channel's time budget*, so
+        // a backlog builds up exactly as it would behind a hung kthread.
         if self.sh.faults.outage_aborts(t) {
             self.record_abort(t, vpn, dst, AbortReason::Outage);
-            let bw = self
-                .sh
-                .faults
-                .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
-            self.sh.mig_engine_free = t + SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9);
-            self.sh.events.push(self.sh.mig_engine_free, Ev::MigStart);
+            let free = t + self.page_time(t);
+            self.sh.mig_channel_free[ch as usize] = free;
+            self.sh.events.push(free, Ev::MigStart { ch });
             return;
         }
         // Transient migration failure: the copy aborts before touching the
@@ -1569,7 +1595,7 @@ impl Machine {
         // retry.
         if self.sh.faults.migration_aborts() {
             self.record_abort(t, vpn, dst, AbortReason::Transient);
-            self.sh.events.push(t, Ev::MigStart);
+            self.sh.events.push(t, Ev::MigStart { ch });
             return;
         }
         self.sh.sink.emit_at(t, telemetry::Source::Machine, || {
@@ -1592,7 +1618,7 @@ impl Machine {
             },
             cause,
         );
-        let job = MigJob {
+        let id = self.alloc_job(MigJob {
             vpn,
             dst,
             lines_read: 0,
@@ -1600,70 +1626,93 @@ impl Machine {
             live: true,
             started: t,
             span,
-            channel: 0,
+            channel: ch,
             attempt: 1,
             dirty: false,
             committing: false,
             failovers: 0,
             epoch: 0,
-        };
-        let id = self.alloc_job(job);
-        // Pace the copy at the configured migration bandwidth (possibly
-        // degraded by an active fault phase).
-        let bw = self
-            .sh
-            .faults
-            .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
-        let page_time = SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9);
-        self.sh.mig_engine_free = t + page_time;
-        self.sh.events.push(t, Ev::MigRead { job: id });
-        // The next page starts when the engine has bandwidth budget again.
-        self.sh.events.push(self.sh.mig_engine_free, Ev::MigStart);
+        });
+        let epoch = self.sh.mig_jobs[id as usize].epoch;
+        // Pace this channel at the migration bandwidth; other channels copy
+        // concurrently (aggregate engine bandwidth scales with the channel
+        // count).
+        let free = t + self.page_time(t);
+        self.sh.mig_channel_free[ch as usize] = free;
+        self.sh.events.push(t, Ev::MigRead { job: id, epoch });
+        if txn {
+            self.sh.events.push(
+                t + self.sh.cfg.engine.watchdog,
+                Ev::TxnWatchdog { job: id, epoch },
+            );
+        }
+        // The channel picks up its next page when it has bandwidth budget
+        // again, even while this copy's lines are still landing.
+        self.sh.events.push(free, Ev::MigStart { ch });
     }
 
-    fn mig_read(&mut self, t: SimTime, job_id: u32) {
+    /// Issues the next read of a copy pass.
+    fn mig_read(&mut self, t: SimTime, job_id: u32, epoch: u32) {
         let job = self.sh.mig_jobs[job_id as usize];
+        if !job.live || job.epoch != epoch || job.committing {
+            return; // abandoned pass
+        }
+        // A stall freezes the channel mid-pass: reads defer to the stall's
+        // end (the watchdog rescues the transaction before then).
+        if let Some(end) = self.stalled_until(job.channel, t) {
+            self.sh.events.push(end, Ev::MigRead { job: job_id, epoch });
+            return;
+        }
         let src = self.sh.tier_of(job.vpn);
         let line_addr = job.vpn * LINES_PER_PAGE + job.lines_read as u64;
         self.sh.cha.on_read_arrival(src, t, TrafficClass::Migration);
         let done = self.sh.tiers[src.index()].read(t, line_addr);
-        self.sh
-            .events
-            .push(done, Ev::MigLineDone { job: job_id, src });
+        self.sh.events.push(
+            done,
+            Ev::MigLineDone {
+                job: job_id,
+                src,
+                epoch,
+            },
+        );
         let j = &mut self.sh.mig_jobs[job_id as usize];
         j.lines_read += 1;
         if (j.lines_read as u64) < LINES_PER_PAGE {
-            // Space the copy's reads evenly across the page's time budget.
-            let bw = self
-                .sh
-                .faults
-                .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
-            let spacing = SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9) / LINES_PER_PAGE;
+            // Space the pass's reads evenly across the page's time budget.
+            let spacing = self.page_time(t) / LINES_PER_PAGE;
             self.sh
                 .events
-                .push(t + spacing, Ev::MigRead { job: job_id });
+                .push(t + spacing, Ev::MigRead { job: job_id, epoch });
         }
     }
 
-    fn mig_line_done(&mut self, t: SimTime, job_id: u32) {
+    /// A copy read returned: write the line out. At page end the
+    /// exclusive mode commits at once; the transactional mode validates.
+    fn mig_line_done(&mut self, t: SimTime, job_id: u32, epoch: u32) {
         let _prof = simkit::profile::scope("machine.mig_engine");
         let job = self.sh.mig_jobs[job_id as usize];
-        debug_assert!(job.live);
-        // Write the line into the destination tier.
+        if !job.live || job.epoch != epoch {
+            return; // the pass was abandoned while this read was in flight
+        }
         let line_addr = job.vpn * LINES_PER_PAGE + job.lines_done as u64;
         self.sh.cha.on_write(job.dst, TrafficClass::Migration);
         self.sh.tiers[job.dst.index()].write(t, line_addr);
         self.tick_mig_bytes += LINE_SIZE;
         let j = &mut self.sh.mig_jobs[job_id as usize];
         j.lines_done += 1;
-        if j.lines_done as u64 == LINES_PER_PAGE {
-            // Copy complete: flip the mapping.
+        if (j.lines_done as u64) < LINES_PER_PAGE {
+            return;
+        }
+        if self.sh.cfg.engine.transactional {
+            self.txn_validate(t, job_id);
+        } else {
             self.commit_job(t, job_id);
         }
     }
 
-    /// Flips the mapping of a fully copied job and retires it (shared by
-    /// the legacy engine and the transactional commit flush).
+    /// Flips the mapping of a fully copied job and retires it: as the last
+    /// line lands in the exclusive mode, from the commit flush in the
+    /// transactional one.
     fn commit_job(&mut self, t: SimTime, job_id: u32) {
         let job = self.sh.mig_jobs[job_id as usize];
         let src = self.sh.tier_of(job.vpn);
@@ -1672,12 +1721,9 @@ impl Machine {
         self.sh.used_pages[job.dst.index()] += 1;
         self.sh.mig_inflight_to[job.dst.index()] -= 1;
         self.sh.mig_pending[job.vpn as usize] -= 1;
-        self.sh.migrated_pages += 1;
-        self.sh.migrated_bytes += PAGE_SIZE;
-        self.tick_txn.committed += 1;
+        self.sh.mig_counters.completed += 1;
         let copy_ns = t.saturating_sub(job.started).as_ns();
         self.tick_copy_ns += copy_ns;
-        self.tick_copies += 1;
         // Per-(src, dst)-pair copy-time accumulation: a multi-tier
         // supervisor needs to see which link is slow, not just that
         // some copy somewhere was.
@@ -1708,12 +1754,13 @@ impl Machine {
     fn record_abort(&mut self, t: SimTime, vpn: Vpn, dst: TierId, reason: AbortReason) {
         self.sh.mig_inflight_to[dst.index()] -= 1;
         self.sh.mig_pending[vpn as usize] -= 1;
-        self.sh.mig_aborted[reason.index()] += 1;
-        match reason {
-            AbortReason::WriteConflict => self.tick_txn.aborted_write_conflict += 1,
-            AbortReason::Watchdog => self.tick_txn.aborted_watchdog += 1,
-            _ => {}
-        }
+        let c = &mut self.sh.mig_counters;
+        *match reason {
+            AbortReason::Outage => &mut c.aborted_outage,
+            AbortReason::Transient => &mut c.aborted_transient,
+            AbortReason::WriteConflict => &mut c.aborted_write_conflict,
+            AbortReason::Watchdog => &mut c.aborted_watchdog,
+        } += 1;
         self.sh
             .tick_failed
             .push(FailedMigration { vpn, dst, reason });
@@ -1739,17 +1786,7 @@ impl Machine {
         }
     }
 
-    // ---- Transactional migration engine -------------------------------------
-    //
-    // N concurrent DMA channels each run copy *transactions*:
-    // snapshot-copy → validate → batched-shootdown commit. The source page
-    // stays readable and writable throughout; a write to an in-flight page
-    // dirties the transaction, which backs off exponentially and re-copies
-    // up to `dirty_retry_max` times before aborting cleanly with
-    // `AbortReason::WriteConflict`. A watchdog bounds every pass; stuck
-    // passes fail over to a healthy channel or abort with
-    // `AbortReason::Watchdog`. Validated transactions commit in batches
-    // under one TLB shootdown.
+    // ---- Transactional mode only ---------------------------------------------
 
     /// Marks every live, not-yet-committing transaction on `vpn` dirty.
     fn txn_note_write(&mut self, vpn: Vpn) {
@@ -1763,179 +1800,6 @@ impl Machine {
     /// Live (not yet retired) transactions.
     fn txn_live(&self) -> usize {
         self.sh.mig_jobs.iter().filter(|j| j.live).count()
-    }
-
-    /// Schedules pickup events on idle channels while queued pages remain.
-    fn txn_kick(&mut self, now: SimTime) {
-        let mut want = self.sh.mig_queue.len();
-        for ch in 0..self.sh.txn_channel_idle.len() {
-            if want == 0 {
-                break;
-            }
-            if self.sh.txn_channel_idle[ch] {
-                self.sh.txn_channel_idle[ch] = false;
-                let t = now.max(self.sh.txn_channel_free[ch]);
-                self.sh.events.push(t, Ev::TxnStart { ch: ch as u32 });
-                want -= 1;
-            }
-        }
-    }
-
-    /// Channel `ch` tries to pick up the next queued migration.
-    fn txn_start(&mut self, t: SimTime, ch: u32) {
-        let _prof = simkit::profile::scope("machine.mig_engine");
-        // A stalled channel takes nothing until its stall lifts.
-        if let Some(end) = self.sh.faults.channel_stalled_until(ch, t) {
-            self.sh.events.push(end, Ev::TxnStart { ch });
-            return;
-        }
-        if self.txn_live() >= self.txn_inflight_limit() as usize {
-            // At the in-flight cap: go idle; retiring a transaction re-kicks.
-            self.sh.txn_channel_idle[ch as usize] = true;
-            return;
-        }
-        let Some((vpn, dst, cause)) = self.sh.mig_queue.pop_front() else {
-            self.sh.txn_channel_idle[ch as usize] = true;
-            return;
-        };
-        // Re-validate: the page may have been migrated or unmapped since.
-        let src = self.sh.placement[vpn as usize];
-        if src == u8::MAX || src == dst.0 {
-            self.sh.mig_inflight_to[dst.index()] -= 1;
-            self.sh.mig_pending[vpn as usize] -= 1;
-            self.sh.events.push(t, Ev::TxnStart { ch });
-            return;
-        }
-        self.sh.mig_started += 1;
-        self.tick_txn.begun += 1;
-        // The injected engine faults hit the transactional engine too: an
-        // outage wedges the channel for a page time, a transient failure
-        // aborts before the copy starts.
-        if self.sh.faults.outage_aborts(t) {
-            self.record_abort(t, vpn, dst, AbortReason::Outage);
-            let bw = self
-                .sh
-                .faults
-                .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
-            let free = t + SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9);
-            self.sh.txn_channel_free[ch as usize] = free;
-            self.sh.events.push(free, Ev::TxnStart { ch });
-            return;
-        }
-        if self.sh.faults.migration_aborts() {
-            self.record_abort(t, vpn, dst, AbortReason::Transient);
-            self.sh.events.push(t, Ev::TxnStart { ch });
-            return;
-        }
-        self.sh.sink.emit_at(t, telemetry::Source::Machine, || {
-            telemetry::EventKind::MigrationStart {
-                vpn,
-                src,
-                dst: dst.0,
-            }
-        });
-        let span = self.sh.sink.span_open_at(
-            t,
-            telemetry::Source::Machine,
-            "migration",
-            telemetry::SpanPayload::Migration {
-                vpn,
-                src,
-                dst: dst.0,
-            },
-            cause,
-        );
-        let id = self.alloc_job(MigJob {
-            vpn,
-            dst,
-            lines_read: 0,
-            lines_done: 0,
-            live: true,
-            started: t,
-            span,
-            channel: ch,
-            attempt: 1,
-            dirty: false,
-            committing: false,
-            failovers: 0,
-            epoch: 0,
-        });
-        let epoch = self.sh.mig_jobs[id as usize].epoch;
-        // Pace this channel at the configured per-channel bandwidth; other
-        // channels copy concurrently (aggregate engine bandwidth scales
-        // with the channel count).
-        let bw = self
-            .sh
-            .faults
-            .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
-        let page_time = SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9);
-        self.sh.txn_channel_free[ch as usize] = t + page_time;
-        self.sh.events.push(t, Ev::TxnRead { job: id, epoch });
-        self.sh.events.push(
-            t + self.sh.cfg.engine.watchdog,
-            Ev::TxnWatchdog { job: id, epoch },
-        );
-        // The channel picks up its next transaction when it has bandwidth
-        // budget again (passes pipeline behind the in-flight cap).
-        self.sh
-            .events
-            .push(self.sh.txn_channel_free[ch as usize], Ev::TxnStart { ch });
-    }
-
-    /// Issues the next snapshot read of a copy pass.
-    fn txn_read(&mut self, t: SimTime, job_id: u32, epoch: u32) {
-        let job = self.sh.mig_jobs[job_id as usize];
-        if !job.live || job.epoch != epoch || job.committing {
-            return; // abandoned pass
-        }
-        // A stall freezes the channel mid-pass: reads defer to the stall's
-        // end (the watchdog rescues the transaction before then).
-        if let Some(end) = self.sh.faults.channel_stalled_until(job.channel, t) {
-            self.sh.events.push(end, Ev::TxnRead { job: job_id, epoch });
-            return;
-        }
-        let src = self.sh.tier_of(job.vpn);
-        let line_addr = job.vpn * LINES_PER_PAGE + job.lines_read as u64;
-        self.sh.cha.on_read_arrival(src, t, TrafficClass::Migration);
-        let done = self.sh.tiers[src.index()].read(t, line_addr);
-        self.sh.events.push(
-            done,
-            Ev::TxnLineDone {
-                job: job_id,
-                src,
-                epoch,
-            },
-        );
-        let j = &mut self.sh.mig_jobs[job_id as usize];
-        j.lines_read += 1;
-        if (j.lines_read as u64) < LINES_PER_PAGE {
-            let bw = self
-                .sh
-                .faults
-                .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
-            let spacing = SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9) / LINES_PER_PAGE;
-            self.sh
-                .events
-                .push(t + spacing, Ev::TxnRead { job: job_id, epoch });
-        }
-    }
-
-    /// A snapshot read returned: write it out and validate at page end.
-    fn txn_line_done(&mut self, t: SimTime, job_id: u32, epoch: u32) {
-        let _prof = simkit::profile::scope("machine.mig_engine");
-        let job = self.sh.mig_jobs[job_id as usize];
-        if !job.live || job.epoch != epoch {
-            return; // the pass was abandoned while this read was in flight
-        }
-        let line_addr = job.vpn * LINES_PER_PAGE + job.lines_done as u64;
-        self.sh.cha.on_write(job.dst, TrafficClass::Migration);
-        self.sh.tiers[job.dst.index()].write(t, line_addr);
-        self.tick_mig_bytes += LINE_SIZE;
-        let j = &mut self.sh.mig_jobs[job_id as usize];
-        j.lines_done += 1;
-        if j.lines_done as u64 == LINES_PER_PAGE {
-            self.txn_validate(t, job_id);
-        }
     }
 
     /// Validates a fully copied pass: clean snapshots join the commit
@@ -1969,8 +1833,7 @@ impl Machine {
             self.txn_abort(t, job_id, AbortReason::WriteConflict);
             return;
         }
-        self.sh.txn_dirty_retries += 1;
-        self.tick_txn.dirty_retries += 1;
+        self.sh.mig_counters.dirty_retries += 1;
         let j = &mut self.sh.mig_jobs[job_id as usize];
         j.attempt += 1;
         j.dirty = false;
@@ -1992,7 +1855,7 @@ impl Machine {
         if !job.live || job.epoch != epoch {
             return;
         }
-        self.sh.events.push(t, Ev::TxnRead { job: job_id, epoch });
+        self.sh.events.push(t, Ev::MigRead { job: job_id, epoch });
         self.sh.events.push(
             t + self.sh.cfg.engine.watchdog,
             Ev::TxnWatchdog { job: job_id, epoch },
@@ -2006,18 +1869,17 @@ impl Machine {
         if !job.live || job.epoch != epoch || job.committing {
             return; // the pass finished (or moved on) before the deadline
         }
-        let channels = self.sh.txn_channel_free.len() as u32;
+        let channels = self.sh.mig_channel_free.len() as u32;
         let healthy = (0..channels)
-            .filter(|&c| self.sh.faults.channel_stalled_until(c, t).is_none())
-            .min_by_key(|&c| self.sh.txn_channel_free[c as usize]);
+            .filter(|&c| self.stalled_until(c, t).is_none())
+            .min_by_key(|&c| self.sh.mig_channel_free[c as usize]);
         let (Some(to), true) = (healthy, job.failovers < channels) else {
             // Every channel is stalled, or this transaction has already
             // burned a failover per channel: give up cleanly.
             self.txn_abort(t, job_id, AbortReason::Watchdog);
             return;
         };
-        self.sh.txn_failovers += 1;
-        self.tick_txn.failovers += 1;
+        self.sh.mig_counters.failovers += 1;
         self.sh.sink.emit_at(t, telemetry::Source::Machine, || {
             telemetry::EventKind::TxnFailover {
                 vpn: job.vpn,
@@ -2033,7 +1895,7 @@ impl Machine {
         j.dirty = false;
         j.epoch = j.epoch.wrapping_add(1);
         let epoch = j.epoch;
-        self.sh.events.push(t, Ev::TxnRead { job: job_id, epoch });
+        self.sh.events.push(t, Ev::MigRead { job: job_id, epoch });
         self.sh.events.push(
             t + self.sh.cfg.engine.watchdog,
             Ev::TxnWatchdog { job: job_id, epoch },
@@ -2052,7 +1914,7 @@ impl Machine {
         j.epoch = j.epoch.wrapping_add(1);
         self.sh.mig_free_jobs.push(job_id);
         // Retiring a transaction frees an in-flight slot.
-        self.txn_kick(t);
+        self.mig_kick(t);
     }
 
     /// Batched commit: up to `shootdown_batch` parked transactions flip
@@ -2069,10 +1931,9 @@ impl Machine {
             .len()
             .min(self.txn_batch_limit() as usize);
         let batch: Vec<u32> = self.sh.txn_commit_batch.drain(..n).collect();
-        self.sh.txn_batches += 1;
-        self.sh.txn_batched_pages += batch.len() as u64;
-        self.tick_txn.commit_batches += 1;
         let pages = batch.len() as u64;
+        self.sh.mig_counters.commit_batches += 1;
+        self.sh.mig_counters.batched_pages += pages;
         let cost_ns = self.sh.cfg.engine.shootdown_cost.as_ns();
         for job_id in batch {
             self.commit_job(t, job_id);
@@ -2086,7 +1947,7 @@ impl Machine {
                 .events
                 .push(t + self.sh.cfg.engine.shootdown_cost, Ev::TxnFlush);
         }
-        self.txn_kick(t);
+        self.mig_kick(t);
     }
 }
 

@@ -551,6 +551,10 @@ impl HotnessPolicy for TimeToFault {
     }
 
     fn record_fault(&mut self, vpn: Vpn, ttf_ns: f64) {
+        // Like an access, a fault on an untracked page leaves no trace.
+        if !self.tiers.contains_key(&vpn) {
+            return;
+        }
         self.stats.signals += 1;
         self.last_ttf.insert(vpn, ttf_ns);
     }
@@ -721,12 +725,17 @@ impl HotnessPolicy for DensityHistogram {
         // Cooling is the aging mechanism (bit-identity with MEMTIS).
     }
 
+    // The tracker counts every managed page, tracked or not (MEMTIS's
+    // cooling depends on it); the trait views report only tracked pages.
     fn heat_of(&self, vpn: Vpn) -> f64 {
+        if !self.tiers.contains_key(&vpn) {
+            return 0.0;
+        }
         f64::from(self.tracker.count(vpn))
     }
 
     fn is_hot(&self, vpn: Vpn) -> bool {
-        self.tracker.count(vpn) >= 2
+        self.tiers.contains_key(&vpn) && self.tracker.count(vpn) >= 2
     }
 
     fn ranked(&self, tier: TierId) -> Vec<Vpn> {
@@ -1825,7 +1834,9 @@ mod tests {
                 tracked.windows(2).all(|w| w[0] < w[1]),
                 "{kind:?}: tracked() not ascending"
             );
-            let ascending: f64 = tracked.iter().map(|&v| p.heat_of(v)).sum();
+            // Removed pages read 0.0, so the sum over every page is the
+            // sum over the tracked ones.
+            let ascending: f64 = (0..64).map(|v| p.heat_of(v)).sum();
             assert_eq!(p.heat_total().to_bits(), ascending.to_bits(), "{kind:?}");
             assert_eq!(
                 run().heat_total().to_bits(),

@@ -541,13 +541,13 @@ impl Supervisor {
         }
     }
 
-    /// Adapts the transactional engine to observed conflict pressure: when
+    /// Adapts the transactional mode to observed conflict pressure: when
     /// aborts and dirty retries dominate the transactions begun this tick,
     /// halve both the in-flight window (fewer concurrent snapshots racing
     /// writers) and the shootdown batch (shorter commit linger, shorter
     /// conflict exposure); when pressure subsides, step both back toward
     /// the configured operating point one notch per tick. A no-op on the
-    /// exclusive legacy engine, so fault-free experiments are untouched.
+    /// exclusive mode, so fault-free experiments are untouched.
     fn tune_engine(&mut self, machine: &mut Machine, report: &TickReport) {
         let e = &machine.config().engine;
         let (transactional, cfg_batch, cfg_channels) =

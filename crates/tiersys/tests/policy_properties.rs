@@ -100,7 +100,12 @@ fn check_against_shadow(
             h
         );
     }
-    // Untracked pages are uniformly cold, never NaN.
+    // Untracked pages are uniformly cold, never NaN and never hot, even
+    // after a remove and later signals on the page.
+    for vpn in (0..WS).filter(|v| !shadow.contains_key(v)) {
+        prop_assert_eq!(p.heat_of(vpn), 0.0, "{}: untracked heat of {}", ctx, vpn);
+        prop_assert!(!p.is_hot(vpn), "{}: untracked page {} is hot", ctx, vpn);
+    }
     prop_assert_eq!(p.heat_of(WS + 7), 0.0, "{}: untracked heat", ctx);
     // A policy's own `heat_total` equals the trait's ascending sum (by
     // value: an empty float sum is -0.0, `FreqBins`' integer total 0.0).
