@@ -438,14 +438,19 @@ pub fn run_cell(
         })
         .collect();
 
-    let ranges: Vec<_> = exp.colo.tenants.iter().map(|t| t.range.clone()).collect();
+    let systems: Vec<_> = exp
+        .colo
+        .tenants
+        .iter()
+        .map(|t| (&*t.system, t.range.clone()))
+        .collect();
     ColoResult {
         mix: sc.name,
         system,
         arbiter,
         tenants,
         reclaimed_pages: exp.colo.arbiter.as_ref().map_or(0, |a| a.reclaimed_pages),
-        end: EndState::of(&exp.machine, &ranges),
+        end: EndState::of(&exp.machine, &systems),
     }
 }
 
@@ -769,8 +774,8 @@ impl Harness for Grid {
         }
     }
 
-    fn end_state(outcome: &ColoResult) -> EndState {
-        outcome.end
+    fn end_state(outcome: &ColoResult) -> &EndState {
+        &outcome.end
     }
 
     fn finish(&mut self, results: Vec<(Cell, ColoResult)>, ctx: &mut Ctx) -> Vec<String> {

@@ -262,7 +262,7 @@ pub fn run_cell(
         result,
         post_fault_latency_ns,
         post_fault_mig_bytes,
-        end: EndState::of(&exp.machine, &[ws]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, ws)]),
     }
 }
 
@@ -306,8 +306,8 @@ impl Harness for Matrix {
         run_cell(fault, kind, supervised, transactional, self.0.quick)
     }
 
-    fn end_state(outcome: &CellResult) -> EndState {
-        outcome.end
+    fn end_state(outcome: &CellResult) -> &EndState {
+        &outcome.end
     }
 
     fn finish(&mut self, results: Vec<(Self::Cell, CellResult)>, _: &mut Ctx) -> Vec<String> {

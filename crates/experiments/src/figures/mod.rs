@@ -210,7 +210,7 @@ impl Sim {
             }
         };
         let result = run(&mut exp, &rc);
-        (result, EndState::of(&exp.machine, &[ws]))
+        (result, EndState::of(&exp.machine, &[(&*exp.system, ws)]))
     }
 }
 
@@ -297,8 +297,8 @@ impl Harness for Figures {
         sim.run(self.0.quick)
     }
 
-    fn end_state(outcome: &Self::Outcome) -> EndState {
-        outcome.1
+    fn end_state(outcome: &Self::Outcome) -> &EndState {
+        &outcome.1
     }
 
     fn finish(&mut self, results: Vec<(Sim, Self::Outcome)>, _: &mut Ctx) -> Vec<String> {

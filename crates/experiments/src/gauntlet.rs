@@ -412,7 +412,7 @@ fn score_run(
         accounting,
         worst_window_ns: worst,
         steady_ns: steady,
-        end: EndState::of(&exp.machine, &[sc.ws_range()]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, sc.ws_range())]),
         resilience,
     }
 }
@@ -814,8 +814,8 @@ impl Harness for Gauntlet {
         run_cell(&self.sc, tkind, id, fixture).expect("fixture validated non-empty at load time")
     }
 
-    fn end_state(outcome: &CellScore) -> EndState {
-        outcome.end
+    fn end_state(outcome: &CellScore) -> &EndState {
+        &outcome.end
     }
 
     fn finish(&mut self, results: Vec<(Self::Cell, CellScore)>, ctx: &mut Ctx) -> Vec<String> {

@@ -8,16 +8,18 @@
 //! directory with its `scores.txt`, bench timing with `BENCH_<name>.json`
 //! rendering and drift checking ([`crate::bench`]), and one invariant
 //! gate ([`EndState::violations`]): every cell must end with all its
-//! managed pages resident, its tiers' frames beyond their resident pages
-//! reserved for exactly the queued and in-flight migrations, and every
-//! transactional cell with `batched_pages == completed`. A failed or
-//! empty export fails the same gate.
+//! managed pages resident, with no violation of the machine's invariants
+//! ([`Machine::check_invariants`]: pages, reservations and the copy
+//! ledger against the page table and the copy queue), and with each
+//! system's hotness policy tracking exactly the pages the system manages.
+//! A failed or empty export fails the same gate.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use memsim::{Machine, TierId, Vpn};
+use memsim::{Machine, Vpn};
+use tiersys::TieringSystem;
 
 use crate::bench::{self, BenchCell};
 use crate::figures::{self, ext, fig1, fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9};
@@ -26,47 +28,46 @@ use crate::{colocation, degradation, gauntlet, migration, multitier, observe, po
 use crate::{robustness, timeline, trace};
 
 /// End-of-cell state the invariant gate checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EndState {
     /// Managed pages resident on some tier.
     pub resident: u64,
     /// Pages the cell manages.
     pub expected: u64,
-    /// Frames in use beyond resident pages, summed over tiers:
-    /// `Σ_t (used_pages(t) − pages resident in t)` (negative if the tiers
-    /// hold more pages than their books show).
-    pub reserved: i64,
-    /// Migrations queued or in flight, each of which holds one reserved
-    /// frame at its destination.
-    pub pending: i64,
-    /// `(completed, batched_pages)` of the transactional engine, which
-    /// commits every page through a shootdown batch; `None` on the
-    /// exclusive engine.
-    pub txn: Option<(u64, u64)>,
+    /// The machine's invariant violations, then each policy whose tracked
+    /// set differs from the pages its system manages.
+    pub broken: Vec<String>,
 }
 
 impl EndState {
-    /// Reads `machine`'s end state over the managed `ranges`.
-    pub fn of(machine: &Machine, ranges: &[Range<Vpn>]) -> Self {
-        let m = machine.migration_counters();
-        let cfg = machine.config();
-        let transactional = cfg.engine.transactional;
-        let mapped = (0..cfg.virtual_pages)
-            .filter(|&v| machine.tier_of(v).is_some())
-            .count() as i64;
-        let used: u64 = (0..cfg.tiers.len())
-            .map(|t| machine.used_pages(TierId(t as u8)))
-            .sum();
+    /// Reads `machine`'s end state with each of the cell's tiering systems
+    /// and the pages it manages.
+    pub fn of(machine: &Machine, systems: &[(&dyn TieringSystem, Range<Vpn>)]) -> Self {
+        let mut broken: Vec<String> = machine
+            .check_invariants()
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        for (system, range) in systems {
+            let managed = range.end - range.start;
+            // Static placement runs no policy, so it tracks nothing.
+            if let Some(tracked) = system.policy_stats().map(|p| p.tracked) {
+                if tracked != managed {
+                    broken.push(format!(
+                        "{}'s policy tracks {tracked} pages but the system manages {managed}",
+                        system.name()
+                    ));
+                }
+            }
+        }
+        let ranges = || systems.iter().map(|(_, r)| r.clone());
         EndState {
-            resident: ranges
-                .iter()
-                .flat_map(Clone::clone)
+            resident: ranges()
+                .flatten()
                 .filter(|&v| machine.tier_of(v).is_some())
                 .count() as u64,
-            expected: ranges.iter().map(|r| r.end - r.start).sum(),
-            reserved: used as i64 - mapped,
-            pending: (machine.migration_backlog() as u64 + m.in_flight()) as i64,
-            txn: transactional.then_some((m.completed, m.batched_pages)),
+            expected: ranges().map(|r| r.end - r.start).sum(),
+            broken,
         }
     }
 
@@ -77,25 +78,16 @@ impl EndState {
 
     /// The invariant gate's findings for `cell` (empty = pass).
     pub fn violations(&self, cell: &str) -> Vec<String> {
-        let mut found = Vec::new();
-        if !self.conserved() {
-            found.push(format!(
-                "{cell}: {} of {} managed pages resident (pages lost or duplicated)",
+        let lost = (!self.conserved()).then(|| {
+            format!(
+                "{} of {} managed pages resident (pages lost or duplicated)",
                 self.resident, self.expected
-            ));
-        }
-        if self.reserved != self.pending {
-            found.push(format!(
-                "{cell}: {} reserved frames for {} queued or in-flight migrations",
-                self.reserved, self.pending
-            ));
-        }
-        if let Some((completed, batched)) = self.txn.filter(|(c, b)| c != b) {
-            found.push(format!(
-                "{cell}: {completed} committed transactions but {batched} batched shootdown pages"
-            ));
-        }
-        found
+            )
+        });
+        lost.iter()
+            .chain(&self.broken)
+            .map(|f| format!("{cell}: {f}"))
+            .collect()
     }
 }
 
@@ -177,7 +169,7 @@ pub trait Harness {
     /// Runs one cell.
     fn run(&self, cell: &Self::Cell) -> Self::Outcome;
     /// The end state the invariant gate checks.
-    fn end_state(outcome: &Self::Outcome) -> EndState;
+    fn end_state(outcome: &Self::Outcome) -> &EndState;
     /// Turns every result into the score tables, in print order (together
     /// they are `scores.txt`). Exports go through `ctx`, and so do the
     /// failures of the harness's own gates under `--smoke`.
@@ -213,7 +205,7 @@ impl<H: Harness> DynHarness for H {
         for (label, cell) in self.cells() {
             eprintln!("[{name}] {label} ...");
             let outcome = self.run(&cell);
-            ctx.check(&label, &H::end_state(&outcome));
+            ctx.check(&label, H::end_state(&outcome));
             results.push((cell, outcome));
         }
         let tables = self.finish(results, ctx);
@@ -507,6 +499,30 @@ mod tests {
         assert_eq!(committed, declared.collect());
     }
 
+    #[test]
+    fn end_states_hold_each_policy_to_the_pages_its_system_manages() {
+        use memsim::{MachineConfig, TierId};
+        use simkit::SimTime;
+        use tiersys::{build_system, StaticPlacement, SystemKind, SystemParams};
+
+        let mut m = Machine::new(MachineConfig::icelake_two_tier());
+        m.place_range(0..96, TierId::ALTERNATE);
+        let ws = 0..64;
+        let mut hemem = build_system(SystemKind::Hemem, SystemParams::new(vec![ws.clone()], None));
+        for _ in 0..3 {
+            let report = m.run_tick(SimTime::from_us(100.0));
+            hemem.on_tick(&mut m, &report);
+        }
+        let end = EndState::of(&m, &[(&*hemem, ws), (&StaticPlacement, 64..96)]);
+        // Static placement runs no policy and is not held to a tracked set.
+        assert_eq!(end.violations("cell"), Vec::<String>::new());
+        let end = EndState::of(&m, &[(&*hemem, 0..32)]);
+        assert_eq!(
+            end.broken,
+            ["HeMem's policy tracks 64 pages but the system manages 32"]
+        );
+    }
+
     /// Cells that are their own end states; the report exports one file.
     struct Toy(Vec<EndState>, &'static str);
 
@@ -518,10 +534,10 @@ mod tests {
             (0..self.0.len()).map(|i| (format!("toy/{i}"), i)).collect()
         }
         fn run(&self, cell: &usize) -> EndState {
-            self.0[*cell]
+            self.0[*cell].clone()
         }
-        fn end_state(outcome: &EndState) -> EndState {
-            *outcome
+        fn end_state(outcome: &EndState) -> &EndState {
+            outcome
         }
         fn finish(&mut self, _: Vec<(usize, EndState)>, ctx: &mut Ctx) -> Vec<String> {
             ctx.export("extra.txt", self.1);
@@ -544,37 +560,39 @@ mod tests {
         let ok = EndState {
             resident: 8,
             expected: 8,
-            reserved: 2,
-            pending: 2,
-            txn: Some((5, 5)),
+            broken: Vec::new(),
         };
         let dir = std::env::temp_dir().join(format!("grid-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(drive(Toy(vec![ok, ok], "x"), &dir), (vec![], 0));
+        assert_eq!(drive(Toy(vec![ok.clone(); 2], "x"), &dir), (vec![], 0));
         let scores = std::fs::read_to_string(dir.join("scores.txt")).unwrap();
         assert_eq!(scores, "toy table\n");
 
-        // Lost pages trip conservation; a frame held for no migration
-        // trips reservation accounting; an unbatched commit trips the
-        // transactional ledger. Each finding names its cell.
-        let lost = EndState { resident: 7, ..ok };
-        let leaked = EndState { reserved: 3, ..ok };
-        let unbatched = EndState {
-            txn: Some((5, 4)),
-            ..ok
+        // Lost pages trip conservation, and every finding `of` recorded
+        // fails its cell too. Each finding names its cell.
+        let lost = EndState {
+            resident: 7,
+            ..ok.clone()
         };
-        let (f, code) = drive(Toy(vec![ok, lost, leaked, unbatched], "x"), &dir);
+        let broken = EndState {
+            broken: vec![
+                "a machine violation".into(),
+                "a tracked-set mismatch".into(),
+            ],
+            ..ok.clone()
+        };
+        let (f, code) = drive(Toy(vec![ok.clone(), lost, broken], "x"), &dir);
         assert_eq!(code, 1);
         assert_eq!(
             f,
             [
                 "toy/1: 7 of 8 managed pages resident (pages lost or duplicated)",
-                "toy/2: 3 reserved frames for 2 queued or in-flight migrations",
-                "toy/3: 5 committed transactions but 4 batched shootdown pages"
+                "toy/2: a machine violation",
+                "toy/2: a tracked-set mismatch"
             ]
         );
 
-        let (f, code) = drive(Toy(vec![ok], ""), &dir);
+        let (f, code) = drive(Toy(vec![ok.clone()], ""), &dir);
         assert_eq!((f.len(), code), (1, 1), "{f:?}");
         assert!(f[0].contains("extra.txt failed: nothing to write"), "{f:?}");
 

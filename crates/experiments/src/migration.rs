@@ -23,9 +23,10 @@
 //! The `--smoke` gates, with the driver's invariant gate, assert the
 //! engine's robustness story: page conservation across induced aborts
 //! and failovers, double-entry reconciliation between per-tick transaction
-//! deltas and the engine's cumulative counters, and the read-mostly win —
+//! deltas and the engine's cumulative counters, the read-mostly win —
 //! under the write storm the transactional mode's app latency stays at
-//! or below the exclusive mode's.
+//! or below the exclusive mode's — and that the faults the exclusive mode
+//! ignores leave its cells equal to its baseline.
 //!
 //! Not a paper figure; see EXPERIMENTS.md ("Transactional migration") for
 //! recorded results and DESIGN.md §13 for the engine design.
@@ -284,7 +285,7 @@ pub fn run_cell(engine: EngineKind, stress: Stress, quick: bool) -> MigrationCel
         counters: exp.machine.migration_counters(),
         tick_sums: sums,
         fault_stats,
-        end: EndState::of(&exp.machine, &[ws]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, ws)]),
     }
 }
 
@@ -332,7 +333,11 @@ fn cell(cells: &[MigrationCell], engine: EngineKind, stress: Stress) -> &Migrati
 /// 4. the read-mostly win — under the write storm the transactional
 ///    engine's post-jump app latency is at or below the exclusive
 ///    engine's (5 % tolerance): non-exclusive copies keep migration off
-///    the app's critical path even while write-hot pages conflict.
+///    the app's critical path even while write-hot pages conflict;
+/// 5. ignored faults change nothing — the exclusive mode ignores write
+///    storms and channel stalls, so its write-storm and channel-stall
+///    cells equal its baseline cell in throughput, post-jump latency,
+///    migration counters and fault counters.
 pub fn smoke_failures(cells: &[MigrationCell]) -> Vec<String> {
     let mut fails = Vec::new();
     for c in cells {
@@ -390,6 +395,17 @@ pub fn smoke_failures(cells: &[MigrationCell]) -> Vec<String> {
         }
         _ => fails.push("write-storm cells saw no app traffic in the post-jump window".into()),
     }
+    let excl = cell(cells, EngineKind::Exclusive, Stress::Baseline);
+    let shape = |c: &MigrationCell| (c.ops_per_sec, c.post_latency_ns, c.counters, c.fault_stats);
+    for stress in [Stress::WriteStorm, Stress::ChannelStall] {
+        let c = cell(cells, EngineKind::Exclusive, stress);
+        if shape(c) != shape(excl) {
+            fails.push(format!(
+                "{} differs from {}, yet the exclusive mode ignores its faults",
+                c.name, excl.name
+            ));
+        }
+    }
     fails
 }
 
@@ -416,8 +432,8 @@ impl Harness for Matrix {
         run_cell(engine, stress, self.0.quick)
     }
 
-    fn end_state(outcome: &MigrationCell) -> EndState {
-        outcome.end
+    fn end_state(outcome: &MigrationCell) -> &EndState {
+        &outcome.end
     }
 
     fn finish(&mut self, results: Vec<(Self::Cell, MigrationCell)>, ctx: &mut Ctx) -> Vec<String> {
@@ -525,5 +541,17 @@ mod tests {
         cells[0].counters.completed = 7;
         let fails = smoke_failures(&cells);
         assert!(fails.iter().any(|f| f.contains("accounting leak")));
+        // An exclusive cell that an ignored fault moved trips gate 5.
+        cells[0].counters.completed = 0;
+        cells[4].ops_per_sec = 2.0;
+        let fails = smoke_failures(&cells);
+        let moved: Vec<&String> = fails.iter().filter(|f| f.contains("ignores")).collect();
+        assert_eq!(
+            moved,
+            [
+                "exclusive / channel-stall differs from exclusive / baseline, \
+              yet the exclusive mode ignores its faults"
+            ]
+        );
     }
 }

@@ -161,7 +161,10 @@ pub fn run_quickstart_observed() -> Observation {
         monitor,
         events: sink.with(|r| r.events()).unwrap_or_default(),
         t_end: exp.machine.now(),
-        end: EndState::of(&exp.machine, &[scenario.gups_config().ws_range()]),
+        end: EndState::of(
+            &exp.machine,
+            &[(&*exp.system, scenario.gups_config().ws_range())],
+        ),
     }
 }
 
@@ -217,14 +220,19 @@ pub fn run_colocation_observed(arbiter: bool, mut frame: Option<FrameSink<'_>>) 
     }
 
     let monitor = exp.colo.slo.take().expect("monitor was attached");
-    let ranges: Vec<_> = exp.colo.tenants.iter().map(|t| t.range.clone()).collect();
+    let systems: Vec<_> = exp
+        .colo
+        .tenants
+        .iter()
+        .map(|t| (&*t.system, t.range.clone()))
+        .collect();
     Observation {
         name: "ls-antagonist",
         hub,
         monitor,
         events: sink.with(|r| r.events()).unwrap_or_default(),
         t_end: exp.machine.now(),
-        end: EndState::of(&exp.machine, &ranges),
+        end: EndState::of(&exp.machine, &systems),
     }
 }
 
@@ -424,8 +432,8 @@ impl Harness for Observe {
         }
     }
 
-    fn end_state(outcome: &Observation) -> EndState {
-        outcome.end
+    fn end_state(outcome: &Observation) -> &EndState {
+        &outcome.end
     }
 
     fn finish(&mut self, results: Vec<(&'static str, Observation)>, ctx: &mut Ctx) -> Vec<String> {

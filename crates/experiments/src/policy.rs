@@ -355,7 +355,7 @@ pub fn run_cell(
         mean_tte,
         converged_shifts,
         total_shifts: shifts.len(),
-        end: EndState::of(&exp.machine, &[sc.ws_range()]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, sc.ws_range())]),
         signals: stats.signals,
         tracked: stats.tracked,
     }
@@ -511,7 +511,7 @@ pub fn swap_drill(sc: &PolicyScenario) -> SwapDrillReport {
     }
     SwapDrillReport {
         swapped,
-        end: EndState::of(&exp.machine, &[sc.ws_range()]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, sc.ws_range())]),
         swap_events,
         pages_reseeded,
         rank_churn,
@@ -690,8 +690,8 @@ impl Harness for ShootOut {
         run_cell(&self.sc, trace, kind, Some(policy))
     }
 
-    fn end_state(outcome: &PolicyCellScore) -> EndState {
-        outcome.end
+    fn end_state(outcome: &PolicyCellScore) -> &EndState {
+        &outcome.end
     }
 
     fn finish(

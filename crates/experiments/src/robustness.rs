@@ -135,7 +135,7 @@ pub fn run_cell(
     let sc = scenario(level, SimTime::from_us(100.0));
     let mut exp = build_gups(&sc, Policy::System { kind, colloid });
     let r = run_exp(&mut exp, &rc);
-    let end = EndState::of(&exp.machine, &[sc.gups_config().ws_range()]);
+    let end = EndState::of(&exp.machine, &[(&*exp.system, sc.gups_config().ws_range())]);
     (r, end)
 }
 
@@ -166,8 +166,8 @@ impl Harness for Matrix {
         run_cell(kind, colloid, level, self.0.quick)
     }
 
-    fn end_state(outcome: &Self::Outcome) -> EndState {
-        outcome.1
+    fn end_state(outcome: &Self::Outcome) -> &EndState {
+        &outcome.1
     }
 
     fn finish(&mut self, results: Vec<(Self::Cell, Self::Outcome)>, _: &mut Ctx) -> Vec<String> {

@@ -80,7 +80,7 @@ pub fn run_cell(kind: SystemKind, colloid: bool, quick: bool) -> CellOutcome {
         tte,
         accounting,
         inversions,
-        end: EndState::of(&exp.machine, &[sc.gups_config().ws_range()]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, sc.gups_config().ws_range())]),
     }
 }
 
@@ -151,8 +151,8 @@ impl Harness for Timeline {
         run_cell(SystemKind::Hemem, colloid, self.0.quick)
     }
 
-    fn end_state(outcome: &CellOutcome) -> EndState {
-        outcome.end
+    fn end_state(outcome: &CellOutcome) -> &EndState {
+        &outcome.end
     }
 
     /// Writes the NDJSON + CSV exports and renders each cell's timeline,

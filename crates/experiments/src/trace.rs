@@ -74,7 +74,7 @@ fn snapshot(
         series,
         dropped_spans,
         provenance,
-        end: EndState::of(&exp.machine, &[sc.gups_config().ws_range()]),
+        end: EndState::of(&exp.machine, &[(&*exp.system, sc.gups_config().ws_range())]),
     }
 }
 
@@ -160,8 +160,8 @@ impl Harness for Trace {
         }
     }
 
-    fn end_state(outcome: &TraceOutcome) -> EndState {
-        outcome.end
+    fn end_state(outcome: &TraceOutcome) -> &EndState {
+        &outcome.end
     }
 
     /// Writes the chrome trace and folded stacks of the contention cell

@@ -145,8 +145,8 @@ impl WriteConflictStorm {
 }
 
 /// A DMA-channel stall window: channel `channel` of the migration engine
-/// makes no copy progress in `[start, end)`. Ignored by the exclusive
-/// mode.
+/// makes no copy progress in `[start, end)`. The exclusive mode ignores
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelStall {
     /// The stalled channel (must be below the engine's channel count;
@@ -184,11 +184,13 @@ pub struct FaultPlan {
     pub tier_shrinks: Vec<TierShrink>,
     /// Migration-engine outage windows (hard fault); must not overlap.
     pub engine_outages: Vec<EngineOutage>,
-    /// Write-conflict storms against in-flight copy transactions (ignored
-    /// by the exclusive mode).
+    /// Write-conflict storms against in-flight copy transactions. The
+    /// exclusive mode has nothing for them to dirty, so
+    /// [`Machine::new`](crate::Machine::new) drops them from its plan.
     pub write_conflict_storms: Vec<WriteConflictStorm>,
-    /// DMA-channel stall windows (ignored by the exclusive mode); windows
-    /// on the same channel must not overlap.
+    /// DMA-channel stall windows; windows on the same channel must not
+    /// overlap. The exclusive mode ignores stalls, so
+    /// [`Machine::new`](crate::Machine::new) drops them from its plan.
     pub channel_stalls: Vec<ChannelStall>,
 }
 
@@ -198,7 +200,9 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Whether any fault is configured at all.
+    /// Whether any fault is configured at all. A machine's own plan
+    /// (`Machine::config().faults`) holds only the faults its engine mode
+    /// honours, so there this says whether the machine injects anything.
     pub fn is_active(&self) -> bool {
         self.counter_noise > 0.0
             || self.counter_stale_prob > 0.0

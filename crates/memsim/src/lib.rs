@@ -40,7 +40,7 @@ pub use faults::{
 };
 pub use machine::{
     AbortReason, AccessStream, CoreId, EnqueueError, FailedMigration, Machine, MigrationCounters,
-    MigrationGate, TickReport, TxnTickStats,
+    MigrationGate, TickReport, TxnTickStats, Violation,
 };
 pub use request::{
     AccessKind, HintFault, ObjectAccess, PebsSample, TierId, TrafficClass, Vpn, LINES_PER_PAGE,

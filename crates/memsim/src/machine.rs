@@ -30,7 +30,6 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simkit::rng::seed_from;
-use simkit::stats::LatencyHist;
 use simkit::{EventQueue, SimTime};
 
 use std::cell::RefCell;
@@ -90,7 +89,6 @@ struct Core {
     think_until: SimTime,
     wake_scheduled: bool,
     ops_completed: u64,
-    lines_issued_total: u64,
 }
 
 impl Core {
@@ -227,6 +225,16 @@ impl TierHw {
     }
 }
 
+/// `count × mean` of a latency sum, with the mean taken first: the order
+/// of the rounding is part of every pinned `true_latency_ns`.
+fn mean_times_count(count: u64, sum_ns: f64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum_ns / count as f64 * count as f64
+    }
+}
+
 /// Everything in the machine except the cores (split for borrow hygiene).
 struct Shared {
     cfg: MachineConfig,
@@ -237,6 +245,8 @@ struct Shared {
     placement: Vec<u8>,
     /// Pages that must never migrate (e.g. the antagonist's pinned buffer).
     pinned: Vec<bool>,
+    /// Pages [`Machine::place`] mapped; nothing unmaps a page.
+    placed: u64,
     used_pages: Vec<u64>,
     /// Usable frames per tier: starts at the configured capacity and only
     /// decreases, when a [`crate::TierShrink`] hard fault fires.
@@ -289,7 +299,9 @@ struct Shared {
     // Fault injection (no-op unless cfg.faults configures something).
     faults: FaultInjector,
     // Telemetry.
-    lat_hist: Vec<LatencyHist>,
+    /// Per-tier `(count, sum_ns)` of memory-read latencies, the source of
+    /// [`TickReport::true_latency_ns`].
+    lat_sum: Vec<(u64, f64)>,
     /// Event sink (disabled by default: zero-cost, no behavioral effect).
     sink: telemetry::Sink,
     hint_fault_cost: SimTime,
@@ -401,7 +413,8 @@ pub struct FailedMigration {
 }
 
 /// Cumulative migration-engine accounting since machine construction.
-/// The books must balance: `started == completed + aborted() + in_flight`.
+/// [`Machine::check_invariants`] holds `in_flight()` to the live copy
+/// jobs, and on the transactional mode `batched_pages` to `completed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationCounters {
     /// Migrations the engine accepted from the queue and began processing
@@ -462,6 +475,66 @@ pub struct TxnTickStats {
     pub failovers: u64,
     /// Batched shootdown flushes this tick.
     pub commit_batches: u64,
+}
+
+/// One disagreement between the machine's books and the state they
+/// summarise, found by [`Machine::check_invariants`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Violation {
+    /// The page table maps `mapped` pages to `tier`; its books count `used`.
+    Residency {
+        tier: TierId,
+        mapped: u64,
+        used: u64,
+    },
+    /// The page table maps `mapped` pages; `placed` were placed.
+    PagesLost { mapped: u64, placed: u64 },
+    /// `tier` holds `held` reserved frames for `copies` queued or live
+    /// copies bound there.
+    Reservations {
+        tier: TierId,
+        held: u64,
+        copies: u64,
+    },
+    /// Page `vpn` counts `count` pending migrations for `copies` queued or
+    /// live copies.
+    Pending { vpn: Vpn, count: u64, copies: u64 },
+    /// The ledger has `begun` copies and `ended` (completed or aborted)
+    /// ones, but `live` copy jobs run.
+    Ledger { begun: u64, ended: u64, live: u64 },
+    /// Transactional mode: `completed` commits, but `batched` pages went
+    /// through a shootdown batch.
+    Unbatched { completed: u64, batched: u64 },
+    /// `tier` holds `frames` resident and reserved frames, over its
+    /// configured capacity `cap`.
+    OverCapacity { tier: TierId, frames: u64, cap: u64 },
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use Violation::*;
+        match *self {
+            Residency { tier, mapped, used } => {
+                write!(f, "{tier:?} maps {mapped} pages, its books say {used}")
+            }
+            PagesLost { mapped, placed } => write!(f, "{mapped} pages mapped, {placed} placed"),
+            Reservations { tier, held, copies } => {
+                write!(f, "{tier:?} reserves {held} frames for {copies} copies")
+            }
+            Pending { vpn, count, copies } => {
+                write!(f, "page {vpn} counts {count} pending for {copies} copies")
+            }
+            Ledger { begun, ended, live } => {
+                write!(f, "{begun} copies begun, {ended} ended, {live} live")
+            }
+            Unbatched { completed, batched } => {
+                write!(f, "{completed} commits but {batched} batched")
+            }
+            OverCapacity { tier, frames, cap } => {
+                write!(f, "{tier:?} holds {frames} frames, over its {cap}")
+            }
+        }
+    }
 }
 
 /// Hardware counters and tracking data collected over one tick.
@@ -581,7 +654,7 @@ struct MachineMetrics {
 
 impl Machine {
     /// Builds an empty machine (no cores yet) from a configuration.
-    pub fn new(cfg: MachineConfig) -> Self {
+    pub fn new(mut cfg: MachineConfig) -> Self {
         if let Err(e) = cfg.engine.validate() {
             panic!("invalid MigrationEngineConfig: {e}");
         }
@@ -591,6 +664,13 @@ impl Machine {
                 "FaultPlan stalls channel {ch} but the engine has only {} channels",
                 cfg.engine.channels
             );
+        }
+        // The exclusive mode has no validate step for a storm to dirty and
+        // ignores channel stalls: its plan keeps only the faults it honours,
+        // so `config().faults` says what this machine injects.
+        if !cfg.engine.transactional {
+            cfg.faults.write_conflict_storms.clear();
+            cfg.faults.channel_stalls.clear();
         }
         let vp = cfg.virtual_pages as usize;
         let tiers = cfg
@@ -617,6 +697,7 @@ impl Machine {
             cha: Cha::new(n_tiers),
             placement: vec![u8::MAX; vp],
             pinned: vec![false; vp],
+            placed: 0,
             used_pages: vec![0; n_tiers],
             effective_capacity,
             marked: vec![false; vp],
@@ -641,7 +722,7 @@ impl Machine {
             txn_batch_override: None,
             txn_inflight_override: None,
             faults: FaultInjector::new(cfg.faults.clone(), cfg.seed, n_tiers),
-            lat_hist: vec![LatencyHist::new(); n_tiers],
+            lat_sum: vec![(0, 0.0); n_tiers],
             sink: telemetry::Sink::default(),
             hint_fault_cost: cfg.hint_fault_cost,
             llc_hit_latency: cfg.llc_hit_latency,
@@ -662,7 +743,9 @@ impl Machine {
         }
     }
 
-    /// The machine configuration.
+    /// The machine configuration. On the exclusive mode its fault plan
+    /// holds no write-conflict storms or channel stalls: the mode ignores
+    /// both, so [`Machine::new`] drops them.
     pub fn config(&self) -> &MachineConfig {
         &self.sh.cfg
     }
@@ -763,7 +846,6 @@ impl Machine {
             think_until: SimTime::ZERO,
             wake_scheduled: false,
             ops_completed: 0,
-            lines_issued_total: 0,
         });
         self.tick_core_tier_lines.push(vec![0; self.sh.tiers.len()]);
         // Kick the core off at the current time.
@@ -816,6 +898,7 @@ impl Machine {
             "tier {tier:?} out of capacity"
         );
         self.sh.placement[vpn as usize] = tier.0;
+        self.sh.placed += 1;
         self.sh.used_pages[tier.index()] += 1;
     }
 
@@ -991,8 +1074,7 @@ impl Machine {
         self.sh.mig_counters.completed
     }
 
-    /// Cumulative migration-engine accounting. The books always balance:
-    /// `started == completed + aborted() + in_flight()`.
+    /// Cumulative migration-engine accounting.
     pub fn migration_counters(&self) -> MigrationCounters {
         self.sh.mig_counters
     }
@@ -1033,6 +1115,79 @@ impl Machine {
         self.sh.txn_inflight_override.unwrap_or(ch).clamp(1, ch)
     }
 
+    // ---- Invariants ---------------------------------------------------------
+
+    /// Checks the machine's books against the state they summarise and
+    /// returns every disagreement (empty = consistent). These hold between
+    /// any two ticks:
+    ///
+    /// - per tier, the pages the page table maps there equal the tier's
+    ///   used frames, and all mapped pages equal the pages placed;
+    /// - per tier, the reserved frames equal the queued migrations and
+    ///   live copy jobs bound there, and per page the pending count equals
+    ///   its queued migrations and live copy jobs;
+    /// - the ledger's copies in flight equal the live copy jobs, and on the
+    ///   transactional mode every commit went through a shootdown batch;
+    /// - per tier, resident plus reserved frames stay within the configured
+    ///   capacity (a shrunk tier may hold more than its shrunk capacity
+    ///   until its evacuation completes).
+    ///
+    /// Debug builds run it after every [`Machine::run_tick`] and panic on
+    /// a violation.
+    pub fn check_invariants(&self) -> Vec<Violation> {
+        let sh = &self.sh;
+        let mut found = Vec::new();
+        let mut per_tier = vec![0u64; sh.tiers.len()];
+        for &t in sh.placement.iter().filter(|&&t| t != u8::MAX) {
+            per_tier[t as usize] += 1;
+        }
+        // Every queued migration and live copy job holds one frame at its
+        // destination and one pending count on its page.
+        let live: Vec<&MigJob> = sh.mig_jobs.iter().filter(|j| j.live).collect();
+        let mut bound = vec![0u64; sh.tiers.len()];
+        let mut per_page = vec![0u64; sh.mig_pending.len()];
+        let queued = sh.mig_queue.iter().map(|&(vpn, dst, _)| (vpn, dst));
+        for (vpn, dst) in queued.chain(live.iter().map(|j| (j.vpn, j.dst))) {
+            bound[dst.index()] += 1;
+            per_page[vpn as usize] += 1;
+        }
+        for (i, tier_cfg) in sh.cfg.tiers.iter().enumerate() {
+            let tier = TierId(i as u8);
+            let (mapped, used) = (per_tier[i], sh.used_pages[i]);
+            if mapped != used {
+                found.push(Violation::Residency { tier, mapped, used });
+            }
+            let (held, copies) = (sh.mig_inflight_to[i], bound[i]);
+            if held != copies {
+                found.push(Violation::Reservations { tier, held, copies });
+            }
+            let (frames, cap) = (used + held, tier_cfg.capacity_pages());
+            if frames > cap {
+                found.push(Violation::OverCapacity { tier, frames, cap });
+            }
+        }
+        let (mapped, placed) = (per_tier.iter().sum(), sh.placed);
+        if mapped != placed {
+            found.push(Violation::PagesLost { mapped, placed });
+        }
+        for (vpn, (&count, &copies)) in sh.mig_pending.iter().zip(&per_page).enumerate() {
+            let (vpn, count) = (vpn as Vpn, u64::from(count));
+            if count != copies {
+                found.push(Violation::Pending { vpn, count, copies });
+            }
+        }
+        let c = sh.mig_counters;
+        let (begun, ended, live) = (c.started, c.completed + c.aborted(), live.len() as u64);
+        if begun != ended + live {
+            found.push(Violation::Ledger { begun, ended, live });
+        }
+        let (completed, batched) = (c.completed, c.batched_pages);
+        if sh.cfg.engine.transactional && batched != completed {
+            found.push(Violation::Unbatched { completed, batched });
+        }
+        found
+    }
+
     // ---- Simulation loop --------------------------------------------------
 
     /// Runs the machine for `dur` of simulated time and reports what the
@@ -1052,11 +1207,11 @@ impl Machine {
                 .map(|i| self.sh.cha.snapshot(TierId(i as u8), t_start))
                 .collect()
         };
-        let hist_before: Vec<(u64, f64)> = self
+        let lat_before: Vec<(u64, f64)> = self
             .sh
-            .lat_hist
+            .lat_sum
             .iter()
-            .map(|h| (h.count(), h.mean_ns() * h.count() as f64))
+            .map(|&(n, sum)| (n, mean_times_count(n, sum)))
             .collect();
         let books = self.sh.mig_counters;
         self.tick_app_ops = 0;
@@ -1122,15 +1277,15 @@ impl Machine {
         let tiers = self.sh.faults.perturb_windows(tiers);
         let true_latency_ns = self
             .sh
-            .lat_hist
+            .lat_sum
             .iter()
-            .zip(hist_before.iter())
-            .map(|(h, (c0, sum0))| {
-                let dc = h.count() - c0;
-                if dc == 0 {
+            .zip(lat_before.iter())
+            .map(|(&(n, sum), (n0, sum0))| {
+                let dn = n - n0;
+                if dn == 0 {
                     None
                 } else {
-                    Some((h.mean_ns() * h.count() as f64 - sum0) / dc as f64)
+                    Some((mean_times_count(n, sum) - sum0) / dn as f64)
                 }
             })
             .collect();
@@ -1188,6 +1343,11 @@ impl Machine {
             evacuated,
         };
         self.record_tick_metrics(&report);
+        #[cfg(debug_assertions)]
+        {
+            let found = self.check_invariants();
+            assert!(found.is_empty(), "machine invariants broken: {found:?}");
+        }
         report
     }
 
@@ -1421,7 +1581,6 @@ impl Machine {
         } else {
             core.prefetch_free -= 1;
         }
-        core.lines_issued_total += 1;
 
         // LLC hit: never reaches memory.
         if llc_hit_prob > 0.0 && core.rng.gen::<f32>() < llc_hit_prob {
@@ -1466,7 +1625,9 @@ impl Machine {
 
         sh.cha.on_read_arrival(tier, t, core.class);
         let mem_done = sh.tiers[tier.index()].read(t, line_addr);
-        sh.lat_hist[tier.index()].record(mem_done.saturating_sub(t));
+        let lat = &mut sh.lat_sum[tier.index()];
+        lat.0 += 1;
+        lat.1 += mem_done.saturating_sub(t).as_ns();
         if fault_cost.is_zero() {
             sh.events.push(
                 mem_done,
@@ -1502,9 +1663,10 @@ impl Machine {
     // the destination as it returns (`mig_line_done`).
     //
     // The exclusive mode runs one channel with no in-flight cap. It arms no
-    // watchdog, ignores channel stalls and write storms, marks nothing
-    // dirty, and flips the mapping inside the event that lands the page's
-    // last line: no validation, no flush, no commit batch.
+    // watchdog, ignores channel stalls and write storms (`Machine::new`
+    // drops both from its plan), marks nothing dirty, and flips the mapping
+    // inside the event that lands the page's last line: no validation, no
+    // flush, no commit batch.
     //
     // The transactional mode runs up to `channels` concurrent copy
     // *transactions*: snapshot-copy → validate → batched-shootdown commit.
@@ -1524,15 +1686,6 @@ impl Machine {
             .faults
             .migration_bandwidth_at(self.sh.cfg.migration_bandwidth, t);
         SimTime::from_ns(PAGE_SIZE as f64 / bw * 1e9)
-    }
-
-    /// When the stall on channel `ch` at `t` lifts, if it is stalled. The
-    /// exclusive mode ignores channel stalls.
-    fn stalled_until(&self, ch: u32, t: SimTime) -> Option<SimTime> {
-        if !self.sh.cfg.engine.transactional {
-            return None;
-        }
-        self.sh.faults.channel_stalled_until(ch, t)
     }
 
     /// Schedules pickup events on idle channels while queued pages remain.
@@ -1556,7 +1709,7 @@ impl Machine {
         let _prof = simkit::profile::scope("machine.mig_engine");
         let txn = self.sh.cfg.engine.transactional;
         // A stalled channel takes nothing until its stall lifts.
-        if let Some(end) = self.stalled_until(ch, t) {
+        if let Some(end) = self.sh.faults.channel_stalled_until(ch, t) {
             self.sh.events.push(end, Ev::MigStart { ch });
             return;
         }
@@ -1659,7 +1812,7 @@ impl Machine {
         }
         // A stall freezes the channel mid-pass: reads defer to the stall's
         // end (the watchdog rescues the transaction before then).
-        if let Some(end) = self.stalled_until(job.channel, t) {
+        if let Some(end) = self.sh.faults.channel_stalled_until(job.channel, t) {
             self.sh.events.push(end, Ev::MigRead { job: job_id, epoch });
             return;
         }
@@ -1871,7 +2024,7 @@ impl Machine {
         }
         let channels = self.sh.mig_channel_free.len() as u32;
         let healthy = (0..channels)
-            .filter(|&c| self.stalled_until(c, t).is_none())
+            .filter(|&c| self.sh.faults.channel_stalled_until(c, t).is_none())
             .min_by_key(|&c| self.sh.mig_channel_free[c as usize]);
         let (Some(to), true) = (healthy, job.failovers < channels) else {
             // Every channel is stalled, or this transaction has already
@@ -2653,26 +2806,6 @@ mod tests {
         }
     }
 
-    /// Recounts placement and checks it against the used-page accounting:
-    /// no page lost or duplicated.
-    fn assert_pages_conserved(m: &Machine, expect_mapped: u64) {
-        let mut by_tier = vec![0u64; m.config().tiers.len()];
-        let mut mapped = 0u64;
-        for vpn in 0..m.config().virtual_pages {
-            if let Some(t) = m.tier_of(vpn) {
-                by_tier[t.index()] += 1;
-                mapped += 1;
-            }
-        }
-        assert_eq!(mapped, expect_mapped, "pages lost or duplicated");
-        for (i, &n) in by_tier.iter().enumerate() {
-            assert_eq!(
-                n, m.sh.used_pages[i],
-                "tier {i} used-page accounting diverged from placement"
-            );
-        }
-    }
-
     #[test]
     fn tier_shrink_evacuates_resident_pages() {
         let mut cfg = MachineConfig::icelake_two_tier();
@@ -2703,7 +2836,7 @@ mod tests {
             assert_eq!(m.tier_of(vpn), Some(TierId::ALTERNATE));
         }
         assert!(m.used_pages(TierId::DEFAULT) <= 16);
-        assert_pages_conserved(&m, 128);
+        assert_eq!(m.check_invariants(), []);
 
         // Later ticks: already applied, nothing further to do.
         let rep = m.run_tick(SimTime::from_us(100.0));
@@ -3145,5 +3278,84 @@ mod tests {
             assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
         }
         assert_eq!(a.migrated_pages(), b.migrated_pages());
+    }
+
+    /// A machine with pages on both tiers, copies queued and in flight and
+    /// some committed, so every book the checker reads is in use.
+    fn busy_machine(transactional: bool) -> Machine {
+        let mut cfg = if transactional {
+            txn_cfg()
+        } else {
+            MachineConfig::icelake_two_tier()
+        };
+        cfg.tiers[0].capacity_bytes = 128 * PAGE_SIZE;
+        let mut m = Machine::new(cfg);
+        m.place_range(0..64, TierId::DEFAULT);
+        m.place_range(64..96, TierId::ALTERNATE);
+        for vpn in 0..48 {
+            m.enqueue_migration(vpn, TierId::ALTERNATE).unwrap();
+        }
+        m.run_tick(SimTime::from_us(20.0));
+        let c = m.migration_counters();
+        assert!(m.migration_backlog() > 0 && c.in_flight() > 0 && c.completed > 0);
+        assert_eq!(m.check_invariants(), []);
+        m
+    }
+
+    /// Ticks a busy machine, bumps one book through `Shared`, and sees
+    /// exactly the violation that book's check reports.
+    #[test]
+    fn each_check_reports_exactly_its_corrupted_book() {
+        use Violation::*;
+        type Case = (bool, fn(&mut Shared), fn(&[Violation]) -> bool);
+        let cases: [Case; 8] = [
+            (
+                false,
+                |sh| sh.used_pages[1] += 1,
+                |f| matches!(f, [Residency { tier: TierId(1), mapped, used }] if *used == mapped + 1),
+            ),
+            (
+                false,
+                |sh| sh.placed += 1,
+                |f| matches!(f, [PagesLost { mapped, placed }] if *placed == mapped + 1),
+            ),
+            (
+                false,
+                |sh| sh.mig_inflight_to[1] += 1,
+                |f| matches!(f, [Reservations { tier: TierId(1), held, copies }] if *held == copies + 1),
+            ),
+            (
+                true,
+                |sh| sh.mig_pending[80] += 1,
+                |f| matches!(f, [Pending { vpn: 80, count, copies }] if *count == copies + 1),
+            ),
+            (
+                false,
+                |sh| sh.mig_counters.started += 1,
+                |f| matches!(f, [Ledger { begun, ended, live }] if *begun == ended + live + 1),
+            ),
+            (
+                true,
+                |sh| sh.mig_counters.batched_pages += 1,
+                |f| matches!(f, [Unbatched { completed, batched }] if *batched == completed + 1),
+            ),
+            (
+                false,
+                |sh| sh.cfg.tiers[0].capacity_bytes = PAGE_SIZE,
+                |f| matches!(f, [OverCapacity { tier: TierId(0), frames, cap: 1 }] if *frames > 1),
+            ),
+            // The exclusive mode batches nothing, so it keeps no batch books.
+            (
+                false,
+                |sh| sh.mig_counters.batched_pages += 1,
+                |f| f.is_empty(),
+            ),
+        ];
+        for (i, (transactional, corrupt, expected)) in cases.into_iter().enumerate() {
+            let mut m = busy_machine(transactional);
+            corrupt(&mut m.sh);
+            let found = m.check_invariants();
+            assert!(expected(&found), "case {i}: {found:?}");
+        }
     }
 }

@@ -162,9 +162,10 @@ fn build(engine: MigrationEngineConfig, faults: FaultPlan, seed: u64) -> Machine
 }
 
 proptest! {
-    /// No fault plan may lose or duplicate a page: at every tick each
-    /// working-set page is mapped to exactly one tier, the per-tier used
-    /// counts sum to the working set, and the engine's books balance.
+    /// No fault plan may lose or duplicate a page or leak a copy: every
+    /// `run_tick` checks the machine's books (`Machine::check_invariants`
+    /// runs after each tick in debug builds), and every started copy
+    /// retires within the horizon.
     #[test]
     fn pages_are_conserved_under_any_fault_plan(
         engine in engine(),
@@ -179,39 +180,14 @@ proptest! {
         let tick = SimTime::from_us(100.0);
         for _ in 0..MAX_TICKS {
             let rep = m.run_tick(tick);
-            // Mid-run, every page is mapped to exactly one tier; the
-            // per-tier used counts may legitimately exceed the working
-            // set while in-flight destination reservations are held.
-            for v in 0..PAGES {
-                prop_assert!(m.tier_of(v).is_some(), "page {} lost mid-run", v);
-            }
-            let c = m.migration_counters();
-            prop_assert_eq!(c.started, c.completed + c.aborted() + c.in_flight());
-            // An aborted page is intact at its source: still mapped.
-            for f in &rep.failed_migrations {
-                prop_assert!(m.tier_of(f.vpn).is_some(), "aborted page unmapped");
-            }
-            if rep.migration_backlog == 0 && c.in_flight() == 0 {
+            if rep.migration_backlog == 0 && m.migration_counters().in_flight() == 0 {
                 break;
             }
         }
-        for v in 0..PAGES {
-            prop_assert!(m.tier_of(v).is_some(), "page {} lost", v);
-        }
+        prop_assert_eq!(m.check_invariants(), vec![]);
         let c = m.migration_counters();
         prop_assert_eq!(c.in_flight(), 0, "transactions leaked past the horizon");
-        // With nothing in flight the reservations are all released, so the
-        // per-tier used counts must sum exactly to the working set: no
-        // page was duplicated into a second frame.
-        prop_assert_eq!(
-            m.used_pages(TierId::DEFAULT) + m.used_pages(TierId::ALTERNATE),
-            PAGES
-        );
-        prop_assert_eq!(c.completed + c.aborted(), c.started);
-        if m.config().engine.transactional {
-            // Every committed transaction went through a shootdown batch.
-            prop_assert_eq!(c.batched_pages, c.completed);
-        } else {
+        if !m.config().engine.transactional {
             // The exclusive mode never batches, retries, fails over or
             // aborts at the watchdog.
             prop_assert_eq!(

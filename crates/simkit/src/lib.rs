@@ -9,9 +9,9 @@
 //!   stable FIFO ordering among same-timestamp events.
 //! - [`rng`]: seeded, splittable pseudo-random number helpers plus a Zipfian
 //!   sampler (used by the YCSB-style workloads).
-//! - [`stats`]: statistics primitives used throughout the simulator and the
-//!   Colloid controller — EWMA smoothing, time-weighted averages, windowed
-//!   rate meters, online mean/variance, and log-bucketed latency histograms.
+//! - [`stats`]: the statistics primitives the simulator and the Colloid
+//!   controller are built from — EWMA smoothing and time-weighted
+//!   averages.
 //! - [`profile`]: an opt-in wall-clock profiler for the simulator's own hot
 //!   paths (scoped timers aggregated into a self/total table).
 //!

@@ -7,8 +7,6 @@
 //!   occupancy and rate measurements with EWMA (paper §3.1).
 //! - [`TimeIntegrator`]: time-weighted integral of a step function — this is
 //!   exactly what a CHA occupancy counter accumulates in hardware.
-//! - [`OnlineStats`]: streaming mean/variance/min/max (Welford).
-//! - [`LatencyHist`]: log-bucketed latency histogram with quantile queries.
 
 use crate::time::SimTime;
 
@@ -141,182 +139,6 @@ impl TimeIntegrator {
     }
 }
 
-/// Streaming mean/variance/min/max via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        if self.n == 1 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0.0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0.0 if fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (0.0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0.0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
-/// Log-bucketed latency histogram over [`SimTime`] samples.
-///
-/// Buckets grow geometrically (12.5 % per step), covering 1 ns to ~100 µs
-/// with ~1 % relative quantile error — plenty for memory-latency shapes.
-#[derive(Debug, Clone)]
-pub struct LatencyHist {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: f64,
-}
-
-const HIST_BASE_NS: f64 = 1.0;
-const HIST_GROWTH: f64 = 1.125;
-const HIST_BUCKETS: usize = 128;
-
-impl LatencyHist {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        LatencyHist {
-            buckets: vec![0; HIST_BUCKETS],
-            count: 0,
-            sum_ns: 0.0,
-        }
-    }
-
-    fn bucket_of(ns: f64) -> usize {
-        if ns <= HIST_BASE_NS {
-            return 0;
-        }
-        let idx = (ns / HIST_BASE_NS).log(HIST_GROWTH).floor() as usize;
-        idx.min(HIST_BUCKETS - 1)
-    }
-
-    fn bucket_upper_ns(idx: usize) -> f64 {
-        HIST_BASE_NS * HIST_GROWTH.powi(idx as i32 + 1)
-    }
-
-    /// Records one latency sample.
-    pub fn record(&mut self, lat: SimTime) {
-        let ns = lat.as_ns();
-        self.buckets[Self::bucket_of(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency in nanoseconds (exact, not bucketed).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns / self.count as f64
-        }
-    }
-
-    /// Approximate `q`-quantile (`0.0..=1.0`) in nanoseconds.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return Self::bucket_upper_ns(i);
-            }
-        }
-        Self::bucket_upper_ns(HIST_BUCKETS - 1)
-    }
-
-    /// Clears all samples.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum_ns = 0.0;
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHist) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-    }
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,76 +212,5 @@ mod tests {
         // Empty interval yields zero, not NaN.
         let z = TimeIntegrator::mean_between(5.0, 5.0, SimTime::ZERO, SimTime::ZERO);
         assert_eq!(z, 0.0);
-    }
-
-    #[test]
-    fn online_stats_mean_var() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.mean(), 5.0);
-        assert!((s.variance() - 4.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn online_stats_empty_is_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-    }
-
-    #[test]
-    fn hist_mean_is_exact() {
-        let mut h = LatencyHist::new();
-        h.record(SimTime::from_ns(70.0));
-        h.record(SimTime::from_ns(130.0));
-        assert_eq!(h.mean_ns(), 100.0);
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn hist_quantiles_are_close() {
-        let mut h = LatencyHist::new();
-        for i in 1..=1000 {
-            h.record(SimTime::from_ns(i as f64));
-        }
-        let p50 = h.quantile_ns(0.5);
-        assert!((p50 - 500.0).abs() / 500.0 < 0.15, "p50 = {p50}");
-        let p99 = h.quantile_ns(0.99);
-        assert!((p99 - 990.0).abs() / 990.0 < 0.15, "p99 = {p99}");
-    }
-
-    #[test]
-    fn hist_merge_adds_counts() {
-        let mut a = LatencyHist::new();
-        let mut b = LatencyHist::new();
-        a.record(SimTime::from_ns(10.0));
-        b.record(SimTime::from_ns(30.0));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean_ns(), 20.0);
-    }
-
-    #[test]
-    fn hist_reset_clears() {
-        let mut h = LatencyHist::new();
-        h.record(SimTime::from_ns(10.0));
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean_ns(), 0.0);
-    }
-
-    #[test]
-    fn hist_extremes_clamp() {
-        let mut h = LatencyHist::new();
-        h.record(SimTime::from_ns(0.1));
-        h.record(SimTime::from_ms(10.0));
-        assert_eq!(h.count(), 2);
-        assert!(h.quantile_ns(1.0) > 0.0);
     }
 }

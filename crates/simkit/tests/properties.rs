@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simkit::rng::{seed_from, ScrambledZipf, Zipf};
-use simkit::stats::{LatencyHist, OnlineStats, TimeIntegrator};
+use simkit::stats::TimeIntegrator;
 use simkit::{EventQueue, SimTime};
 
 proptest! {
@@ -53,24 +53,6 @@ proptest! {
         }
     }
 
-    /// Histogram quantiles are monotone in q and bracket the sample range
-    /// within bucket resolution.
-    #[test]
-    fn hist_quantiles_monotone(samples in prop::collection::vec(1.0f64..50_000.0, 1..300)) {
-        let mut h = LatencyHist::new();
-        for &s in &samples {
-            h.record(SimTime::from_ns(s));
-        }
-        let mut prev = 0.0;
-        for i in 0..=10 {
-            let q = h.quantile_ns(i as f64 / 10.0);
-            prop_assert!(q >= prev, "quantile not monotone: {q} < {prev}");
-            prev = q;
-        }
-        let max = samples.iter().cloned().fold(0.0, f64::max);
-        prop_assert!(h.quantile_ns(1.0) >= max * 0.85);
-    }
-
     /// The time integrator equals a step-function integral computed naively.
     #[test]
     fn integrator_matches_naive(steps in prop::collection::vec((1u64..100, 0.0f64..50.0), 1..100)) {
@@ -89,19 +71,6 @@ proptest! {
         let total = i.integral_at(SimTime::from_ps(t + 1_000));
         // integral_at works in ns; our naive sum is in value*ps.
         prop_assert!((total - naive / 1_000.0).abs() < 1e-6);
-    }
-
-    /// Welford mean matches the naive mean.
-    #[test]
-    fn online_stats_match_naive(xs in prop::collection::vec(-1e6f64..1e6, 1..200)) {
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
-        prop_assert_eq!(s.count(), xs.len() as u64);
-        prop_assert!(s.min() <= s.mean() + 1e-9 && s.mean() <= s.max() + 1e-9);
     }
 
     /// seed_from is a pure function of (seed, stream).

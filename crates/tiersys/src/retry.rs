@@ -17,9 +17,11 @@
 //! machine has an active [`FaultPlan`](memsim::FaultPlan). On a fault-free
 //! machine a transient rejection keeps the legacy drop-on-reject semantics
 //! (counted in [`RetryStats::uncaptured`]), so every fault-free experiment
-//! is bit-identical with and without the retry layer. In-flight failures
-//! can only be produced by fault injection, so ingesting them needs no
-//! gate.
+//! is bit-identical with and without the retry layer. The machine's plan
+//! holds only faults it injects (the exclusive engine mode drops write
+//! storms and channel stalls, which it ignores), so a fault that never
+//! happens does not engage capture either. In-flight failures can only be
+//! produced by fault injection, so ingesting them needs no gate.
 //!
 //! [`Machine::enqueue_migration`]: memsim::Machine::enqueue_migration
 //! [`TickReport::failed_migrations`]: memsim::TickReport

@@ -461,37 +461,12 @@ mod conservation_under_churn {
         }
     }
 
-    /// Every managed page resident in exactly one tier, no tier over its
-    /// (possibly shrunk) capacity.
-    fn assert_conserved(m: &Machine, ws: u64, ctx: &str) -> Result<(), TestCaseError> {
-        let mut per_tier = vec![0u64; m.config().tiers.len()];
-        for vpn in APP_BASE..APP_BASE + ws {
-            match m.tier_of(vpn) {
-                Some(t) => per_tier[usize::from(t.0)] += 1,
-                None => {
-                    return Err(TestCaseError::Fail(format!(
-                        "{ctx}: page {vpn} lost (not resident in any tier)"
-                    )))
-                }
-            }
-        }
-        for (i, &n) in per_tier.iter().enumerate() {
-            prop_assert!(
-                n <= m.capacity_pages(TierId(i as u8)),
-                "{}: tier {} holds {} pages, over its capacity",
-                ctx,
-                i,
-                n
-            );
-        }
-        Ok(())
-    }
-
     proptest! {
         /// Any system × any starting policy × any swap target, on a
         /// three-tier machine with a tier-shrink hard fault (forced
         /// evacuation) landing mid-run and a policy hot-swap right after:
-        /// pages are conserved at every checkpoint, and heat stays
+        /// pages are conserved at every tick, no tier is over its
+        /// (possibly shrunk) capacity at a checkpoint, and heat stays
         /// finite for every managed page.
         #[test]
         fn shrink_and_swap_conserve_pages(
@@ -547,22 +522,31 @@ mod conservation_under_churn {
                 system.on_tick(m, &rep);
                 rep
             };
+            // The machine checks its own books after every tick. A shrunk
+            // tier may hold more than its new capacity while an evacuation
+            // is deferred, so that bound is checked here, at checkpoints.
+            let within_capacity = |m: &Machine| {
+                (0..3).map(TierId).all(|t| m.used_pages(t) <= m.capacity_pages(t))
+            };
 
             for tick in 0..40 {
                 step(&mut system, &mut m);
                 if tick % 10 == 9 {
-                    assert_conserved(&m, ws, &format!("tick {tick}"))?;
+                    prop_assert!(within_capacity(&m), "tick {}: a tier is over capacity", tick);
                 }
             }
             // Hot-swap after the shrink has landed and its evacuation
             // backlog has been absorbed.
             prop_assert!(system.swap_policy(PolicyKind::ALL[target_idx]));
             prop_assert_eq!(system.policy_kind(), Some(PolicyKind::ALL[target_idx]));
-            assert_conserved(&m, ws, "post-swap")?;
             for tick in 0..30 {
                 step(&mut system, &mut m);
                 if tick % 10 == 9 {
-                    assert_conserved(&m, ws, &format!("post-swap tick {tick}"))?;
+                    prop_assert!(
+                        within_capacity(&m),
+                        "post-swap tick {}: a tier is over capacity",
+                        tick
+                    );
                     for vpn in APP_BASE..APP_BASE + ws {
                         let h = system.heat_of(vpn);
                         prop_assert!(h.is_finite() && h >= 0.0);

@@ -212,47 +212,13 @@ mod n_tier_conservation {
         }
     }
 
-    /// Every page accounted for: each managed page resident in exactly one
-    /// tier (that is what `tier_of` can report), every pinned antagonist
-    /// page still on the local tier, and no tier over its capacity.
-    fn assert_conserved(m: &Machine, ws: u64, ctx: &str) -> Result<(), TestCaseError> {
-        let mut per_tier = vec![0u64; m.config().tiers.len()];
-        for vpn in (0..ANTAGONIST_PAGES).chain(APP_BASE..APP_BASE + ws) {
-            match m.tier_of(vpn) {
-                Some(t) => per_tier[usize::from(t.0)] += 1,
-                None => {
-                    return Err(TestCaseError::Fail(format!(
-                        "{ctx}: page {vpn} lost (not resident in any tier)"
-                    )))
-                }
-            }
-        }
-        for vpn in 0..ANTAGONIST_PAGES {
-            prop_assert_eq!(
-                m.tier_of(vpn),
-                Some(TierId(0)),
-                "{}: pinned page {} moved",
-                ctx,
-                vpn
-            );
-        }
-        for (i, (&n, t)) in per_tier.iter().zip(m.config().tiers.iter()).enumerate() {
-            prop_assert!(
-                n <= t.capacity_bytes / PAGE_SIZE,
-                "{}: tier {} holds {} pages, over its capacity",
-                ctx,
-                i,
-                n
-            );
-        }
-        Ok(())
-    }
-
     proptest! {
         /// Across every tiering system ± Colloid on a three-tier chain, a
         /// mid-run antagonist storm on the local tier never loses, forks,
         /// or overflows a page: one-hop promotion/demotion and the room-
-        /// making spills conserve the page population at every step.
+        /// making spills conserve the page population at every step
+        /// (`run_tick` checks the machine's invariants in debug builds),
+        /// and the pinned antagonist buffer never moves.
         #[test]
         fn contention_shift_conserves_pages_on_three_tiers(
             kind_idx in 0usize..3,
@@ -304,7 +270,15 @@ mod n_tier_conservation {
                 let rep = m.run_tick(SimTime::from_us(100.0));
                 system.on_tick(&mut m, &rep);
                 if tick % 10 == 9 {
-                    assert_conserved(&m, ws, &format!("pre-shift tick {tick}"))?;
+                    for vpn in 0..ANTAGONIST_PAGES {
+                        prop_assert_eq!(
+                            m.tier_of(vpn),
+                            Some(TierId(0)),
+                            "pre-shift tick {}: pinned page {} moved",
+                            tick,
+                            vpn
+                        );
+                    }
                 }
             }
             for &id in &antagonists {
@@ -314,7 +288,15 @@ mod n_tier_conservation {
                 let rep = m.run_tick(SimTime::from_us(100.0));
                 system.on_tick(&mut m, &rep);
                 if tick % 10 == 9 {
-                    assert_conserved(&m, ws, &format!("post-shift tick {tick}"))?;
+                    for vpn in 0..ANTAGONIST_PAGES {
+                        prop_assert_eq!(
+                            m.tier_of(vpn),
+                            Some(TierId(0)),
+                            "post-shift tick {}: pinned page {} moved",
+                            tick,
+                            vpn
+                        );
+                    }
                 }
             }
         }
