@@ -1,9 +1,10 @@
 //! The perf-trajectory observatory's baseline format.
 //!
-//! Four harnesses (`colocation`, `migration`, `gauntlet`, `policy`) each
-//! name a pinned set of quick cells ([`crate::grid::Harness::bench`]);
-//! the grid driver times them and renders a committed `BENCH_<name>.json`
-//! at the repo root (`grid <name> --bench`). `grid --drift` regenerates
+//! Five harnesses (`colocation`, `migration`, `gauntlet`, `policy`,
+//! `multitier`) each name a pinned set of quick cells
+//! ([`crate::grid::Harness::bench`]); the grid driver times them and
+//! renders a committed `BENCH_<name>.json` at the repo root
+//! (`grid <name> --bench`). `grid --drift` regenerates
 //! every declared baseline fresh and compares it against the committed
 //! file:
 //!

@@ -22,11 +22,13 @@
 //!   priority: floors protect the latency-sensitive tenant, ceilings
 //!   and hooks (rate cap + ping-pong suppression) muzzle the batch one.
 //!
-//! The runner here is deliberately not [`crate::runner::run`] (that path
-//! is pinned by the two-tier goldens); its own single-tenant digest gate
-//! instead pins that the `Colocation` wrapper is behaviourally inert:
-//! one tenant, no arbiter, must be bit-identical to driving the tiering
-//! system directly, and to the committed golden digest.
+//! Cells tick through [`ColoExperiment::step`], not
+//! [`crate::runner::run`]: a tick here drives `Colocation::on_tick`
+//! (the QoS arbiter and every tenant's tiering system), not one system.
+//! The single-tenant digest gate pins that the `Colocation` wrapper is
+//! behaviourally inert: one tenant, no arbiter, must be bit-identical to
+//! driving the tiering system directly, and to the committed golden
+//! digest.
 
 use memsim::{CoreConfig, Machine, MachineConfig, TickReport, TrafficClass, Vpn, PAGE_SIZE};
 use simkit::SimTime;
@@ -217,7 +219,9 @@ pub struct ColoExperiment {
 }
 
 impl ColoExperiment {
-    /// One machine tick + the colocation reaction.
+    /// One machine tick + the colocation reaction. Its own tick function
+    /// rather than [`crate::Experiment::step`]: it drives
+    /// `Colocation::on_tick` over every tenant, not one tiering system.
     pub fn step(&mut self) -> TickReport {
         let report = self.machine.run_tick(self.tick);
         self.colo

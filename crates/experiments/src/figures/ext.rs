@@ -128,7 +128,7 @@ fn render(_quick: bool, runs: &Runs) -> String {
     let mut t = Table::new(vec!["eps", "delta", "Mops/s", "L_D/L_A"]);
     for (eps, delta) in EPSILON_DELTA {
         let r = runs.gups(sensitivity_run((eps, delta)));
-        let gap = match (r.l_default_ns, r.l_alternate_ns) {
+        let gap = match (r.latency_ns[0], r.latency_ns[1]) {
             (Some(d), Some(a)) => format!("{:.2}", d / a),
             _ => "-".into(),
         };

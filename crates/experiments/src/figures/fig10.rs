@@ -10,8 +10,8 @@ use tiersys::SystemKind;
 
 use super::fig9::Dynamic;
 use super::{Figure, Runs, Sim};
-use crate::report::series;
 use crate::scenario::Policy;
+use telemetry::render::series;
 
 /// Figure 10.
 pub const FIGURE: Figure = Figure { sims, render };

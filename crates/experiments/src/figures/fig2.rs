@@ -33,8 +33,8 @@ fn render(quick: bool, runs: &Runs) -> String {
         let mut row = vec![p.name()];
         for &i in &is {
             let r = runs.gups(Gups::of(i, p));
-            row.push(ns(r.l_default_ns));
-            row.push(ns(r.l_alternate_ns));
+            row.push(ns(r.latency_ns[0]));
+            row.push(ns(r.latency_ns[1]));
         }
         t.row(row);
     }
@@ -46,13 +46,13 @@ fn render(quick: bool, runs: &Runs) -> String {
     for &i in &is {
         // Use the HeMem run as representative (all pack the hot set).
         let r = runs.gups(Gups::of(i, system_policies(false)[0]));
-        if let Some(l) = r.l_default_ns {
+        if let Some(l) = r.latency_ns[0] {
             out.push_str(&format!(
                 "{}: L_D = {:.0} ns = {:.1}x unloaded, {:.2}x of L_A\n",
                 intensity_label(i),
                 l,
                 l / 70.0,
-                l / r.l_alternate_ns.unwrap_or(f64::NAN)
+                l / r.latency_ns[1].unwrap_or(f64::NAN)
             ));
         }
     }

@@ -33,9 +33,9 @@ fn render(quick: bool, runs: &Runs) -> String {
         let mut row = vec![p.name()];
         for &i in &is {
             let r = runs.gups(Gups::of(i, p));
-            row.push(ns(r.l_default_ns));
-            row.push(ns(r.l_alternate_ns));
-            match (r.l_default_ns, r.l_alternate_ns) {
+            row.push(ns(r.latency_ns[0]));
+            row.push(ns(r.latency_ns[1]));
+            match (r.latency_ns[0], r.latency_ns[1]) {
                 (Some(d), Some(a)) => row.push(format!("{:.2}x", d / a)),
                 _ => row.push("-".into()),
             }

@@ -14,8 +14,8 @@
 use simkit::SimTime;
 
 use super::{all_system_policies, Figure, Runs, Sim};
-use crate::report::series;
 use crate::scenario::GupsScenario;
+use telemetry::render::series;
 
 /// Figure 9.
 pub const FIGURE: Figure = Figure { sims, render };

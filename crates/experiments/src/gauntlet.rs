@@ -426,7 +426,7 @@ pub fn run_cell(
     fixture: Option<&Arc<Trace>>,
 ) -> Result<CellScore, workloads::ReplayError> {
     let mut exp = build_cell(sc, tkind, id, fixture)?;
-    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, sc.run_ticks));
+    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, 0));
     let r = run_exp(&mut exp, &RunConfig::timeline(sc.run_ticks));
     let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
     Ok(score_run(
@@ -484,9 +484,39 @@ pub fn render(sc: &GauntletScenario, outcome: &GauntletOutcome) -> String {
 
 /// Bit-faithful digest of a [`RunResult`]: every field (series included)
 /// participates via its shortest-round-trip `Debug` form, so two digests
-/// are equal iff the runs produced identical numbers.
+/// are equal iff the runs produced identical numbers. The hashed text
+/// keeps the shape the committed digests were taken over, which named
+/// each tier's latency as a field (`l_default_ns`, `l_alternate_ns`, then
+/// `l_tier<i>_ns`).
 pub fn run_digest(r: &RunResult) -> String {
-    format!("{:016x}", fnv1a(FNV_OFFSET, format!("{r:?}").as_bytes()))
+    let RunResult {
+        ops_per_sec,
+        latency_ns,
+        bytes_by_tier_class,
+        measure_duration,
+        warmup_ticks_used,
+        fault_stats,
+        retry_stats,
+        supervision,
+        migration,
+        series,
+    } = r;
+    let mut text = format!("RunResult {{ ops_per_sec: {ops_per_sec:?}, ");
+    for (i, l) in latency_ns.iter().enumerate() {
+        let name = match i {
+            0 => "l_default_ns".to_string(),
+            1 => "l_alternate_ns".to_string(),
+            _ => format!("l_tier{i}_ns"),
+        };
+        text.push_str(&format!("{name}: {l:?}, "));
+    }
+    text.push_str(&format!(
+        "bytes_by_tier_class: {bytes_by_tier_class:?}, measure_duration: {measure_duration:?}, \
+         warmup_ticks_used: {warmup_ticks_used:?}, fault_stats: {fault_stats:?}, \
+         retry_stats: {retry_stats:?}, supervision: {supervision:?}, migration: {migration:?}, \
+         series: {series:?} }}"
+    ));
+    format!("{:016x}", fnv1a(FNV_OFFSET, text.as_bytes()))
 }
 
 /// Everything the record → export → import → replay proof produced.
@@ -530,7 +560,7 @@ fn run_capture_shape(
     ticks: usize,
 ) -> (RunResult, String) {
     let mut exp = capture_shape(sc, stream);
-    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, ticks));
+    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, 0));
     let r = run_exp(&mut exp, &RunConfig::timeline(ticks));
     let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
     (r, telemetry::events_to_ndjson(&events))

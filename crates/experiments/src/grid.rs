@@ -461,7 +461,7 @@ mod tests {
             panic!("a misspelled --drift name must not parse");
         };
         assert!(
-            e.ends_with("valid: colocation, migration, gauntlet, policy"),
+            e.ends_with("valid: multitier, colocation, migration, gauntlet, policy"),
             "{e}"
         );
         // A harness without bench cells is no drift selector either.

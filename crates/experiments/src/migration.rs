@@ -232,7 +232,9 @@ pub fn build_cell(engine: EngineKind, stress: Stress, quick: bool) -> Experiment
 }
 
 /// Runs one cell end to end, accumulating both sides of the accounting
-/// ledger tick by tick.
+/// ledger tick by tick. Its own [`crate::Experiment::step`] loop rather
+/// than [`crate::runner::run`]: the smoke gate reconciles the summed
+/// per-tick [`memsim::TickReport::txn`] against the engine's counters.
 pub fn run_cell(engine: EngineKind, stress: Stress, quick: bool) -> MigrationCell {
     let mut exp = build_cell(engine, stress, quick);
     let tick = exp.tick;

@@ -15,18 +15,18 @@
 //!   latency-balancing direction along each adjacent pair, converging
 //!   towards equal per-tier access latencies.
 //!
-//! The runner here is deliberately not [`crate::runner::run`]: that
-//! measurement path (and its [`crate::TickSample`]) is pinned by the
-//! two-tier golden outputs, while this loop measures *every* tier of the
-//! chain.
+//! Each cell runs through [`crate::runner::run`] with a fixed warm-up (the
+//! pre-shift and convergence ticks) and reads every tier of the chain
+//! from its [`crate::RunResult`].
 
 use memsim::{CoreConfig, Machine, MachineConfig, TierId, TrafficClass, Vpn, PAGE_SIZE};
 use simkit::SimTime;
 use tiersys::{build_system, ColloidParams, SystemKind};
 use workloads::{AntagonistConfig, AntagonistStream, GupsConfig, GupsStream};
 
-use crate::grid::{Ctx, EndState, Harness, Opts};
+use crate::grid::{Bench, Ctx, EndState, Harness, Opts};
 use crate::report::{engine_suffix, Table};
+use crate::runner::{run, RunConfig};
 use crate::scenario::{fill_down, system_params, Experiment};
 
 /// First page of the antagonist's pinned buffer.
@@ -236,52 +236,33 @@ pub fn run_cell(
     transactional: bool,
 ) -> MultiTierResult {
     let mut exp = build(sc, kind, colloid, transactional);
-    let n_tiers = exp.machine.config().tiers.len();
     let name = format!("{}{}", exp.system.name(), engine_suffix(transactional));
-
-    for _ in 0..sc.warmup_ticks + sc.converge_ticks {
-        exp.step();
-    }
-
-    let mut lat_sum = vec![0.0f64; n_tiers];
-    let mut lat_n = vec![0u32; n_tiers];
-    let mut app_bytes = vec![0u64; n_tiers];
-    let mut ops_total = 0u64;
-    let t_begin = exp.machine.now();
-    let app = TrafficClass::App.index();
-    for _ in 0..sc.measure_ticks {
-        let report = exp.step();
-        ops_total += report.app_ops;
-        for i in 0..n_tiers {
-            if let Some(l) = report.littles_latency_ns(TierId(i as u8)) {
-                lat_sum[i] += l;
-                lat_n[i] += 1;
-            }
-            app_bytes[i] += report.tiers[i].bytes_by_class[app];
-        }
-    }
-    let dur = exp.machine.now().saturating_sub(t_begin);
-
-    let total_app: u64 = app_bytes.iter().sum();
-    let tiers = (0..n_tiers)
-        .map(|i| TierObservation {
-            latency_ns: (lat_n[i] > 0).then(|| lat_sum[i] / f64::from(lat_n[i])),
-            app_share: if total_app > 0 {
-                app_bytes[i] as f64 / total_app as f64
-            } else {
-                0.0
-            },
+    let warmup = sc.warmup_ticks + sc.converge_ticks;
+    let r = run(
+        &mut exp,
+        &RunConfig {
+            min_warmup_ticks: warmup,
+            max_warmup_ticks: warmup,
+            measure_ticks: sc.measure_ticks,
+            window: usize::MAX,
+            tolerance: 0.0,
+            collect_series: false,
+        },
+    );
+    let tiers = r
+        .latency_ns
+        .iter()
+        .zip(r.app_shares())
+        .map(|(&latency_ns, app_share)| TierObservation {
+            latency_ns,
+            app_share,
         })
         .collect();
     MultiTierResult {
         system: name,
         tiers,
-        ops_per_sec: if dur.as_secs() > 0.0 {
-            ops_total as f64 / dur.as_secs()
-        } else {
-            0.0
-        },
-        migration: exp.machine.migration_counters(),
+        ops_per_sec: r.ops_per_sec,
+        migration: r.migration,
         end: EndState::of(&exp.machine, &[(&*exp.system, sc.ws_range())]),
     }
 }
@@ -410,6 +391,33 @@ impl Harness for Grid {
             ctx.failures.extend(smoke_failures(&results));
         }
         vec![render(&results)]
+    }
+
+    fn bench(&self) -> Option<Bench<Self::Cell>> {
+        let sc = MultiTierScenario::paper_default(true);
+        Some(Bench {
+            scenario:
+                "three-tier contention shift, HeMem vs HeMem+Colloid, exclusive engine (quick axis)"
+                    .into(),
+            ticks: sc.warmup_ticks + sc.converge_ticks + sc.measure_ticks,
+            pinned: |&(kind, _, transactional)| kind == SystemKind::Hemem && !transactional,
+        })
+    }
+
+    fn bench_fields(&self, r: &MultiTierResult) -> Vec<(&'static str, f64)> {
+        const LATENCY: [&str; 3] = ["l0_ns", "l1_ns", "l2_ns"];
+        const SHARE: [&str; 3] = ["share0", "share1", "share2"];
+        let mut fields = Vec::new();
+        for (i, t) in r.tiers.iter().enumerate() {
+            fields.push((LATENCY[i], t.latency_ns.unwrap_or(f64::NAN)));
+            fields.push((SHARE[i], t.app_share));
+        }
+        fields.extend([
+            ("mops_per_sec", r.ops_per_sec / 1e6),
+            ("completed", r.migration.completed as f64),
+            ("resident_pages", r.end.resident as f64),
+        ]);
+        fields
     }
 }
 

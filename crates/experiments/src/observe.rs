@@ -131,7 +131,7 @@ pub fn run_quickstart_observed() -> Observation {
             colloid: true,
         },
     );
-    let sink = telemetry::Sink::ring(1 << 14, 8);
+    let sink = telemetry::Sink::ring(1 << 14, 0);
     exp.attach_telemetry(sink.clone());
     let hub = MetricsHub::new();
     exp.attach_metrics(hub.clone());
@@ -146,6 +146,8 @@ pub fn run_quickstart_observed() -> Observation {
         objective: OBJECTIVE,
     });
 
+    // A plain step loop rather than `runner::run`: every tick's latency
+    // feeds the hub and the SLO monitor.
     let app_lat = hub.histogram("observe_app_latency_ns");
     for _ in 0..QUICKSTART_TICKS {
         let report = exp.step();
@@ -180,7 +182,7 @@ pub fn run_colocation_observed(arbiter: bool, mut frame: Option<FrameSink<'_>>) 
 
     // The builder leaves the sink disabled; swap in a recording ring and
     // re-register the tenant page map on it.
-    let sink = telemetry::Sink::ring(1 << 16, 8);
+    let sink = telemetry::Sink::ring(1 << 16, 0);
     exp.machine.set_telemetry(sink.clone());
     for t in &mut exp.colo.tenants {
         sink.register_tenant_pages(t.range.clone(), t.id);

@@ -331,7 +331,7 @@ pub fn run_cell(
     policy: Option<PolicyKind>,
 ) -> PolicyCellScore {
     let mut exp = assemble(sc, trace, kind, policy);
-    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, sc.run_ticks));
+    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, 0));
     let r = run_exp(&mut exp, &RunConfig::timeline(sc.run_ticks));
     let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
     let shifts = shift_times(sc, trace);
@@ -468,7 +468,7 @@ pub struct SwapDrillReport {
 /// churn/turnover series across the swap.
 pub fn swap_drill(sc: &PolicyScenario) -> SwapDrillReport {
     let mut exp = assemble(sc, PolicyTrace::Gups, SystemKind::Hemem, None);
-    let sink = telemetry::Sink::ring(EVENT_CAP, sc.run_ticks);
+    let sink = telemetry::Sink::ring(EVENT_CAP, 0);
     exp.attach_telemetry(sink.clone());
     let hub = telemetry::MetricsHub::new();
     exp.attach_metrics(hub.clone());

@@ -213,14 +213,6 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// Renders a compact ASCII time series: one `t: value` line per sample
-/// bucket, downsampled to at most `max_lines` lines. Delegates to the
-/// telemetry renderer so figure drivers and the timeline binary produce
-/// byte-identical output.
-pub fn series(label: &str, points: &[(f64, f64)], max_lines: usize) -> String {
-    telemetry::render::series(label, points, max_lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,18 +328,5 @@ mod tests {
             s,
             "normal@0.0ms -> frozen@0.5ms -> recovered@1.5ms -> ttr=2.0ms"
         );
-    }
-
-    #[test]
-    fn series_downsamples() {
-        let pts: Vec<(f64, f64)> = (0..100).map(|i| (i as f64, i as f64)).collect();
-        let s = series("test", &pts, 10);
-        assert!(s.lines().count() <= 12);
-        assert!(s.contains("-- test --"));
-    }
-
-    #[test]
-    fn empty_series() {
-        assert!(series("x", &[], 5).contains("empty"));
     }
 }

@@ -1,11 +1,11 @@
 //! Steady-state experiment runner.
 //!
-//! Drives an [`Experiment`] tick by tick: the machine simulates one quantum,
-//! the tiering system reacts, and the runner watches application throughput
-//! until it stabilises (or a tick budget runs out), then measures over a
-//! fixed window — mirroring the paper's "we allow enough time so that each
-//! system reaches steady-state, and measure steady-state application
-//! throughput" (§2.1).
+//! Drives an [`Experiment`] tick by tick through [`Experiment::step`]: the
+//! machine simulates one quantum, the tiering system reacts, and the runner
+//! watches application throughput until it stabilises (or a tick budget
+//! runs out), then measures every tier over a fixed window — mirroring the
+//! paper's "we allow enough time so that each system reaches steady-state,
+//! and measure steady-state application throughput" (§2.1).
 
 use memsim::{FaultStats, TierId, TrafficClass};
 use simkit::SimTime;
@@ -15,11 +15,13 @@ use crate::scenario::Experiment;
 
 /// One per-tick observation (used by the Figure 9/10 timelines).
 ///
-/// This is the telemetry subsystem's metric record: the runner populates it
-/// from each [`memsim::TickReport`] and routes it through a
-/// [`telemetry::Recorder`], so timelines, exporters
-/// ([`telemetry::metrics_to_csv`]) and analytics
-/// ([`telemetry::time_to_equilibrium`]) all share one sample type.
+/// The runner builds one from each [`memsim::TickReport`] and, when
+/// [`RunConfig::collect_series`] is set, keeps it in [`RunResult::series`].
+/// Timelines, the CSV exporter ([`telemetry::metrics_to_csv`]), the
+/// chrome-trace counters and the analytics
+/// ([`telemetry::time_to_equilibrium`]) all read this one type. It stays
+/// two-tier: its CSV columns and trace counters are pinned, and no harness
+/// reads a third tier per tick ([`RunResult`] measures every tier).
 pub type TickSample = telemetry::TickMetrics;
 
 /// Runner configuration.
@@ -118,12 +120,13 @@ impl RunConfig {
 pub struct RunResult {
     /// Steady-state application throughput (operations per second).
     pub ops_per_sec: f64,
-    /// Mean default-tier latency over the measurement window (ns).
-    pub l_default_ns: Option<f64>,
-    /// Mean alternate-tier latency over the measurement window (ns).
-    pub l_alternate_ns: Option<f64>,
-    /// Bytes served per tier per traffic class over the window.
-    pub bytes_by_tier_class: [[u64; TrafficClass::COUNT]; 2],
+    /// Mean Little's-law latency of each tier over the measurement window
+    /// (ns), tier 0 first; `None` for a tier that carried no traffic in
+    /// the window.
+    pub latency_ns: Vec<Option<f64>>,
+    /// Bytes served per traffic class by each tier over the window, tier 0
+    /// first.
+    pub bytes_by_tier_class: Vec<[u64; TrafficClass::COUNT]>,
     /// Measurement window duration.
     pub measure_duration: SimTime,
     /// Warm-up ticks actually used (after convergence detection).
@@ -147,53 +150,33 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Each tier's share of the application bytes served over the window,
+    /// tier 0 first (all zero when no application byte was served).
+    pub fn app_shares(&self) -> Vec<f64> {
+        let app = TrafficClass::App.index();
+        let total: u64 = self.bytes_by_tier_class.iter().map(|t| t[app]).sum();
+        self.bytes_by_tier_class
+            .iter()
+            .map(|t| {
+                if total > 0 {
+                    t[app] as f64 / total as f64
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
     /// Application bandwidth fraction served by the default tier.
     pub fn default_tier_app_share(&self) -> f64 {
-        let app = TrafficClass::App.index();
-        let d = self.bytes_by_tier_class[0][app] as f64;
-        let a = self.bytes_by_tier_class[1][app] as f64;
-        if d + a <= 0.0 {
-            0.0
-        } else {
-            d / (d + a)
-        }
+        self.app_shares()[0]
     }
 }
 
-/// Runs one tick and converts the report into a sample. The sample is
-/// recorded into the experiment's attached sink (if any) and the runner's
-/// own `collector`.
-fn step(
-    exp: &mut Experiment,
-    collector: &telemetry::Sink,
-) -> (TickSample, [[u64; TrafficClass::COUNT]; 2], u64, FaultStats) {
-    let _prof = simkit::profile::scope("runner.tick");
-    exp.apply_schedule();
-    let tick_span =
-        exp.sink
-            .span_enter_at(exp.machine.now(), telemetry::Source::Runner, "runner.tick");
-    let report = exp.machine.run_tick(exp.tick);
-    {
-        let _prof = simkit::profile::scope("system.on_tick");
-        let span =
-            exp.sink
-                .span_enter_at(report.t_end, telemetry::Source::System, "system.on_tick");
-        // Fallback causal anchor: migrations the tiering system enqueues
-        // without a more specific decision (HeMem/TPP placement moves,
-        // vanilla policies) attribute to this tick's control step.
-        let prev_cause = exp.sink.cause();
-        exp.sink
-            .span_decision(telemetry::Source::System, "system.decide", "policy");
-        exp.system.on_tick(&mut exp.machine, &report);
-        exp.sink.set_cause(prev_cause);
-        exp.sink.span_exit_at(report.t_end, span);
-    }
-    exp.sink.span_exit_at(report.t_end, tick_span);
+/// Runs one tick ([`Experiment::step`]) and reads its two-tier sample.
+fn step(exp: &mut Experiment) -> (TickSample, memsim::TickReport) {
+    let report = exp.step();
     let app = TrafficClass::App.index();
-    let mut bytes = [[0u64; TrafficClass::COUNT]; 2];
-    for (i, t) in report.tiers.iter().enumerate().take(2) {
-        bytes[i] = t.bytes_by_class;
-    }
     let sample = TickSample {
         t: report.t_end,
         ops_per_sec: report.app_ops_per_sec(),
@@ -210,9 +193,7 @@ fn step(
         app_bytes_default: report.tiers[0].bytes_by_class[app],
         app_bytes_alternate: report.tiers[1].bytes_by_class[app],
     };
-    exp.sink.metrics(|| sample);
-    collector.metrics(|| sample);
-    (sample, bytes, report.app_ops, report.fault_stats)
+    (sample, report)
 }
 
 /// Drives the experiment to steady state, then measures.
@@ -222,13 +203,7 @@ fn step(
 /// Panics if `rc` fails [`RunConfig::validate`].
 pub fn run(exp: &mut Experiment, rc: &RunConfig) -> RunResult {
     rc.validate().expect("invalid RunConfig");
-    // Per-tick samples flow through a telemetry recorder rather than an
-    // ad-hoc Vec; the ring is sized so a full-length run never drops.
-    let collector = if rc.collect_series {
-        telemetry::Sink::ring(0, rc.max_warmup_ticks.saturating_add(rc.measure_ticks))
-    } else {
-        telemetry::Sink::disabled()
-    };
+    let mut series = Vec::new();
     let mut warmup_used = 0;
     let mut fault_stats = FaultStats::default();
 
@@ -237,8 +212,11 @@ pub fn run(exp: &mut Experiment, rc: &RunConfig) -> RunResult {
     let mut prev_window: Option<f64> = None;
     let mut stable_windows = 0;
     for tick in 0..rc.max_warmup_ticks {
-        let (sample, _, _, faults) = step(exp, &collector);
-        fault_stats.absorb(&faults);
+        let (sample, report) = step(exp);
+        fault_stats.absorb(&report.fault_stats);
+        if rc.collect_series {
+            series.push(sample);
+        }
         warmup_used = tick + 1;
         window_ops.push(sample.ops_per_sec);
         if window_ops.len() >= rc.window {
@@ -259,30 +237,28 @@ pub fn run(exp: &mut Experiment, rc: &RunConfig) -> RunResult {
         }
     }
 
-    // Measurement window.
+    // Measurement window: every tier of the machine, summed tick by tick.
+    let n_tiers = exp.machine.config().tiers.len();
     let t_begin = exp.machine.now();
     let mut ops_total = 0u64;
-    let mut bytes_total = [[0u64; TrafficClass::COUNT]; 2];
-    let mut l_d_sum = 0.0;
-    let mut l_d_n = 0u32;
-    let mut l_a_sum = 0.0;
-    let mut l_a_n = 0u32;
+    let mut bytes_total = vec![[0u64; TrafficClass::COUNT]; n_tiers];
+    let mut lat_sum = vec![0.0f64; n_tiers];
+    let mut lat_n = vec![0u32; n_tiers];
     for _ in 0..rc.measure_ticks {
-        let (sample, bytes, ops, faults) = step(exp, &collector);
-        fault_stats.absorb(&faults);
-        ops_total += ops;
-        for i in 0..2 {
-            for c in 0..TrafficClass::COUNT {
-                bytes_total[i][c] += bytes[i][c];
+        let (sample, report) = step(exp);
+        fault_stats.absorb(&report.fault_stats);
+        if rc.collect_series {
+            series.push(sample);
+        }
+        ops_total += report.app_ops;
+        for (i, t) in report.tiers.iter().enumerate() {
+            for (total, b) in bytes_total[i].iter_mut().zip(t.bytes_by_class) {
+                *total += b;
             }
-        }
-        if let Some(l) = sample.l_default_ns {
-            l_d_sum += l;
-            l_d_n += 1;
-        }
-        if let Some(l) = sample.l_alternate_ns {
-            l_a_sum += l;
-            l_a_n += 1;
+            if let Some(l) = report.littles_latency_ns(TierId(i as u8)) {
+                lat_sum[i] += l;
+                lat_n[i] += 1;
+            }
         }
     }
     let dur = exp.machine.now().saturating_sub(t_begin);
@@ -293,8 +269,11 @@ pub fn run(exp: &mut Experiment, rc: &RunConfig) -> RunResult {
         } else {
             0.0
         },
-        l_default_ns: (l_d_n > 0).then(|| l_d_sum / l_d_n as f64),
-        l_alternate_ns: (l_a_n > 0).then(|| l_a_sum / l_a_n as f64),
+        latency_ns: lat_sum
+            .iter()
+            .zip(&lat_n)
+            .map(|(&sum, &n)| (n > 0).then(|| sum / f64::from(n)))
+            .collect(),
         bytes_by_tier_class: bytes_total,
         measure_duration: dur,
         warmup_ticks_used: warmup_used,
@@ -302,7 +281,7 @@ pub fn run(exp: &mut Experiment, rc: &RunConfig) -> RunResult {
         retry_stats: exp.system.retry_stats(),
         supervision: exp.system.supervision(),
         migration: exp.machine.migration_counters(),
-        series: collector.with(|r| r.metrics()).unwrap_or_default(),
+        series,
     }
 }
 
@@ -322,8 +301,8 @@ mod tests {
         );
         let r = run(&mut exp, &RunConfig::static_placement());
         assert!(r.ops_per_sec > 1e6, "ops/s = {}", r.ops_per_sec);
-        let l_d = r.l_default_ns.expect("default tier busy");
-        let l_a = r.l_alternate_ns.expect("alternate tier busy");
+        let l_d = r.latency_ns[0].expect("default tier busy");
+        let l_a = r.latency_ns[1].expect("alternate tier busy");
         assert!(l_d > 60.0 && l_d < 400.0, "L_D = {l_d}");
         assert!(l_a > 100.0 && l_a < 400.0, "L_A = {l_a}");
         // Hot set fully in default: the default tier serves most app bytes.
@@ -476,14 +455,74 @@ mod tests {
     }
 
     #[test]
+    fn three_tier_runs_measure_every_tier_as_a_plain_step_loop_does() {
+        use crate::multitier::{build, MultiTierScenario};
+        let sc = MultiTierScenario {
+            local_pages: 128,
+            cxl_pages: 192,
+            far_pages: 1024,
+            ws_pages: 512,
+            hot_pages: 96,
+            hot_offset: 384,
+            app_cores: 2,
+            antagonist_cores_after: 2,
+            warmup_ticks: 10,
+            converge_ticks: 10,
+            measure_ticks: 20,
+            seed: 7,
+        };
+        let warmup = sc.warmup_ticks + sc.converge_ticks;
+        let mut exp = build(&sc, tiersys::SystemKind::Hemem, true, false);
+        let r = run(
+            &mut exp,
+            &RunConfig {
+                min_warmup_ticks: warmup,
+                max_warmup_ticks: warmup,
+                measure_ticks: sc.measure_ticks,
+                window: usize::MAX,
+                tolerance: 0.0,
+                collect_series: false,
+            },
+        );
+
+        let mut exp = build(&sc, tiersys::SystemKind::Hemem, true, false);
+        for _ in 0..warmup {
+            exp.step();
+        }
+        let app = TrafficClass::App.index();
+        let (mut lat_sum, mut lat_n, mut app_bytes, mut ops) = ([0.0; 3], [0u32; 3], [0u64; 3], 0);
+        let t_begin = exp.machine.now();
+        for _ in 0..sc.measure_ticks {
+            let report = exp.step();
+            ops += report.app_ops;
+            for i in 0..3 {
+                if let Some(l) = report.littles_latency_ns(TierId(i as u8)) {
+                    lat_sum[i] += l;
+                    lat_n[i] += 1;
+                }
+                app_bytes[i] += report.tiers[i].bytes_by_class[app];
+            }
+        }
+        let secs = exp.machine.now().saturating_sub(t_begin).as_secs();
+        let latency: Vec<Option<f64>> = (0..3)
+            .map(|i| (lat_n[i] > 0).then(|| lat_sum[i] / f64::from(lat_n[i])))
+            .collect();
+
+        assert!(latency.iter().all(Option::is_some), "every tier is busy");
+        assert_eq!(r.latency_ns, latency);
+        let run_bytes: Vec<u64> = r.bytes_by_tier_class.iter().map(|t| t[app]).collect();
+        assert_eq!(run_bytes, app_bytes);
+        assert_eq!(r.ops_per_sec, ops as f64 / secs);
+    }
+
+    #[test]
     fn app_share_of_idle_run_is_zero_not_nan() {
         // Pin the division guard: an all-zero byte matrix must yield 0.0,
         // not NaN (0/0).
         let r = RunResult {
             ops_per_sec: 0.0,
-            l_default_ns: None,
-            l_alternate_ns: None,
-            bytes_by_tier_class: [[0; TrafficClass::COUNT]; 2],
+            latency_ns: vec![None; 2],
+            bytes_by_tier_class: vec![[0; TrafficClass::COUNT]; 2],
             measure_duration: SimTime::ZERO,
             warmup_ticks_used: 0,
             fault_stats: FaultStats::default(),

@@ -228,11 +228,32 @@ impl Experiment {
     }
 
     /// Runs one machine tick, after any due schedule change, and the
-    /// tiering system's reaction to it.
+    /// tiering system's reaction to it, under the `runner.tick` and
+    /// `system.on_tick` profiler scopes and spans (their order fixes the
+    /// chrome-trace span ids). A disabled sink or profiler records nothing.
     pub fn step(&mut self) -> memsim::TickReport {
+        let _prof = simkit::profile::scope("runner.tick");
         self.apply_schedule();
+        let tick_span =
+            self.sink
+                .span_enter_at(self.machine.now(), telemetry::Source::Runner, "runner.tick");
         let report = self.machine.run_tick(self.tick);
-        self.system.on_tick(&mut self.machine, &report);
+        {
+            let _prof = simkit::profile::scope("system.on_tick");
+            let span =
+                self.sink
+                    .span_enter_at(report.t_end, telemetry::Source::System, "system.on_tick");
+            // Fallback causal anchor: migrations the tiering system enqueues
+            // without a more specific decision (HeMem/TPP placement moves,
+            // vanilla policies) attribute to this tick's control step.
+            let prev_cause = self.sink.cause();
+            self.sink
+                .span_decision(telemetry::Source::System, "system.decide", "policy");
+            self.system.on_tick(&mut self.machine, &report);
+            self.sink.set_cause(prev_cause);
+            self.sink.span_exit_at(report.t_end, span);
+        }
+        self.sink.span_exit_at(report.t_end, tick_span);
         report
     }
 

@@ -19,9 +19,9 @@ use tiersys::SystemKind;
 
 use crate::figures::fig9::Dynamic;
 use crate::grid::{Ctx, EndState, Harness, Opts};
-use crate::report::series;
 use crate::runner::{run as run_exp, RunConfig, TickSample};
 use crate::scenario::{build_gups, Policy};
+use telemetry::render::series;
 
 /// Event-ring capacity: comfortably above the migration traffic a full
 /// 600-tick run generates, so accounting sees the complete stream.
@@ -61,7 +61,7 @@ pub fn run_cell(kind: SystemKind, colloid: bool, quick: bool) -> CellOutcome {
     let policy = Policy::System { kind, colloid };
     let name = policy.name();
     let mut exp = build_gups(&sc, policy);
-    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, pre + post));
+    exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, 0));
     let r = run_exp(&mut exp, &RunConfig::timeline(pre + post));
     let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
     let dropped_events = exp.sink.with(|rec| rec.dropped_events()).unwrap_or(0);

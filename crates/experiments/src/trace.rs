@@ -90,7 +90,7 @@ pub fn run_contention_cell(quick: bool) -> TraceOutcome {
     let name = policy.name();
     let mut exp = build_gups(&sc, policy);
     exp.attach_telemetry(telemetry::Sink::new(Box::new(
-        telemetry::RingRecorder::new(EVENT_CAP, 2 * pre).with_span_cap(SPAN_CAP),
+        telemetry::RingRecorder::new(EVENT_CAP).with_span_cap(SPAN_CAP),
     )));
     let r = run_exp(&mut exp, &RunConfig::timeline(2 * pre));
     snapshot(&exp, &sc, name, r.series)
@@ -107,7 +107,7 @@ pub fn run_quickstart_cell() -> TraceOutcome {
     let name = policy.name();
     let mut exp = build_gups(&scenario, policy);
     exp.attach_telemetry(telemetry::Sink::new(Box::new(
-        telemetry::RingRecorder::new(EVENT_CAP, 1 << 12).with_span_cap(SPAN_CAP),
+        telemetry::RingRecorder::new(EVENT_CAP).with_span_cap(SPAN_CAP),
     )));
     run_exp(&mut exp, &RunConfig::steady_state());
     snapshot(&exp, &scenario, name, Vec::new())

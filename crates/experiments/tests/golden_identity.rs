@@ -103,7 +103,7 @@ fn run_quickstart(with_recorder: bool) -> (String, usize, usize) {
             },
         );
         if with_recorder {
-            exp.attach_telemetry(telemetry::Sink::ring(1 << 16, 1 << 12));
+            exp.attach_telemetry(telemetry::Sink::ring(1 << 16, 0));
         }
         let result = run(&mut exp, &RunConfig::steady_state());
         recorded_events += exp
@@ -121,8 +121,8 @@ fn run_quickstart(with_recorder: bool) -> (String, usize, usize) {
         ));
         out.push_str(&format!(
             "    tier latencies  : default {:.0} ns vs alternate {:.0} ns\n",
-            result.l_default_ns.unwrap_or(f64::NAN),
-            result.l_alternate_ns.unwrap_or(f64::NAN)
+            result.latency_ns[0].unwrap_or(f64::NAN),
+            result.latency_ns[1].unwrap_or(f64::NAN)
         ));
         out.push_str(&format!(
             "    placement       : {:.0}% of GUPS traffic served by the default tier\n\n",
@@ -196,7 +196,7 @@ fn fig9_contention_cell_with_noop_recorder_matches_golden() {
         .iter()
         .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
         .collect();
-    let got = experiments::report::series(
+    let got = telemetry::render::series(
         "HeMem | contention 0x -> 3x | Mops/s over time (ms)",
         &pts,
         20,
@@ -241,8 +241,8 @@ fn quickstart_with_live_metrics_hub_matches_golden() {
         ));
         out.push_str(&format!(
             "    tier latencies  : default {:.0} ns vs alternate {:.0} ns\n",
-            result.l_default_ns.unwrap_or(f64::NAN),
-            result.l_alternate_ns.unwrap_or(f64::NAN)
+            result.latency_ns[0].unwrap_or(f64::NAN),
+            result.latency_ns[1].unwrap_or(f64::NAN)
         ));
         out.push_str(&format!(
             "    placement       : {:.0}% of GUPS traffic served by the default tier\n\n",
@@ -285,7 +285,7 @@ fn fig9_contention_cell_with_live_metrics_hub_matches_golden() {
         .iter()
         .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
         .collect();
-    let got = experiments::report::series(
+    let got = telemetry::render::series(
         "HeMem | contention 0x -> 3x | Mops/s over time (ms)",
         &pts,
         20,

@@ -587,7 +587,9 @@ pub struct TickReport {
     pub txn: TxnTickStats,
     /// Pages force-evacuated by a tier-shrink hard fault this tick, with
     /// the tier each page landed in. Tiering systems must re-sync any
-    /// per-page tier metadata with these moves.
+    /// per-page tier metadata with these moves, reading each page's tier
+    /// from [`Machine::tier_of`]: a copy queued before the shrink can
+    /// move an evacuated page again later in the same tick.
     pub evacuated: Vec<(Vpn, TierId)>,
 }
 

@@ -200,16 +200,11 @@ pub fn events_to_ndjson(events: &[Event]) -> String {
 
 /// Serializes a [`MetricsHub`] snapshot as NDJSON: one object per metric
 /// series, tagged `"record":"metric"` to distinguish snapshot lines from
-/// event lines, with a zero-based `seq` and the snapshot time in integer
+/// event lines, with a dense `seq` and the snapshot time in integer
 /// picoseconds. Counters carry `value`; gauges carry `value` (null when
 /// non-finite); histograms carry `count`/`sum`/`min`/`max`, the
 /// `p50`/`p99`/`p999` quantile estimates, and the compact serialized form
-/// under `hist` so snapshots can be re-parsed and merged offline.
-pub fn metrics_snapshot_ndjson(hub: &MetricsHub, t: SimTime) -> String {
-    metrics_snapshot_ndjson_from(hub, t, 0)
-}
-
-/// Like [`metrics_snapshot_ndjson`] but numbering `seq` from
+/// under `hist` so snapshots can be re-parsed offline. `seq` numbers from
 /// `start_seq`, so a snapshot can be appended to an event log
 /// ([`events_to_ndjson`]) and the combined file still satisfies
 /// [`validate_ndjson`]'s dense-`seq` requirement.
@@ -697,7 +692,7 @@ fn validate_slo_alert(v: &Json, fail: &dyn Fn(String) -> String) -> Result<(), S
 /// zero-based), integer `t_ps`, a known `source`, and a known `event`.
 /// An optional `tenant` field (colocation runs) must be a non-negative
 /// integer when present. Lines tagged `"record":"metric"` (snapshot
-/// lines from [`metrics_snapshot_ndjson`]) instead follow the metric
+/// lines from [`metrics_snapshot_ndjson_from`]) instead follow the metric
 /// schema: a non-empty `name`, a known `type`, string-valued `labels`,
 /// and per-type value fields (histograms must carry a parseable `hist`
 /// form agreeing with `count`). Returns the number of validated lines,
@@ -1065,14 +1060,14 @@ mod tests {
         for v in [90u64, 100, 150, 8000] {
             h.record(v);
         }
-        let snap = metrics_snapshot_ndjson(&hub, SimTime::from_ns(1000.0));
+        let snap = metrics_snapshot_ndjson_from(&hub, SimTime::from_ns(1000.0), 0);
         assert_eq!(snap.lines().count(), 4);
         assert_eq!(validate_ndjson(&snap), Ok(4));
         assert!(snap.contains("\"record\":\"metric\""));
         assert!(snap.contains("\"type\":\"histogram\""));
         assert!(snap.contains("\"labels\":{\"tenant\":\"0\"}"));
         assert!(snap.contains("\"value\":null"));
-        // Histogram lines re-parse into a mergeable histogram.
+        // Histogram lines re-parse into a histogram.
         let hist_line = snap
             .lines()
             .find(|l| l.contains("tenant_latency_ns"))

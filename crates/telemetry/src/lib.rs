@@ -2,20 +2,24 @@
 //!
 //! Every layer of the reproduction — the [`memsim`-style machine, the
 //! Colloid controllers, the tiering systems, the supervisor, and the
-//! experiment runner — records into the same two channels:
+//! experiment runner — records into the same two channels, each flowing
+//! through a [`Sink`] handle into a [`Recorder`]:
 //!
 //! - a **typed event stream** ([`Event`]): migration start/complete/fail/
 //!   retry, Colloid watermark moves and `p` updates, supervisor mode
 //!   transitions, fault injections, tier evacuations — each stamped with
 //!   the simulated time it happened at;
-//! - a **per-quantum metric series** ([`TickMetrics`]): per-tier loaded
-//!   latency (Little's-Law estimate and ground truth), occupancy, arrival
-//!   rate, migration bandwidth and backlog, default-tier traffic share,
-//!   and application throughput.
+//! - a **span stream** (see *Causal tracing* below).
 //!
-//! Both flow through a [`Sink`] handle into a [`Recorder`]. Two recorders
-//! ship: the bounded, drop-oldest [`RingRecorder`] and the do-nothing
-//! [`NoopRecorder`].
+//! Two recorders ship: the bounded, drop-oldest [`RingRecorder`] and the
+//! do-nothing [`NoopRecorder`].
+//!
+//! The **per-quantum metric record** ([`TickMetrics`]: per-tier loaded
+//! latency, Little's-Law estimate and ground truth, occupancy, arrival
+//! rate, migration bandwidth and backlog, default-tier traffic share, and
+//! application throughput) is not a recorder channel: the experiment
+//! runner builds one per tick and keeps the series, and the exporters and
+//! analytics below take it as a slice.
 //!
 //! # Overhead contract
 //!
@@ -37,7 +41,7 @@
 //!
 //! # Causal tracing
 //!
-//! The third channel is the **span stream** ([`span`]): hierarchical
+//! The second channel is the **span stream** ([`span`]): hierarchical
 //! scoped spans (`runner.tick` ⊃ `machine.tick`), async extents (one per
 //! page copy, crossing tick boundaries), and instant *decision spans*
 //! whose ids flow as `cause` links — so a completed migration resolves

@@ -3,8 +3,10 @@
 use simkit::SimTime;
 
 /// Metrics distilled from one machine tick — the registry of per-quantum
-/// signals the paper's figures are built from. Collected by the experiment
-/// runner and recorded through a [`crate::Sink`].
+/// signals the paper's figures are built from. The experiment runner
+/// builds one per tick (its `TickSample`) and keeps the run's series;
+/// [`crate::metrics_to_csv`] writes each as one CSV row, and the
+/// chrome-trace exporter draws its counter tracks from them.
 ///
 /// Field names mirror the historical `TickSample` so downstream consumers
 /// (figure drivers, degradation analysis) read the same names they always

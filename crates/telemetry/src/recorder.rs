@@ -15,10 +15,9 @@ use std::rc::Rc;
 use simkit::SimTime;
 
 use crate::event::{Event, EventKind, Source, TenantId};
-use crate::metrics::TickMetrics;
 use crate::span::{SpanId, SpanKind, SpanPayload, SpanRecord};
 
-/// Destination for events, metric rows, and spans.
+/// Destination for events and spans.
 ///
 /// Implementations must be passive: recording must not mutate simulation
 /// state or draw randomness, so enabling a recorder never changes a run.
@@ -26,18 +25,10 @@ use crate::span::{SpanId, SpanKind, SpanPayload, SpanRecord};
 pub trait Recorder {
     /// Record one event (may drop it, e.g. when a ring is full).
     fn record_event(&mut self, ev: Event);
-    /// Record one per-quantum metric row.
-    fn record_metrics(&mut self, m: TickMetrics);
     /// Snapshot of retained events, oldest first.
     fn events(&self) -> Vec<Event>;
-    /// Snapshot of retained metric rows, oldest first.
-    fn metrics(&self) -> Vec<TickMetrics>;
     /// How many events were discarded to stay within bounds.
     fn dropped_events(&self) -> u64 {
-        0
-    }
-    /// How many metric rows were discarded to stay within bounds.
-    fn dropped_metrics(&self) -> u64 {
         0
     }
     /// Record one completed span (spans arrive in close order).
@@ -61,17 +52,13 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     fn record_event(&mut self, _ev: Event) {}
-    fn record_metrics(&mut self, _m: TickMetrics) {}
     fn events(&self) -> Vec<Event> {
-        Vec::new()
-    }
-    fn metrics(&self) -> Vec<TickMetrics> {
         Vec::new()
     }
 }
 
 /// Bounded in-memory recorder: keeps the most recent `event_cap` events and
-/// `metric_cap` metric rows, dropping the oldest on overflow. Memory use is
+/// `span_cap` spans, dropping the oldest on overflow. Memory use is
 /// proportional to the caps, never to run length.
 ///
 /// Timestamps are clamped monotone **per source**: a source whose event
@@ -81,32 +68,26 @@ impl Recorder for NoopRecorder {
 #[derive(Debug)]
 pub struct RingRecorder {
     event_cap: usize,
-    metric_cap: usize,
     span_cap: usize,
     events: VecDeque<Event>,
-    metrics: VecDeque<TickMetrics>,
     spans: VecDeque<SpanRecord>,
     dropped_events: u64,
-    dropped_metrics: u64,
     dropped_spans: u64,
     last_t: [SimTime; Source::COUNT],
 }
 
 impl RingRecorder {
-    /// A ring retaining at most `event_cap` events and `metric_cap` rows.
-    /// Caps of zero retain nothing (everything counts as dropped). The
-    /// span ring defaults to `event_cap` (spans and events accumulate at
-    /// comparable rates); override with [`RingRecorder::with_span_cap`].
-    pub fn new(event_cap: usize, metric_cap: usize) -> Self {
+    /// A ring retaining at most `event_cap` events. A cap of zero retains
+    /// nothing (everything counts as dropped). The span ring defaults to
+    /// `event_cap` (spans and events accumulate at comparable rates);
+    /// override with [`RingRecorder::with_span_cap`].
+    pub fn new(event_cap: usize) -> Self {
         RingRecorder {
             event_cap,
-            metric_cap,
             span_cap: event_cap,
             events: VecDeque::new(),
-            metrics: VecDeque::new(),
             spans: VecDeque::new(),
             dropped_events: 0,
-            dropped_metrics: 0,
             dropped_spans: 0,
             last_t: [SimTime::ZERO; Source::COUNT],
         }
@@ -116,21 +97,6 @@ impl RingRecorder {
     pub fn with_span_cap(mut self, span_cap: usize) -> Self {
         self.span_cap = span_cap;
         self
-    }
-
-    /// Retained event count.
-    pub fn event_len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Retained metric-row count.
-    pub fn metric_len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Retained span count.
-    pub fn span_len(&self) -> usize {
-        self.spans.len()
     }
 }
 
@@ -153,32 +119,12 @@ impl Recorder for RingRecorder {
         self.events.push_back(ev);
     }
 
-    fn record_metrics(&mut self, m: TickMetrics) {
-        if self.metric_cap == 0 {
-            self.dropped_metrics += 1;
-            return;
-        }
-        if self.metrics.len() == self.metric_cap {
-            self.metrics.pop_front();
-            self.dropped_metrics += 1;
-        }
-        self.metrics.push_back(m);
-    }
-
     fn events(&self) -> Vec<Event> {
         self.events.iter().cloned().collect()
     }
 
-    fn metrics(&self) -> Vec<TickMetrics> {
-        self.metrics.iter().cloned().collect()
-    }
-
     fn dropped_events(&self) -> u64 {
         self.dropped_events
-    }
-
-    fn dropped_metrics(&self) -> u64 {
-        self.dropped_metrics
     }
 
     fn record_span(&mut self, sp: SpanRecord) {
@@ -315,9 +261,11 @@ impl Sink {
         }
     }
 
-    /// Convenience: an enabled sink backed by a fresh [`RingRecorder`].
-    pub fn ring(event_cap: usize, metric_cap: usize) -> Self {
-        Sink::new(Box::new(RingRecorder::new(event_cap, metric_cap)))
+    /// Convenience: an enabled sink backed by a fresh [`RingRecorder`]
+    /// holding `event_cap` events. The second parameter is ignored: the
+    /// recorder keeps no metric rows.
+    pub fn ring(event_cap: usize, _metric_cap: usize) -> Self {
+        Sink::new(Box::new(RingRecorder::new(event_cap)))
     }
 
     /// Whether emits go anywhere.
@@ -383,25 +331,12 @@ impl Sink {
         }
     }
 
-    /// The tenant context currently in force (`None` when disabled/unset).
-    pub fn tenant_context(&self) -> Option<TenantId> {
-        self.inner.as_ref().and_then(|sh| sh.tenant.get())
-    }
-
     /// Declare that `pages` belongs to `tenant`: page-addressed events
     /// emitted with no tenant context (e.g. by the shared migration
     /// engine) are attributed to the owning tenant by lookup.
     pub fn register_tenant_pages(&self, pages: std::ops::Range<u64>, tenant: TenantId) {
         if let Some(sh) = &self.inner {
             sh.tenant_pages.borrow_mut().push((pages, tenant));
-        }
-    }
-
-    /// Record a metric row. The closure runs only when enabled.
-    pub fn metrics(&self, m: impl FnOnce() -> TickMetrics) {
-        if let Some(sh) = &self.inner {
-            let row = m();
-            sh.rec.borrow_mut().record_metrics(row);
         }
     }
 
@@ -626,43 +561,32 @@ mod tests {
     fn disabled_sink_never_runs_closures() {
         let sink = Sink::disabled();
         sink.emit(Source::Machine, || panic!("must not build payload"));
-        sink.metrics(|| panic!("must not build row"));
         assert!(!sink.is_enabled());
         assert!(sink.with(|_| ()).is_none());
     }
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut r = RingRecorder::new(3, 2);
+        let mut r = RingRecorder::new(3);
         for i in 0..5 {
             r.record_event(ev(i, Source::Machine));
         }
-        assert_eq!(r.event_len(), 3);
         assert_eq!(r.dropped_events(), 2);
         let kept: Vec<u64> = r.events().iter().map(|e| e.t.as_ps()).collect();
         assert_eq!(kept, vec![2, 3, 4]);
-
-        for t in 0..4u64 {
-            r.record_metrics(TickMetrics::at(SimTime::from_ps(t)));
-        }
-        assert_eq!(r.metric_len(), 2);
-        assert_eq!(r.dropped_metrics(), 2);
     }
 
     #[test]
     fn zero_cap_retains_nothing() {
-        let mut r = RingRecorder::new(0, 0);
+        let mut r = RingRecorder::new(0);
         r.record_event(ev(1, Source::Machine));
-        r.record_metrics(TickMetrics::at(SimTime::ZERO));
         assert!(r.events().is_empty());
-        assert!(r.metrics().is_empty());
         assert_eq!(r.dropped_events(), 1);
-        assert_eq!(r.dropped_metrics(), 1);
     }
 
     #[test]
     fn per_source_timestamps_clamped_monotone() {
-        let mut r = RingRecorder::new(16, 0);
+        let mut r = RingRecorder::new(16);
         r.record_event(ev(100, Source::Colloid));
         r.record_event(ev(50, Source::Colloid)); // stale clock: clamps to 100
         r.record_event(ev(70, Source::Machine)); // other source unaffected
@@ -685,7 +609,7 @@ mod tests {
 
     #[test]
     fn sink_clones_share_recorder_and_clock() {
-        let sink = Sink::ring(8, 8);
+        let sink = Sink::ring(8, 0);
         let clone = sink.clone();
         sink.set_now(SimTime::from_ps(42));
         assert_eq!(clone.now().as_ps(), 42);
@@ -805,7 +729,7 @@ mod tests {
 
     #[test]
     fn span_ring_bounds_memory() {
-        let mut r = RingRecorder::new(4, 0).with_span_cap(2);
+        let mut r = RingRecorder::new(4).with_span_cap(2);
         for i in 1..=5u64 {
             r.record_span(SpanRecord {
                 id: SpanId(i),
@@ -819,7 +743,6 @@ mod tests {
                 kind: SpanKind::Scoped,
             });
         }
-        assert_eq!(r.span_len(), 2);
         assert_eq!(r.dropped_spans(), 3);
         let ids: Vec<u64> = r.spans().iter().map(|s| s.id.0).collect();
         assert_eq!(ids, vec![4, 5]);
@@ -830,8 +753,6 @@ mod tests {
         let sink = Sink::new(Box::new(NoopRecorder));
         assert!(sink.is_enabled());
         sink.emit(Source::Machine, || EventKind::EquilibriumReset);
-        sink.metrics(|| TickMetrics::at(SimTime::ZERO));
         assert_eq!(sink.with(|r| r.events().len()).unwrap(), 0);
-        assert_eq!(sink.with(|r| r.metrics().len()).unwrap(), 0);
     }
 }

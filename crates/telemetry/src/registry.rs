@@ -1,7 +1,7 @@
-//! Live metrics registry: typed counters, gauges, and mergeable
-//! log-linear HDR histograms with bounded rank error.
+//! Live metrics registry: typed counters, gauges, and log-linear HDR
+//! histograms with bounded rank error.
 //!
-//! The registry complements the event/metric/span streams: instead of
+//! The registry complements the event and span streams: instead of
 //! recording *what happened* for post-hoc export, it aggregates *how the
 //! run is doing right now* — per-tier latency distributions, migration
 //! copy times, controller decision latencies, per-tenant SLO quantiles —
@@ -28,9 +28,8 @@
 //! so [`Histogram::quantile`] (which returns the upper bound of the
 //! bucket containing the target rank) overestimates the exact empirical
 //! quantile `t` by at most `t / 32` ≈ 3.1% and never underestimates it.
-//! Histograms merge exactly (bucket-wise addition), so per-shard
-//! recordings can be combined without re-observing, and serialize to a
-//! compact sparse text form that round-trips through [`Histogram::parse`].
+//! Histograms serialize to a compact sparse text form that round-trips
+//! through [`Histogram::parse`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -42,7 +41,7 @@ pub const SUB_BITS: u32 = 5;
 /// Number of sub-buckets per octave (`2^SUB_BITS`).
 pub const SUB_COUNT: u64 = 1 << SUB_BITS;
 
-/// A mergeable log-linear histogram over `u64` values.
+/// A log-linear histogram over `u64` values.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -168,28 +167,6 @@ impl Histogram {
             }
         }
         self.max
-    }
-
-    /// Merge another histogram into this one (exact: bucket-wise sum).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 
     /// Non-empty buckets as `(upper_bound, count)` pairs in value order.
@@ -906,24 +883,6 @@ mod tests {
             );
         }
         assert_eq!(h.quantile(0.0), 1);
-    }
-
-    #[test]
-    fn merge_matches_combined_stream() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [3u64, 70, 70, 5000, 123_456, 1, 0, 9_999_999] {
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged, all);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use simkit::SimTime;
 use telemetry::{
     Event, EventKind, Recorder, RingRecorder, Sink, Source, SpanId, SpanKind, SpanPayload,
-    SpanRecord, TickMetrics,
+    SpanRecord,
 };
 
 fn source() -> impl Strategy<Value = Source> {
@@ -25,10 +25,9 @@ fn source() -> impl Strategy<Value = Source> {
     ]
 }
 
-/// An arbitrary recorder operation: an event (with possibly out-of-order
-/// timestamp) or a metric row.
-fn op() -> impl Strategy<Value = (bool, u64, Source)> {
-    (prop::bool::ANY, 0u64..10_000, source())
+/// An arbitrary event: a possibly out-of-order timestamp and a source.
+fn op() -> impl Strategy<Value = (u64, Source)> {
+    (0u64..10_000, source())
 }
 
 fn event_at(t_ps: u64, src: Source) -> Event {
@@ -41,31 +40,22 @@ fn event_at(t_ps: u64, src: Source) -> Event {
 }
 
 proptest! {
-    /// Bounded memory: whatever the input volume, retained counts never
-    /// exceed the caps, and retained + dropped always accounts for every
-    /// record offered.
+    /// Bounded memory: whatever the input volume, the retained count never
+    /// exceeds the cap, and retained + dropped always accounts for every
+    /// event offered.
     #[test]
     fn ring_is_bounded_and_accounts_for_drops(
         event_cap in 0usize..32,
-        metric_cap in 0usize..8,
         ops in prop::collection::vec(op(), 0..200)
     ) {
-        let mut rec = RingRecorder::new(event_cap, metric_cap);
+        let mut rec = RingRecorder::new(event_cap);
         let mut offered_events = 0u64;
-        let mut offered_metrics = 0u64;
-        for (is_event, t_ps, src) in ops {
-            if is_event {
-                rec.record_event(event_at(t_ps, src));
-                offered_events += 1;
-            } else {
-                rec.record_metrics(TickMetrics::at(SimTime::from_ps(t_ps)));
-                offered_metrics += 1;
-            }
-            prop_assert!(rec.event_len() <= event_cap);
-            prop_assert!(rec.metric_len() <= metric_cap);
+        for (t_ps, src) in ops {
+            rec.record_event(event_at(t_ps, src));
+            offered_events += 1;
+            prop_assert!(rec.events().len() <= event_cap);
         }
         prop_assert_eq!(rec.events().len() as u64 + rec.dropped_events(), offered_events);
-        prop_assert_eq!(rec.metrics().len() as u64 + rec.dropped_metrics(), offered_metrics);
     }
 
     /// Drop-oldest: the retained window is exactly the tail of the offered
@@ -76,7 +66,7 @@ proptest! {
         cap in 1usize..16,
         n in 0usize..64
     ) {
-        let mut rec = RingRecorder::new(cap, 0);
+        let mut rec = RingRecorder::new(cap);
         for i in 0..n as u64 {
             rec.record_event(event_at(i, Source::Machine));
         }
@@ -93,7 +83,7 @@ proptest! {
     fn timestamps_are_monotone_per_source(
         ops in prop::collection::vec((0u64..1000, source()), 0..300)
     ) {
-        let mut rec = RingRecorder::new(usize::MAX >> 1, 0);
+        let mut rec = RingRecorder::new(usize::MAX >> 1);
         for &(t_ps, src) in &ops {
             rec.record_event(event_at(t_ps, src));
         }
@@ -125,7 +115,7 @@ proptest! {
         ops in prop::collection::vec((0u64..1_000, 0usize..3, 0usize..4), 0..200)
     ) {
         const NAMES: [&str; 4] = ["a", "b", "c", "d"];
-        let sink = Sink::new(Box::new(RingRecorder::new(1 << 12, 0).with_span_cap(1 << 12)));
+        let sink = Sink::new(Box::new(RingRecorder::new(1 << 12).with_span_cap(1 << 12)));
         let mut now = 0u64;
         let mut stack: Vec<SpanId> = Vec::new();
         let mut expected_closed = 0usize;
@@ -244,33 +234,13 @@ proptest! {
         prop_assert_eq!(blamed + r.unattributed, r.completed);
         prop_assert_eq!(r.unattributed, 0, "all moves carry a resolvable cause here");
     }
-
-    /// Metric rows are kept verbatim in order (no clamping applies).
-    #[test]
-    fn metrics_kept_in_arrival_order(
-        cap in 1usize..16,
-        stamps in prop::collection::vec(0u64..1000, 0..64)
-    ) {
-        let mut rec = RingRecorder::new(0, cap);
-        for &t in &stamps {
-            rec.record_metrics(TickMetrics::at(SimTime::from_ps(t)));
-        }
-        let kept: Vec<u64> = rec.metrics().iter().map(|m| m.t.as_ps()).collect();
-        let expected: Vec<u64> = stamps
-            .iter()
-            .skip(stamps.len().saturating_sub(cap))
-            .copied()
-            .collect();
-        prop_assert_eq!(kept, expected);
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Histogram core: the contracts the metrics registry is built on. Merge is
-// exact bucket-wise addition (so per-shard recordings combine without
-// re-observing), quantiles overestimate the exact empirical value by at
-// most t/32 and never underestimate, counters are monotone, and the
-// serialized form round-trips losslessly (including through merges).
+// Histogram core: the contracts the metrics registry is built on.
+// Quantiles overestimate the exact empirical value by at most t/32 and
+// never underestimate, counters are monotone, and the serialized form
+// round-trips losslessly.
 // ---------------------------------------------------------------------------
 
 /// Values spanning the exact region (< 32), the log-linear octaves, and
@@ -294,42 +264,6 @@ fn record_all(values: &[u64]) -> telemetry::Histogram {
 }
 
 proptest! {
-    /// Merge is commutative and equals recording the concatenation.
-    #[test]
-    fn histogram_merge_commutes_and_matches_bulk(
-        a in prop::collection::vec(hist_value(), 0..100),
-        b in prop::collection::vec(hist_value(), 0..100),
-    ) {
-        let (ha, hb) = (record_all(&a), record_all(&b));
-        let mut ab = ha.clone();
-        ab.merge(&hb);
-        let mut ba = hb.clone();
-        ba.merge(&ha);
-        prop_assert_eq!(&ab, &ba);
-
-        let mut both = a.clone();
-        both.extend_from_slice(&b);
-        prop_assert_eq!(&ab, &record_all(&both));
-    }
-
-    /// Merge is associative: (a + b) + c == a + (b + c).
-    #[test]
-    fn histogram_merge_is_associative(
-        a in prop::collection::vec(hist_value(), 0..60),
-        b in prop::collection::vec(hist_value(), 0..60),
-        c in prop::collection::vec(hist_value(), 0..60),
-    ) {
-        let (ha, hb, hc) = (record_all(&a), record_all(&b), record_all(&c));
-        let mut left = ha.clone();
-        left.merge(&hb);
-        left.merge(&hc);
-        let mut bc = hb.clone();
-        bc.merge(&hc);
-        let mut right = ha.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
     /// Rank-error bound: against the exact empirical quantile `t` at rank
     /// `ceil(q * n)`, the estimate satisfies `t <= quantile(q) <= t + t/32`
     /// (exact below 32, one log-linear bucket width above).
@@ -352,27 +286,14 @@ proptest! {
         );
     }
 
-    /// Serialize → parse is lossless, and parsed shards merge to the same
-    /// histogram as recording everything into one.
+    /// Serialize → parse is lossless.
     #[test]
-    fn histogram_serialize_round_trips_through_merge(
-        a in prop::collection::vec(hist_value(), 0..100),
-        b in prop::collection::vec(hist_value(), 0..100),
+    fn histogram_serialize_round_trips(
+        values in prop::collection::vec(hist_value(), 0..200),
     ) {
-        let (ha, hb) = (record_all(&a), record_all(&b));
-        let pa = telemetry::Histogram::parse(&ha.serialize()).unwrap();
-        let pb = telemetry::Histogram::parse(&hb.serialize()).unwrap();
-        prop_assert_eq!(&pa, &ha);
-        prop_assert_eq!(&pb, &hb);
-
-        let mut merged = pa.clone();
-        merged.merge(&pb);
-        let mut both = a.clone();
-        both.extend_from_slice(&b);
-        prop_assert_eq!(&merged, &record_all(&both));
-        // And the merged form still survives a serialize round-trip.
-        let reparsed = telemetry::Histogram::parse(&merged.serialize()).unwrap();
-        prop_assert_eq!(reparsed, merged);
+        let h = record_all(&values);
+        let parsed = telemetry::Histogram::parse(&h.serialize()).unwrap();
+        prop_assert_eq!(parsed, h);
     }
 
     /// Registry counters are monotone under arbitrary inc/add sequences

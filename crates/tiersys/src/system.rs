@@ -71,15 +71,18 @@ impl SystemCore {
                 self.resync(f.vpn, actual);
             }
         }
+        // Pages force-evacuated by a tier shrink: file each under the tier
+        // it is in now, since a copy queued before the shrink may have
+        // moved it again in the same tick. Re-driven moves below file last.
+        for &(vpn, _) in &report.evacuated {
+            if let Some(actual) = machine.tier_of(vpn) {
+                self.resync(vpn, actual);
+            }
+        }
         if !self.frozen {
             for (vpn, dst) in self.retry.on_tick(machine) {
                 self.resync(vpn, dst);
             }
-        }
-        // Pages force-evacuated by a tier shrink already moved: re-sync
-        // the policy with where each page actually landed.
-        for &(vpn, dst) in &report.evacuated {
-            self.resync(vpn, dst);
         }
     }
 
@@ -110,7 +113,7 @@ impl SystemCore {
 /// ingest, vanilla placement and Colloid page selection.
 pub trait SystemLogic {
     /// The system's work for one tick, after the core's preamble has
-    /// registered pages and re-synced failed, retried and evacuated
+    /// registered pages and re-synced failed, evacuated and retried
     /// migrations.
     fn on_tick(&mut self, core: &mut SystemCore, machine: &mut Machine, report: &TickReport);
 
@@ -219,5 +222,99 @@ impl<L: SystemLogic> TieringSystem for System<L> {
         }
         self.core.metrics = Some(hub.clone());
         self.core.retry.set_metrics(hub);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use memsim::{MachineConfig, TierShrink, PAGE_SIZE};
+    use simkit::SimTime;
+
+    use super::*;
+
+    /// Managed pages, all starting on tier 1.
+    const PAGES: Vpn = 4;
+
+    /// Requests its scripted moves through the retry queue and files each
+    /// enqueued page under its destination, as the real systems do.
+    struct Scripted {
+        tick: usize,
+        /// `(tick, page, destination, engine frozen)`. A frozen engine
+        /// rejects the request, so the move parks in the retry queue.
+        moves: Vec<(usize, Vpn, TierId, bool)>,
+    }
+
+    impl SystemLogic for Scripted {
+        fn on_tick(&mut self, core: &mut SystemCore, machine: &mut Machine, _: &TickReport) {
+            self.tick += 1;
+            for &(at, vpn, dst, frozen) in &self.moves {
+                if at != self.tick {
+                    continue;
+                }
+                if frozen {
+                    machine.set_migration_admission_limit(Some(0));
+                }
+                if core.retry.request(machine, vpn, dst) {
+                    core.policy.move_tier(vpn, dst);
+                }
+                machine.set_migration_admission_limit(None);
+            }
+        }
+    }
+
+    /// Runs `moves` for three ticks on a three-tier machine whose tier 1
+    /// shrinks to one frame at the start of tick 2, evacuating pages 0–2
+    /// to tier 0. Returns where the machine and the policy put page 0.
+    fn page_0_after(moves: Vec<(usize, Vpn, TierId, bool)>) -> (TierId, TierId) {
+        let tick = SimTime::from_us(100.0);
+        let mut cfg = MachineConfig::cxl_three_tier();
+        for t in &mut cfg.tiers {
+            t.capacity_bytes = 16 * PAGE_SIZE;
+        }
+        cfg.faults.tier_shrinks.push(TierShrink {
+            tier: TierId(1),
+            at: tick,
+            new_frames: 1,
+        });
+        let mut machine = Machine::new(cfg);
+        machine.place_range(0..PAGES, TierId(1));
+        let mut params = SystemParams::new(vec![0..PAGES], None);
+        params.unloaded_ns = vec![0.0; 3];
+        let mut system = System {
+            core: SystemCore::new(SystemKind::Hemem, params, u64::MAX),
+            logic: Scripted { tick: 0, moves },
+        };
+        let mut evacuated = Vec::new();
+        for _ in 0..3 {
+            let report = machine.run_tick(tick);
+            evacuated.extend(report.evacuated.iter().map(|&(vpn, _)| vpn));
+            system.on_tick(&mut machine, &report);
+        }
+        assert_eq!(evacuated, [0, 1, 2]);
+        assert_eq!(machine.migration_backlog(), 0);
+        assert_eq!(machine.migration_counters().in_flight(), 0);
+        (
+            machine.tier_of(0).unwrap(),
+            system.core.policy.tier_of(0).unwrap(),
+        )
+    }
+
+    #[test]
+    fn a_queued_copy_that_moves_an_evacuated_page_files_it_where_it_lands() {
+        // Tick 1 queues page 0 for tier 2; tick 2 evacuates it to tier 0
+        // first, then the queued copy takes it on to tier 2.
+        let (machine, policy) = page_0_after(vec![(1, 0, TierId(2), false)]);
+        assert_eq!(machine, TierId(2));
+        assert_eq!(policy, machine);
+    }
+
+    #[test]
+    fn a_move_redriven_after_an_evacuation_files_the_page_at_its_destination() {
+        // Tick 1 parks page 0's move to tier 2; tick 2 evacuates the page
+        // to tier 0 and the preamble re-drives the move, which lands on
+        // tick 3.
+        let (machine, policy) = page_0_after(vec![(1, 0, TierId(2), true)]);
+        assert_eq!(machine, TierId(2));
+        assert_eq!(policy, machine);
     }
 }

@@ -40,8 +40,8 @@ fn main() {
         );
         println!(
             "    tier latencies  : default {:.0} ns vs alternate {:.0} ns",
-            result.l_default_ns.unwrap_or(f64::NAN),
-            result.l_alternate_ns.unwrap_or(f64::NAN)
+            result.latency_ns[0].unwrap_or(f64::NAN),
+            result.latency_ns[1].unwrap_or(f64::NAN)
         );
         println!(
             "    placement       : {:.0}% of GUPS traffic served by the default tier\n",

@@ -120,8 +120,8 @@ fn colloid_balances_tier_latencies() {
         },
     );
     let r = run(&mut e, &quick_rc());
-    let l_d = r.l_default_ns.expect("default busy");
-    let l_a = r.l_alternate_ns.expect("alternate busy");
+    let l_d = r.latency_ns[0].expect("default busy");
+    let l_a = r.latency_ns[1].expect("alternate busy");
     let gap = (l_d - l_a).abs() / l_d.max(l_a);
     assert!(
         gap < 0.35,

@@ -46,7 +46,7 @@ fn assert_sane(r: &RunResult, what: &str) {
         "{what}: ops/s = {}",
         r.ops_per_sec
     );
-    for (tier, l) in [("default", r.l_default_ns), ("alternate", r.l_alternate_ns)] {
+    for (tier, l) in [("default", r.latency_ns[0]), ("alternate", r.latency_ns[1])] {
         if let Some(l) = l {
             assert!(l.is_finite() && l >= 0.0, "{what}: L_{tier} = {l}");
         }
