@@ -48,9 +48,10 @@ impl Dynamic {
         }
     }
 
-    /// Builds the scenario with the change scheduled mid-run.
-    pub fn scenario(self, tick: SimTime, pre_ticks: usize) -> GupsScenario {
-        let t_change = tick * pre_ticks as u64;
+    /// Builds the scenario with the change scheduled after `pre_ticks`
+    /// ticks of the experiment's 100 µs quantum.
+    pub(super) fn scenario(self, pre_ticks: usize) -> GupsScenario {
+        let t_change = SimTime::from_us(100.0) * pre_ticks as u64;
         match self {
             Dynamic::HotsetAt0x => {
                 let mut sc = GupsScenario::intensity(0);

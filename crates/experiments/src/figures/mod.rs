@@ -22,7 +22,9 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 
-use simkit::SimTime;
+use std::ops::Range;
+
+use memsim::Vpn;
 use tiersys::tpp::{Tpp, TppConfig};
 use tiersys::{build_system, ColloidParams, SystemKind};
 
@@ -31,7 +33,7 @@ use crate::oracle::OracleResult;
 use crate::report::{ratio, Table};
 use crate::runner::{run, RunConfig, RunResult};
 use crate::scenario::{build_app, build_gups, build_gups_with_stream, system_params};
-use crate::scenario::{AppKind, GupsScenario, Policy};
+use crate::scenario::{AppKind, Experiment, GupsScenario, Policy};
 use fig9::Dynamic;
 
 /// One figure: the simulations it needs and its text.
@@ -129,7 +131,7 @@ pub enum Sim {
 
 impl Sim {
     /// Its name in progress lines and gate findings.
-    fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             Sim::Gups(g) => {
                 // The knobs set away from the paper's defaults.
@@ -158,9 +160,10 @@ impl Sim {
         }
     }
 
-    /// Runs it (quick mode when `quick`).
-    pub fn run(&self, quick: bool) -> (RunResult, EndState) {
-        let (mut exp, rc, ws) = match self {
+    /// Builds it (quick mode when `quick`): the experiment, the run
+    /// configuration it runs under, and the pages its system manages.
+    pub fn build(&self, quick: bool) -> (Experiment, RunConfig, Range<Vpn>) {
+        match self {
             Sim::Gups(g) => {
                 let mut sc = GupsScenario::intensity(g.intensity);
                 sc.alt_latency_ratio = g.alt_latency_ratio;
@@ -196,7 +199,7 @@ impl Sim {
             &Sim::Timeline(dynamic, policy) => {
                 // Ticks before the change; as many run after it.
                 let pre = if quick { 150 } else { 300 };
-                let sc = dynamic.scenario(SimTime::from_us(100.0), pre);
+                let sc = dynamic.scenario(pre);
                 let exp = build_gups(&sc, policy);
                 (
                     exp,
@@ -208,7 +211,12 @@ impl Sim {
                 let exp = build_app(app, intensity * 5, policy, 7);
                 (exp, steady(quick), app.ws_range())
             }
-        };
+        }
+    }
+
+    /// Runs it (quick mode when `quick`).
+    pub fn run(&self, quick: bool) -> (RunResult, EndState) {
+        let (mut exp, rc, ws) = self.build(quick);
         let result = run(&mut exp, &rc);
         (result, EndState::of(&exp.machine, &[(&*exp.system, ws)]))
     }

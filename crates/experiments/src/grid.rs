@@ -25,7 +25,7 @@ use crate::bench::{self, BenchCell};
 use crate::figures::{self, ext, fig1, fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9};
 use crate::figures::{Figure, Figures};
 use crate::{colocation, degradation, gauntlet, migration, multitier, observe, policy};
-use crate::{robustness, timeline, trace};
+use crate::{robustness, timeline};
 
 /// End-of-cell state the invariant gate checks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -94,7 +94,7 @@ impl EndState {
 /// Options a harness is built with.
 #[derive(Debug, Clone, Default)]
 pub struct Opts {
-    /// Shortened runs (`--quick`, or `COLLOID_QUICK` other than `0`).
+    /// Shortened runs (`--quick`).
     pub quick: bool,
     /// Evaluate the harness's own gates (`--smoke`).
     pub smoke: bool,
@@ -246,7 +246,7 @@ type Entry = (&'static str, fn(Opts) -> Box<dyn DynHarness>);
 
 /// Every harness by name, in CI order, then the figures one by one. The
 /// name also names its `<name>_out/` directory and its `BENCH_<name>.json`.
-static HARNESSES: [Entry; 22] = [
+static HARNESSES: [Entry; 21] = [
     ("robustness", |o| Box::new(robustness::Matrix(o))),
     ("degradation", |o| Box::new(degradation::Matrix(o))),
     ("multitier", |o| Box::new(multitier::Grid(o))),
@@ -255,7 +255,6 @@ static HARNESSES: [Entry; 22] = [
     ("gauntlet", |o| Box::new(gauntlet::Gauntlet::new(o))),
     ("policy", |o| Box::new(policy::ShootOut::new(o))),
     ("timeline", |o| Box::new(timeline::Timeline(o))),
-    ("trace", |o| Box::new(trace::Trace(o))),
     ("observe", |o| Box::new(observe::Observe(o))),
     ("figures", |o| figs(o, &figures::PAPER)),
     ("ext", |o| figs(o, &[ext::FIGURE])),
@@ -299,18 +298,21 @@ fn select(name: &str, valid: &[&'static Entry]) -> Result<&'static Entry, String
         .ok_or_else(|| format!("unknown harness {name:?}; valid: {}", names.join(", ")))
 }
 
-/// A parsed command line: `Run(harness, opts, --bench, --regen)` or
-/// `Drift(harness)`.
+/// A parsed command line.
 enum Cmd {
-    Run(&'static Entry, Opts, bool, bool),
+    /// Run the harness.
+    Run(&'static Entry, Opts),
+    /// Write the harness's bench baseline and stop (`--bench`).
+    Bench(&'static Entry),
+    /// Rewrite the harness's golden artifacts and stop (`--regen`).
+    Regen(&'static Entry, Opts),
+    /// Check the bench baselines, or only this one's, for drift
+    /// (`--drift`).
     Drift(Option<&'static Entry>),
 }
 
 fn parse(args: &[String]) -> Result<Cmd, String> {
-    let mut opts = Opts {
-        quick: crate::quick_requested(),
-        ..Opts::default()
-    };
+    let mut opts = Opts::default();
     let (mut bench, mut regen, mut drift, mut name) = (false, false, false, None);
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -333,40 +335,33 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
             .map(Cmd::Drift);
     }
     let all: Vec<&Entry> = HARNESSES.iter().collect();
-    Ok(Cmd::Run(
-        select(name.unwrap_or(""), &all)?,
-        opts,
-        bench,
-        regen,
-    ))
+    let entry = select(name.unwrap_or(""), &all)?;
+    Ok(match (regen, bench) {
+        (true, _) => Cmd::Regen(entry, opts),
+        (false, true) => Cmd::Bench(entry),
+        (false, false) => Cmd::Run(entry, opts),
+    })
 }
 
-/// The `grid` binary: runs one harness, or checks the bench baselines
-/// for drift. Returns the process exit code.
+/// The `grid` binary: runs one harness, writes its bench baseline or
+/// its goldens, or checks the bench baselines for drift. Returns the
+/// process exit code.
 pub fn main(args: &[String]) -> i32 {
-    let (&(name, build), opts, bench, regen) = match parse(args) {
-        Ok(Cmd::Run(entry, opts, bench, regen)) => (entry, opts, bench, regen),
+    let (&(name, build), opts) = match parse(args) {
+        Ok(Cmd::Run(entry, opts)) => (entry, opts),
+        Ok(Cmd::Bench(&(name, build))) => return write_baseline(name, build(QUICK)),
+        Ok(Cmd::Regen(&(name, build), opts)) => {
+            return match build(opts).regen() {
+                Ok(wrote) => {
+                    println!("{wrote}");
+                    0
+                }
+                Err(e) => setup_error(format!("{name} --regen: {e}")),
+            }
+        }
         Ok(Cmd::Drift(only)) => return drift(only),
         Err(e) => return setup_error(format!("{e}\n{USAGE}")),
     };
-    if regen {
-        return match build(opts).regen() {
-            Ok(wrote) => {
-                println!("{wrote}");
-                0
-            }
-            Err(e) => setup_error(format!("{name} --regen: {e}")),
-        };
-    }
-    if bench {
-        let file = format!("BENCH_{name}.json");
-        let json = build(QUICK).baseline(name).ok_or("no bench cells to time");
-        match json.map(|json| std::fs::write(&file, json)) {
-            Ok(Ok(())) => println!("bench baseline written to {file}"),
-            Ok(Err(e)) => return setup_error(format!("{name}: cannot write {file}: {e}")),
-            Err(e) => return setup_error(format!("{name}: {e}")),
-        }
-    }
     let smoke = opts.smoke;
     let dir = PathBuf::from(format!("{name}_out"));
     let mut ctx = Ctx {
@@ -400,6 +395,22 @@ fn verdict(ctx: &Ctx, smoke: bool) -> i32 {
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Writes `name`'s `BENCH_<name>.json` at the repo root, where `--drift`
+/// reads it.
+fn write_baseline(name: &str, mut harness: Box<dyn DynHarness>) -> i32 {
+    let path = repo_root().join(format!("BENCH_{name}.json"));
+    let Some(json) = harness.baseline(name) else {
+        return setup_error(format!("{name}: no bench cells to time"));
+    };
+    match std::fs::write(&path, json) {
+        Ok(()) => {
+            println!("bench baseline written to {}", path.display());
+            0
+        }
+        Err(e) => setup_error(format!("{name}: cannot write {}: {e}", path.display())),
+    }
 }
 
 /// Regenerates each declared `BENCH_<name>.json` (or only `only`'s) and
@@ -483,6 +494,26 @@ mod tests {
             &["policy", "--x"],
         ] {
             assert_eq!(main(&args(bad)), 2, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn only_the_given_arguments_set_the_command() {
+        let quick = |a: &[&str]| match parse(&args(a)) {
+            Ok(Cmd::Run((name, _), opts)) if *name == "timeline" => opts.quick,
+            _ => panic!("{a:?} must parse to a timeline run"),
+        };
+        assert!(!quick(&["timeline"]));
+        assert!(quick(&["timeline", "--quick"]));
+        // `--bench` only writes the baseline, whatever else is given.
+        for a in [
+            &["multitier", "--bench"][..],
+            &["--bench", "--smoke", "multitier"],
+        ] {
+            assert!(
+                matches!(parse(&args(a)), Ok(Cmd::Bench((name, _))) if *name == "multitier"),
+                "{a:?}"
+            );
         }
     }
 

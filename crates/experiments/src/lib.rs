@@ -45,20 +45,20 @@
 //!   [`tiersys::PolicyKind`] under every system's vanilla placement on
 //!   gups/graph/kvcache/adaptive/scan traces, plus default-identity
 //!   digests and the live mid-run policy-swap drill (DESIGN.md §17).
-//! - [`timeline`] — the telemetry demonstration: the Figure 9 contention
-//!   shift recorded end to end with a [`telemetry::RingRecorder`],
-//!   exported as NDJSON + CSV, and analysed for time-to-equilibrium,
-//!   migration efficiency, and latency inversions (DESIGN.md §10).
-//! - [`trace`] — the causal-tracing demonstration: the contention shift
-//!   with span tracing live, exported as chrome-`trace_event` JSON and
-//!   folded stacks, plus the per-page provenance/blame report and the
+//! - [`timeline`] — the telemetry and causal-tracing demonstration: the
+//!   Figure 9 contention shift, run once per policy with a
+//!   [`telemetry::RingRecorder`] recording events and spans, exported as
+//!   NDJSON + CSV and analysed for time-to-equilibrium, migration
+//!   efficiency and latency inversions (DESIGN.md §10); the Colloid run
+//!   and the fault-free quickstart also as chrome-`trace_event` JSON,
+//!   folded stacks, the per-page provenance/blame report and the
 //!   simulator's wall-clock profile (DESIGN.md §11).
 //! - [`observe`] — the observatory's gates (DESIGN.md §16); its live
 //!   dashboard is the `observe` binary.
 //!
 //! Every driver accepts a *quick* mode (fewer sweep points, shorter
-//! warm-up); the binaries run full mode by default and quick mode with
-//! `--quick` or `COLLOID_QUICK=1`.
+//! warm-up); `grid` runs full mode by default and quick mode with
+//! `--quick`.
 
 pub mod bench;
 pub mod colocation;
@@ -76,16 +76,7 @@ pub mod robustness;
 pub mod runner;
 pub mod scenario;
 pub mod timeline;
-pub mod trace;
 
 pub use oracle::OracleResult;
 pub use runner::{run, RunConfig, RunResult, TickSample};
 pub use scenario::{AppKind, Experiment, GupsScenario, Policy};
-
-/// Whether quick mode was requested on the command line or environment.
-pub fn quick_requested() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || std::env::var("COLLOID_QUICK")
-            .map(|v| v != "0")
-            .unwrap_or(false)
-}

@@ -27,11 +27,9 @@ use simkit::SimTime;
 use telemetry::{BurnRateConfig, MetricsHub, SloMonitor, SloSpec};
 use tiersys::SystemKind;
 
-use crate::colocation;
-use crate::figures::fig9::Dynamic;
 use crate::grid::{Ctx, EndState, Harness, Opts};
-use crate::runner::{run as run_exp, RunConfig};
-use crate::scenario::{build_gups, GupsScenario, Policy};
+use crate::runner::run as run_exp;
+use crate::{colocation, timeline};
 
 /// Latency objective for the fault-free quickstart drive, in ns. The
 /// GUPS @ 2× steady state serves hot pages from the fast tier at well
@@ -120,17 +118,10 @@ impl Observation {
     }
 }
 
-/// Runs the fault-free quickstart drive (GUPS @ 2×, HeMem+Colloid) with
-/// the full observability stack attached.
+/// Runs the fault-free quickstart drive (`timeline::quickstart`: GUPS
+/// @ 2×, HeMem+Colloid) with the full observability stack attached.
 pub fn run_quickstart_observed() -> Observation {
-    let scenario = GupsScenario::intensity(2);
-    let mut exp = build_gups(
-        &scenario,
-        Policy::System {
-            kind: SystemKind::Hemem,
-            colloid: true,
-        },
-    );
+    let (mut exp, _, ws) = timeline::quickstart().build(false);
     let sink = telemetry::Sink::ring(1 << 14, 0);
     exp.attach_telemetry(sink.clone());
     let hub = MetricsHub::new();
@@ -146,8 +137,9 @@ pub fn run_quickstart_observed() -> Observation {
         objective: OBJECTIVE,
     });
 
-    // A plain step loop rather than `runner::run`: every tick's latency
-    // feeds the hub and the SLO monitor.
+    // A plain step loop rather than `runner::run` under the cell's run
+    // configuration: every tick's latency feeds the hub and the SLO
+    // monitor.
     let app_lat = hub.histogram("observe_app_latency_ns");
     for _ in 0..QUICKSTART_TICKS {
         let report = exp.step();
@@ -163,10 +155,7 @@ pub fn run_quickstart_observed() -> Observation {
         monitor,
         events: sink.with(|r| r.events()).unwrap_or_default(),
         t_end: exp.machine.now(),
-        end: EndState::of(
-            &exp.machine,
-            &[(&*exp.system, scenario.gups_config().ws_range())],
-        ),
+        end: EndState::of(&exp.machine, &[(&*exp.system, ws)]),
     }
 }
 
@@ -291,25 +280,18 @@ pub fn render_frame(
     out
 }
 
-/// Times the Figure 9 contention quick cell detached and attached in
-/// seven back-to-back pairs, alternating which side runs first, and
-/// returns each pair's `(detached_s, attached_s)`.
+/// Times the Figure 9 contention quick cell under HeMem+Colloid
+/// (`timeline::contention`) detached and attached in seven
+/// back-to-back pairs, alternating which side runs first, and returns
+/// each pair's `(detached_s, attached_s)`.
 pub fn overhead_timing() -> Vec<(f64, f64)> {
     let time_one = |with_hub: bool| -> f64 {
-        let tick = SimTime::from_us(100.0);
-        let sc = Dynamic::ContentionOn.scenario(tick, 150);
-        let mut exp = build_gups(
-            &sc,
-            Policy::System {
-                kind: SystemKind::Hemem,
-                colloid: true,
-            },
-        );
+        let (mut exp, rc, _) = timeline::contention(true).build(true);
         if with_hub {
             exp.attach_metrics(MetricsHub::new());
         }
         let t0 = std::time::Instant::now();
-        run_exp(&mut exp, &RunConfig::timeline(300));
+        run_exp(&mut exp, &rc);
         t0.elapsed().as_secs_f64()
     };
     let pair = |i: usize| {

@@ -1,11 +1,12 @@
 //! Golden bit-identity tests: replication runs with telemetry recorders
 //! attached must reproduce the committed baseline outputs byte for byte.
 //!
-//! The baselines (`figures_output.txt` for Figures 1, 4 and 9, and the
-//! files under `tests/golden/`) were captured from the pre-telemetry
-//! tree, so these tests pin the subsystem's core contract — recording is
-//! passive and a disabled sink is free: attaching a `NoopRecorder` or
-//! even a full `RingRecorder` changes nothing about simulated behaviour.
+//! The baselines (`figures_output.txt` for Figures 1, 4 and 9 and the
+//! Figure 9 HeMem contention series, and the files under
+//! `tests/golden/`) were captured from the pre-telemetry tree, so these
+//! tests pin the subsystem's core contract — recording is passive and a
+//! disabled sink is free: attaching a `NoopRecorder` or even a full
+//! `RingRecorder` changes nothing about simulated behaviour.
 //!
 //! The full Figure 1 / Figure 9 grids take minutes and are `#[ignore]`d;
 //! CI and `cargo test` always run the quickstart, Figure 4, and one
@@ -14,11 +15,10 @@
 use std::path::Path;
 
 use experiments::figures::fig9::Dynamic;
-use experiments::figures::{fig1, fig4, fig9, Figure, Figures};
+use experiments::figures::{fig1, fig4, fig9, Figure, Figures, Sim};
 use experiments::grid::{Ctx, Harness, Opts};
 use experiments::runner::{run, RunConfig};
-use experiments::scenario::{build_gups, GupsScenario, Policy};
-use simkit::SimTime;
+use experiments::scenario::{build_gups, Experiment, GupsScenario, Policy};
 use tiersys::SystemKind;
 
 /// Reads the committed all-figures baseline.
@@ -28,14 +28,19 @@ fn figures_baseline() -> String {
 }
 
 /// Extracts one section: from the line starting with `header` up to the
-/// next `== ` section header (exclusive), trailing whitespace trimmed.
+/// next header at its level or above (exclusive): a `== ` section ends at
+/// the next `== `, a `-- ` series block at the next `-- ` or `== `.
+/// Trailing whitespace is trimmed.
 fn section(text: &str, header: &str) -> String {
+    let ends = |line: &str| {
+        line.starts_with("== ") || (header.starts_with("-- ") && line.starts_with("-- "))
+    };
     let mut out = String::new();
     let mut inside = false;
     for line in text.lines() {
         if line.starts_with(header) {
             inside = true;
-        } else if inside && line.starts_with("== ") {
+        } else if inside && ends(line) {
             break;
         }
         if inside {
@@ -175,35 +180,47 @@ fn quickstart_stays_byte_identical_after_n_tier_refactor() {
     );
 }
 
-#[test]
-fn fig9_contention_cell_with_noop_recorder_matches_golden() {
-    // One Figure 9 cell (HeMem, contention 0x -> 3x) with a NoopRecorder
-    // attached: the zero-cost disabled-recording path must be bit-identical
-    // to the baseline (captured in quick mode: 150 pre + 150 post ticks).
-    let tick = SimTime::from_us(100.0);
-    let sc = Dynamic::ContentionOn.scenario(tick, 150);
-    let mut exp = build_gups(
-        &sc,
-        Policy::System {
-            kind: SystemKind::Hemem,
-            colloid: false,
-        },
-    );
-    exp.attach_telemetry(telemetry::Sink::new(Box::new(telemetry::NoopRecorder)));
-    let r = run(&mut exp, &RunConfig::timeline(300));
-    let pts: Vec<(f64, f64)> = r
+/// The Figure 9 HeMem contention cell (0x -> 3x) in quick mode, 150
+/// ticks before the shift and 150 after, with `attach` wiring
+/// instrumentation in before the run. Returns its throughput series as
+/// Figure 9 renders it.
+fn fig9_contention_hemem(attach: impl FnOnce(&mut Experiment)) -> String {
+    let hemem = Policy::System {
+        kind: SystemKind::Hemem,
+        colloid: false,
+    };
+    let (mut exp, rc, _) = Sim::Timeline(Dynamic::ContentionOn, hemem).build(true);
+    attach(&mut exp);
+    let pts: Vec<(f64, f64)> = run(&mut exp, &rc)
         .series
         .iter()
         .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
         .collect();
-    let got = telemetry::render::series(
+    telemetry::render::series(
         "HeMem | contention 0x -> 3x | Mops/s over time (ms)",
         &pts,
         20,
-    );
+    )
+}
+
+/// Figure 9's HeMem contention series in the committed baseline.
+fn fig9_contention_hemem_baseline() -> String {
+    section(
+        &figures_baseline(),
+        "-- HeMem | contention 0x -> 3x | Mops/s over time (ms) --",
+    )
+}
+
+#[test]
+fn fig9_contention_cell_with_noop_recorder_matches_golden() {
+    // One Figure 9 cell with a NoopRecorder attached: the zero-cost
+    // disabled-recording path must be bit-identical to the baseline.
+    let got = fig9_contention_hemem(|exp| {
+        exp.attach_telemetry(telemetry::Sink::new(Box::new(telemetry::NoopRecorder)))
+    });
     assert_eq!(
         got.trim_end(),
-        golden("fig9_contention_hemem.txt").trim_end(),
+        fig9_contention_hemem_baseline(),
         "Figure 9 contention cell drifted under an attached NoopRecorder"
     );
 }
@@ -268,31 +285,11 @@ fn fig9_contention_cell_with_live_metrics_hub_matches_golden() {
     // The same Figure 9 cell as above, but with an *enabled* registry
     // attached: per-tier latency histograms and migration counters fill
     // while the simulated timeline stays bit-identical.
-    let tick = SimTime::from_us(100.0);
-    let sc = Dynamic::ContentionOn.scenario(tick, 150);
-    let mut exp = build_gups(
-        &sc,
-        Policy::System {
-            kind: SystemKind::Hemem,
-            colloid: false,
-        },
-    );
     let hub = telemetry::MetricsHub::new();
-    exp.attach_metrics(hub.clone());
-    let r = run(&mut exp, &RunConfig::timeline(300));
-    let pts: Vec<(f64, f64)> = r
-        .series
-        .iter()
-        .map(|s| (s.t.as_ns() / 1e6, s.ops_per_sec / 1e6))
-        .collect();
-    let got = telemetry::render::series(
-        "HeMem | contention 0x -> 3x | Mops/s over time (ms)",
-        &pts,
-        20,
-    );
+    let got = fig9_contention_hemem(|exp| exp.attach_metrics(hub.clone()));
     assert_eq!(
         got.trim_end(),
-        golden("fig9_contention_hemem.txt").trim_end(),
+        fig9_contention_hemem_baseline(),
         "Figure 9 contention cell drifted under a live metrics hub"
     );
     assert!(

@@ -453,11 +453,6 @@ impl MachineConfig {
         }
         Ok(warnings)
     }
-
-    /// Total machine capacity in pages.
-    pub fn total_capacity_pages(&self) -> u64 {
-        self.tiers.iter().map(|t| t.capacity_pages()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -881,11 +881,6 @@ impl Machine {
         &self.tick_core_tier_lines
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     // ---- Placement management -------------------------------------------
 
     /// Maps `vpn` to `tier` without generating traffic (initial placement).

@@ -412,9 +412,7 @@ pub struct Supervisor {
     probes_sent: u64,
     drained_pages: u64,
     drained_last_tick: bool,
-    slo_pressure: bool,
     mode_ticks: Vec<telemetry::Counter>,
-    slo_throttle_ticks: telemetry::Counter,
     sink: telemetry::Sink,
 }
 
@@ -436,9 +434,7 @@ impl Supervisor {
             probes_sent: 0,
             drained_pages: 0,
             drained_last_tick: false,
-            slo_pressure: false,
             mode_ticks: Vec::new(),
-            slo_throttle_ticks: telemetry::Counter::default(),
             sink: telemetry::Sink::default(),
         }
     }
@@ -446,14 +442,6 @@ impl Supervisor {
     /// Current mode.
     pub fn mode(&self) -> SupervisorMode {
         self.mm.mode()
-    }
-
-    /// Advisory back-pressure from an SLO burn-rate monitor. While active,
-    /// the `Normal` arm runs under the throttled admission cap — capping
-    /// migration churn while a latency objective burns. A no-op unless
-    /// something calls it, so unsupervised-health experiments are untouched.
-    pub fn set_slo_pressure(&mut self, active: bool) {
-        self.slo_pressure = active;
     }
 
     /// Distills one tick's health evidence.
@@ -521,14 +509,7 @@ impl Supervisor {
     /// inner system gets to enqueue.
     fn apply_mode(&mut self, machine: &mut Machine, mode: SupervisorMode, probe_tick: bool) {
         let (limit, frozen) = match mode {
-            SupervisorMode::Normal => {
-                if self.slo_pressure {
-                    self.slo_throttle_ticks.inc();
-                    (Some(self.cfg.throttled_limit), false)
-                } else {
-                    (None, false)
-                }
-            }
+            SupervisorMode::Normal => (None, false),
             SupervisorMode::Throttled => (Some(self.cfg.throttled_limit), false),
             SupervisorMode::Frozen => (Some(u64::from(probe_tick)), true),
             SupervisorMode::Evacuating => (Some(self.cfg.drain_limit), true),
@@ -775,7 +756,6 @@ impl TieringSystem for Supervisor {
         .iter()
         .map(|m| hub.counter_with("tiersys_supervisor_mode_ticks", &[("mode", m.name())]))
         .collect();
-        self.slo_throttle_ticks = hub.counter("tiersys_supervisor_slo_throttle_ticks_total");
         self.inner.set_metrics(hub);
     }
 
@@ -1012,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_pressure_throttles_the_normal_arm_and_counts_mode_ticks() {
+    fn healthy_ticks_leave_admissions_unrestricted_and_count_normal_residency() {
         struct Inert;
         impl TieringSystem for Inert {
             fn on_tick(&mut self, _m: &mut Machine, _r: &TickReport) {}
@@ -1030,26 +1010,15 @@ mod tests {
         let hub = telemetry::MetricsHub::new();
         sup.set_metrics(hub.clone());
 
-        // Healthy and unpressured: Normal leaves admissions unrestricted.
-        let rep = m.run_tick(SimTime::from_us(100.0));
-        sup.on_tick(&mut m, &rep);
-        assert_eq!(sup.mode(), SupervisorMode::Normal);
-        assert_eq!(m.migration_admission_limit(), None);
+        // Healthy: Normal leaves admissions unrestricted, tick after tick.
+        for _ in 0..3 {
+            let rep = m.run_tick(SimTime::from_us(100.0));
+            sup.on_tick(&mut m, &rep);
+            assert_eq!(sup.mode(), SupervisorMode::Normal);
+            assert_eq!(m.migration_admission_limit(), None);
+        }
 
-        // An SLO starts burning: still Normal, but under the throttled cap.
-        sup.set_slo_pressure(true);
-        let rep = m.run_tick(SimTime::from_us(100.0));
-        sup.on_tick(&mut m, &rep);
-        assert_eq!(sup.mode(), SupervisorMode::Normal);
-        assert_eq!(m.migration_admission_limit(), Some(sup.cfg.throttled_limit));
-
-        // The burn resolves: back to unrestricted.
-        sup.set_slo_pressure(false);
-        let rep = m.run_tick(SimTime::from_us(100.0));
-        sup.on_tick(&mut m, &rep);
-        assert_eq!(m.migration_admission_limit(), None);
-
-        // Residency and pressure counters exported through the hub.
+        // Mode residency is exported through the hub.
         let samples = hub.snapshot();
         let mode_normal = samples
             .iter()
@@ -1059,11 +1028,6 @@ mod tests {
             })
             .expect("normal-mode residency counter");
         assert_eq!(mode_normal.value, telemetry::MetricValue::Counter(3));
-        let pressured = samples
-            .iter()
-            .find(|s| s.name == "tiersys_supervisor_slo_throttle_ticks_total")
-            .expect("slo throttle counter");
-        assert_eq!(pressured.value, telemetry::MetricValue::Counter(1));
     }
 
     #[test]
