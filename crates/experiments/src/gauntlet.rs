@@ -17,8 +17,9 @@
 //! Each cell of the matrix (HeMem/TPP/MEMTIS × ±Colloid × ±supervisor ×
 //! ±transactional engine) is scored on time-to-equilibrium after every
 //! shift (reusing [`telemetry::time_to_equilibrium`]), wasted-migration
-//! work ([`telemetry::migration_accounting`] provenance round trips),
-//! worst-window tail latency, and a composite resilience score.
+//! work (round trips in the [`telemetry::provenance()`] fold of the copies
+//! that landed), worst-window tail latency, and a composite resilience
+//! score.
 //!
 //! The module also owns the record → export → import → replay
 //! determinism proof: a capture run's `RunResult` and telemetry stream
@@ -52,6 +53,10 @@ const EVENT_CAP: usize = 200_000;
 const TTE_TOLERANCE: f64 = 0.1;
 /// Sliding-window width (ticks) for the worst-window tail latency.
 const TAIL_WINDOW: usize = 10;
+/// Ping-pong horizon of the provenance fold: a page migrated again within
+/// this window of its previous copy counts as churn (10 control quanta at
+/// the 100 µs tick).
+const PING_PONG_WINDOW: SimTime = SimTime::from_ps(1_000_000_000); // 1 ms
 
 /// Shape of the gauntlet.
 #[derive(Debug, Clone)]
@@ -241,9 +246,13 @@ pub struct CellScore {
     pub converged_shifts: usize,
     /// Shifts scored.
     pub total_shifts: usize,
-    /// Migration accounting over the event stream (useful vs wasted via
-    /// provenance round trips).
-    pub accounting: telemetry::MigrationAccounting,
+    /// The copies that landed, folded from the recorded spans and events
+    /// (useful vs wasted via round trips).
+    pub provenance: telemetry::ProvenanceReport,
+    /// Why `provenance` may miss copies: a ring that dropped records, or
+    /// a landed count other than the engine's completed count (empty =
+    /// whole).
+    pub tally_gaps: Vec<String>,
     /// Worst sliding-window arrival-weighted latency (ns).
     pub worst_window_ns: Option<f64>,
     /// Arrival-weighted latency over the final quarter of the run (ns).
@@ -368,18 +377,44 @@ pub(crate) fn worst_window(series: &[TickSample]) -> Option<f64> {
     worst
 }
 
+/// Folds the copies a run landed from `sink`'s recorded streams
+/// ([`telemetry::provenance()`]), with what keeps the fold from being the
+/// run's whole copy history (empty = whole): a ring that dropped events
+/// or spans, or a landed count other than the one the engine's `books`
+/// completed.
+pub(crate) fn fold_copies(
+    sink: &telemetry::Sink,
+    books: &memsim::MigrationCounters,
+) -> (telemetry::ProvenanceReport, Vec<String>) {
+    sink.with(|rec| {
+        let p = telemetry::provenance(&rec.events(), &rec.spans(), PING_PONG_WINDOW);
+        let (events, spans) = (rec.dropped_events(), rec.dropped_spans());
+        let mut gaps = Vec::new();
+        if events + spans > 0 {
+            gaps.push(format!("ring dropped {events} events and {spans} spans"));
+        }
+        if p.completed != books.completed {
+            gaps.push(format!(
+                "provenance folds {} landed copies but the engine completed {}",
+                p.completed, books.completed
+            ));
+        }
+        (p, gaps)
+    })
+    .expect("the cell records telemetry")
+}
+
 /// Scores a finished run.
 fn score_run(
     sc: &GauntletScenario,
     id: CellId,
     exp: &Experiment,
     r: &RunResult,
-    events: &[telemetry::Event],
     shifts: &[SimTime],
 ) -> CellScore {
     let horizon = sc.horizon();
     let (mean_tte, converged_shifts) = tte_over_shifts(&r.series, shifts, horizon);
-    let accounting = telemetry::migration_accounting(events);
+    let (provenance, tally_gaps) = fold_copies(&exp.sink, &r.migration);
     let worst = worst_window(&r.series);
     let steady_from = r.series.len().saturating_sub(sc.run_ticks / 4);
     let steady = time_avg_latency_ns(&r.series[steady_from..]);
@@ -401,7 +436,7 @@ fn score_run(
         (Some(s), Some(w)) if w > 0.0 => (s / w).clamp(0.0, 1.0),
         _ => 1.0,
     };
-    let resilience = mops_score * accounting.efficiency() * tte_factor * tail_factor;
+    let resilience = mops_score * provenance.efficiency() * tte_factor * tail_factor;
 
     CellScore {
         id,
@@ -409,7 +444,8 @@ fn score_run(
         mean_tte,
         converged_shifts,
         total_shifts: shifts.len(),
-        accounting,
+        provenance,
+        tally_gaps,
         worst_window_ns: worst,
         steady_ns: steady,
         end: EndState::of(&exp.machine, &[(&*exp.system, sc.ws_range())]),
@@ -428,15 +464,7 @@ pub fn run_cell(
     let mut exp = build_cell(sc, tkind, id, fixture)?;
     exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, 0));
     let r = run_exp(&mut exp, &RunConfig::timeline(sc.run_ticks));
-    let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
-    Ok(score_run(
-        sc,
-        id,
-        &exp,
-        &r,
-        &events,
-        &shift_times(sc, tkind),
-    ))
+    Ok(score_run(sc, id, &exp, &r, &shift_times(sc, tkind)))
 }
 
 /// One trace column of the matrix.
@@ -470,8 +498,8 @@ pub fn render(sc: &GauntletScenario, outcome: &GauntletOutcome) -> String {
                 .map(|x| format!("{x:.1}"))
                 .unwrap_or_else(|| "-".into()),
             format!("{}/{}", c.converged_shifts, c.total_shifts),
-            format!("{}/{}", c.accounting.useful, c.accounting.wasted),
-            format!("{:.2}", c.accounting.efficiency()),
+            format!("{}/{}", c.provenance.useful, c.provenance.wasted),
+            format!("{:.2}", c.provenance.efficiency()),
             fmt_ns(c.worst_window_ns),
             fmt_ns(c.steady_ns),
             format!("{:.3}", c.resilience),
@@ -661,7 +689,10 @@ fn mean_over(
 ///    mean time-to-equilibrium and wasted-migration work in the
 ///    adversarial column;
 /// 3. **typed trace errors** — corrupt and empty NDJSON fixtures surface
-///    as typed errors, never panics.
+///    as typed errors, never panics;
+/// 4. **whole tallies** — no cell's ring dropped an event or a span, and
+///    each cell's provenance lands as many copies as the engine's books
+///    completed.
 pub fn smoke_failures(
     sc: &GauntletScenario,
     outcomes: &[GauntletOutcome],
@@ -681,7 +712,7 @@ pub fn smoke_failures(
             |c: &CellScore| c.id.colloid && c.id.supervised && !c.id.transactional;
         let bare_vanilla = |c: &CellScore| !c.id.colloid && !c.id.supervised && !c.id.transactional;
         let tte_ticks = |c: &CellScore| c.mean_tte_ticks(sc.tick()).unwrap_or(sc.run_ticks as f64);
-        let wasted = |c: &CellScore| c.accounting.wasted as f64;
+        let wasted = |c: &CellScore| c.provenance.wasted as f64;
         match (
             mean_over(&adv.cells, supervised_colloid, tte_ticks),
             mean_over(&adv.cells, bare_vanilla, tte_ticks),
@@ -716,6 +747,13 @@ pub fn smoke_failures(
         .expect("empty trace parses");
     if TraceReplayer::try_new(Arc::new(empty)).is_ok() {
         fails.push("empty fixture trace did not produce a typed replay error".into());
+    }
+
+    for o in outcomes {
+        for c in &o.cells {
+            let cell = format!("{}/{}", o.kind.label(), c.id.name());
+            fails.extend(c.tally_gaps.iter().map(|g| format!("{cell}: {g}")));
+        }
     }
     fails
 }
@@ -901,8 +939,8 @@ impl Harness for Gauntlet {
             ("converged_shifts", c.converged_shifts as f64),
             ("worst_window_ns", c.worst_window_ns.unwrap_or(f64::NAN)),
             ("steady_ns", c.steady_ns.unwrap_or(f64::NAN)),
-            ("useful_migrations", c.accounting.useful as f64),
-            ("wasted_migrations", c.accounting.wasted as f64),
+            ("useful_migrations", c.provenance.useful as f64),
+            ("wasted_migrations", c.provenance.wasted as f64),
             ("resident_pages", c.end.resident as f64),
         ]
     }
@@ -924,7 +962,7 @@ impl Harness for Gauntlet {
         let digest = format!(
             "{:.6} {} {}\n",
             cell.ops_per_sec / 1e6,
-            cell.accounting.completed,
+            cell.provenance.completed,
             fixture_replay_digest(sc, &trace)
         );
         let golden = golden_digest_path();
@@ -1028,6 +1066,62 @@ mod tests {
             "HeMem+Colloid+SV [txn]"
         );
         assert_eq!(id(SystemKind::Tpp, false, false, false).name(), "TPP");
+    }
+
+    #[test]
+    fn provenance_skips_aborted_copies() {
+        // A transactional write storm aborts four copies at the
+        // dirty-retry cap, then the same four pages land after it ends.
+        // Each aborted copy closed its migration span too; the fold must
+        // count only the four that landed, as the engine's books do.
+        use memsim::{FaultPlan, Machine, MachineConfig, TierId, WriteConflictStorm};
+        let mut cfg = MachineConfig::icelake_two_tier();
+        cfg.engine = memsim::MigrationEngineConfig::transactional();
+        cfg.engine.dirty_retry_max = 2;
+        cfg.faults = FaultPlan {
+            write_conflict_storms: vec![WriteConflictStorm {
+                start: SimTime::ZERO,
+                end: SimTime::from_ms(5.0),
+                hot_fraction: 1.0,
+                dirties_per_txn: u32::MAX,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut m = Machine::new(cfg);
+        let sink = telemetry::Sink::ring(1 << 10, 0);
+        m.set_telemetry(sink.clone());
+        m.place_range(0..16, TierId::DEFAULT);
+        for _storm_then_calm in 0..2 {
+            for v in 0..4 {
+                m.enqueue_migration(v, TierId::ALTERNATE).unwrap();
+            }
+            m.run_tick(SimTime::from_ms(5.0));
+        }
+        let books = m.migration_counters();
+        assert_eq!((books.completed, books.aborted_write_conflict), (4, 4));
+        let p = sink
+            .with(|r| telemetry::provenance(&r.events(), &r.spans(), SimTime::from_ms(1.0)))
+            .unwrap();
+        assert_eq!((p.completed, p.useful, p.wasted), (4, 4, 0));
+        assert!(p.pages.iter().all(|h| h.moves.len() == 1));
+    }
+
+    #[test]
+    fn fold_copies_names_drops_and_disagreements() {
+        let sink = telemetry::Sink::ring(0, 0);
+        let mut books = memsim::MigrationCounters::default();
+        assert!(fold_copies(&sink, &books).1.is_empty());
+        sink.emit(telemetry::Source::Runner, || {
+            telemetry::EventKind::EquilibriumReset
+        });
+        books.completed = 2;
+        assert_eq!(
+            fold_copies(&sink, &books).1,
+            [
+                "ring dropped 1 events and 0 spans",
+                "provenance folds 0 landed copies but the engine completed 2"
+            ]
+        );
     }
 
     #[test]

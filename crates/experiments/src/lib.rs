@@ -38,7 +38,8 @@
 //! - [`gauntlet`] — the adaptivity gauntlet: every system ± Colloid ±
 //!   supervisor, both migration-engine modes, against
 //!   phase-shifting/diurnal/adversarial traces plus replayed NDJSON
-//!   fixtures, scored on time-to-equilibrium, wasted migration, and
+//!   fixtures, scored on time-to-equilibrium, wasted migration (round
+//!   trips over the landed copies the provenance fold finds), and
 //!   worst-window tail latency, with a record → export → import → replay
 //!   bit-identity proof (DESIGN.md §14).
 //! - [`policy`] — the hotness-policy shoot-out: every
@@ -48,8 +49,10 @@
 //! - [`timeline`] — the telemetry and causal-tracing demonstration: the
 //!   Figure 9 contention shift, run once per policy with a
 //!   [`telemetry::RingRecorder`] recording events and spans, exported as
-//!   NDJSON + CSV and analysed for time-to-equilibrium, migration
-//!   efficiency and latency inversions (DESIGN.md §10); the Colloid run
+//!   NDJSON + CSV and analysed for time-to-equilibrium, the migration
+//!   tally (counts from the engine's and the retry queue's books,
+//!   useful/wasted from provenance) and latency inversions (DESIGN.md
+//!   §10, §11); the Colloid run
 //!   and the fault-free quickstart also as chrome-`trace_event` JSON,
 //!   folded stacks, the per-page provenance/blame report and the
 //!   simulator's wall-clock profile (DESIGN.md §11).

@@ -24,12 +24,13 @@
 //!   the sweep and SIEVE's hit-streak gate does not.
 //!
 //! Cells are scored on throughput, p99 per-tick latency, wasted
-//! migration work (provenance round trips), adaptive-trace TTE, and the
-//! policy's own tracking-overhead counters. `--smoke` gates the
-//! extracted defaults' bit-identity (explicit selection vs `None`),
-//! page conservation in every cell, SIEVE beating LRU on scan-trace
-//! wasted work under HeMem, and a live mid-run policy swap
-//! ([`swap_drill`]) completing without losing pages.
+//! migration work (round trips in the provenance fold of the copies that
+//! landed), adaptive-trace TTE, and the policy's own tracking-overhead
+//! counters. `--smoke` gates the extracted defaults' bit-identity
+//! (explicit selection vs `None`), page conservation in every cell, SIEVE
+//! beating LRU on scan-trace wasted work under HeMem, a live mid-run
+//! policy swap ([`swap_drill`]) completing without losing pages, and a
+//! whole useful/wasted tally in every cell.
 
 use memsim::{
     AccessStream, CoreConfig, ObjectAccess, TrafficClass, Vpn, LINES_PER_PAGE, LINE_SIZE, PAGE_SIZE,
@@ -44,7 +45,7 @@ use workloads::{
 };
 
 use crate::degradation::time_avg_latency_ns;
-use crate::gauntlet::{run_digest, tte_over_shifts};
+use crate::gauntlet::{fold_copies, run_digest, tte_over_shifts};
 use crate::grid::{Bench, Ctx, EndState, Harness, Opts};
 use crate::report::{p99, Table};
 use crate::runner::{run as run_exp, RunConfig};
@@ -298,9 +299,13 @@ pub struct PolicyCellScore {
     pub ops_per_sec: f64,
     /// p99 of per-tick arrival-weighted latency (ns).
     pub p99_ns: Option<f64>,
-    /// Migration accounting over the event stream (useful vs wasted via
-    /// provenance round trips).
-    pub accounting: telemetry::MigrationAccounting,
+    /// The copies that landed, folded from the recorded spans and events
+    /// (useful vs wasted via round trips).
+    pub provenance: telemetry::ProvenanceReport,
+    /// Why `provenance` may miss copies: a ring that dropped records, or
+    /// a landed count other than the engine's completed count (empty =
+    /// whole).
+    pub tally_gaps: Vec<String>,
     /// Mean time-to-equilibrium across shifts (adaptive column only).
     pub mean_tte: Option<SimTime>,
     /// Shifts that re-converged before the next shift.
@@ -333,7 +338,7 @@ pub fn run_cell(
     let mut exp = assemble(sc, trace, kind, policy);
     exp.attach_telemetry(telemetry::Sink::ring(EVENT_CAP, 0));
     let r = run_exp(&mut exp, &RunConfig::timeline(sc.run_ticks));
-    let events = exp.sink.with(|rec| rec.events()).unwrap_or_default();
+    let (provenance, tally_gaps) = fold_copies(&exp.sink, &r.migration);
     let shifts = shift_times(sc, trace);
     let (mean_tte, converged_shifts) = tte_over_shifts(&r.series, &shifts, sc.horizon());
     let stats = exp.system.policy_stats().unwrap_or_default();
@@ -351,7 +356,8 @@ pub fn run_cell(
             .unwrap_or_else(|| kind.default_policy()),
         ops_per_sec: r.ops_per_sec,
         p99_ns: p99(&mut tick_ns),
-        accounting: telemetry::migration_accounting(&events),
+        provenance,
+        tally_gaps,
         mean_tte,
         converged_shifts,
         total_shifts: shifts.len(),
@@ -397,8 +403,8 @@ pub fn render(sc: &PolicyScenario, outcome: &PolicyOutcome) -> String {
             c.p99_ns
                 .map(|x| format!("{x:.0}"))
                 .unwrap_or_else(|| "-".into()),
-            format!("{}/{}", c.accounting.useful, c.accounting.wasted),
-            format!("{:.2}", c.accounting.efficiency()),
+            format!("{}/{}", c.provenance.useful, c.provenance.wasted),
+            format!("{:.2}", c.provenance.efficiency()),
             c.mean_tte_ticks(sc.tick())
                 .map(|x| format!("{x:.1}"))
                 .unwrap_or_else(|| "-".into()),
@@ -551,7 +557,10 @@ pub fn render_drill(d: &SwapDrillReport) -> String {
 /// 3. **live swap** — the mid-run FreqBins → SIEVE swap is accepted and
 ///    emits its tagged telemetry event;
 /// 4. **populated newcomers** — CLOCK, LRU and SIEVE all produce live
-///    cells (non-zero throughput and tracked pages) in every column.
+///    cells (non-zero throughput and tracked pages) in every column;
+/// 5. **whole tallies** — no cell's ring dropped an event or a span, and
+///    each cell's provenance lands as many copies as the engine's books
+///    completed.
 pub fn smoke_failures(
     outcomes: &[PolicyOutcome],
     identity: &[(SystemKind, String, String)],
@@ -573,7 +582,7 @@ pub fn smoke_failures(
             scan.cells
                 .iter()
                 .find(|c| c.system == SystemKind::Hemem && c.policy == p)
-                .map(|c| c.accounting.wasted)
+                .map(|c| c.provenance.wasted)
         };
         match (wasted(PolicyKind::Sieve), wasted(PolicyKind::Lru)) {
             (Some(sieve), Some(lru)) if sieve >= lru => fails.push(format!(
@@ -623,6 +632,17 @@ pub fn smoke_failures(
         }
     }
 
+    for o in outcomes {
+        for c in &o.cells {
+            let cell = format!(
+                "{}/{}/{}",
+                o.trace.label(),
+                c.system.name(),
+                c.policy.name()
+            );
+            fails.extend(c.tally_gaps.iter().map(|g| format!("{cell}: {g}")));
+        }
+    }
     fails
 }
 
@@ -741,8 +761,8 @@ impl Harness for ShootOut {
         vec![
             ("mops", c.ops_per_sec / 1e6),
             ("p99_ns", c.p99_ns.unwrap_or(f64::NAN)),
-            ("useful_migrations", c.accounting.useful as f64),
-            ("wasted_migrations", c.accounting.wasted as f64),
+            ("useful_migrations", c.provenance.useful as f64),
+            ("wasted_migrations", c.provenance.wasted as f64),
             ("signals", c.signals as f64),
             ("resident_pages", c.end.resident as f64),
         ]

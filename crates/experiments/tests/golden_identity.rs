@@ -5,8 +5,8 @@
 //! Figure 9 HeMem contention series, and the files under
 //! `tests/golden/`) were captured from the pre-telemetry tree, so these
 //! tests pin the subsystem's core contract — recording is passive and a
-//! disabled sink is free: attaching a `NoopRecorder` or even a full
-//! `RingRecorder` changes nothing about simulated behaviour.
+//! disabled sink is free: attaching a zero-capacity `RingRecorder` or even
+//! a full one changes nothing about simulated behaviour.
 //!
 //! The full Figure 1 / Figure 9 grids take minutes and are `#[ignore]`d;
 //! CI and `cargo test` always run the quickstart, Figure 4, and one
@@ -212,16 +212,16 @@ fn fig9_contention_hemem_baseline() -> String {
 }
 
 #[test]
-fn fig9_contention_cell_with_noop_recorder_matches_golden() {
-    // One Figure 9 cell with a NoopRecorder attached: the zero-cost
-    // disabled-recording path must be bit-identical to the baseline.
+fn fig9_contention_cell_with_zero_cap_ring_matches_golden() {
+    // One Figure 9 cell with a zero-capacity ring attached: an enabled
+    // sink that retains nothing must be bit-identical to the baseline.
     let got = fig9_contention_hemem(|exp| {
-        exp.attach_telemetry(telemetry::Sink::new(Box::new(telemetry::NoopRecorder)))
+        exp.attach_telemetry(telemetry::Sink::new(telemetry::RingRecorder::new(0)))
     });
     assert_eq!(
         got.trim_end(),
         fig9_contention_hemem_baseline(),
-        "Figure 9 contention cell drifted under an attached NoopRecorder"
+        "Figure 9 contention cell drifted under an attached zero-capacity ring"
     );
 }
 

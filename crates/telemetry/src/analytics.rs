@@ -1,17 +1,14 @@
-//! Derived analytics: convergence, migration efficiency, inversions.
+//! Derived analytics: convergence and inversions.
 //!
-//! These operate on the raw streams after a run — they answer the questions
-//! the paper's evaluation asks of each tiering system: *how fast does it
-//! re-converge after a workload shift* (time-to-equilibrium), *how much of
-//! its migration traffic was useful* (pages that ended somewhere new vs.
-//! ping-pong work that was later undone), and *how long did it leave the
-//! default tier slower than the alternate* (latency-inversion episodes).
-
-use std::collections::HashMap;
+//! These operate on the per-tick series after a run — they answer two of
+//! the questions the paper's evaluation asks of each tiering system: *how
+//! fast does it re-converge after a workload shift* (time-to-equilibrium)
+//! and *how long did it leave the default tier slower than the alternate*
+//! (latency-inversion episodes). *How much of its migration traffic was
+//! useful* is the provenance fold's ([`provenance`](mod@crate::provenance)).
 
 use simkit::SimTime;
 
-use crate::event::{Event, EventKind, Vpn};
 use crate::metrics::TickMetrics;
 
 /// Time from a workload shift until a signal settles at its new
@@ -63,81 +60,6 @@ pub fn time_to_equilibrium(
     // Converged at the first sample of the first stable window.
     let t_conv = post[first_stable * window].t;
     Some(t_conv.saturating_sub(shift_t))
-}
-
-/// Migration-efficiency accounting derived from the event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MigrationAccounting {
-    /// Migrations the engine started.
-    pub started: u64,
-    /// Migrations that completed (mapping flipped).
-    pub completed: u64,
-    /// Completed migrations whose page genuinely ended on a different tier
-    /// than it started the run on.
-    pub useful: u64,
-    /// Completed migrations later undone — ping-pong copies whose work was
-    /// reverted by a subsequent move of the same page.
-    pub wasted: u64,
-    /// In-flight failures (outage or transient aborts).
-    pub failed: u64,
-    /// Retry-queue re-drives.
-    pub retried: u64,
-    /// Pages the retry queue gave up on.
-    pub exhausted: u64,
-}
-
-impl MigrationAccounting {
-    /// Fraction of completed copies that were useful (1.0 when no copies
-    /// completed — nothing was wasted).
-    pub fn efficiency(&self) -> f64 {
-        if self.completed == 0 {
-            1.0
-        } else {
-            self.useful as f64 / self.completed as f64
-        }
-    }
-}
-
-/// Classifies every migration event in `events`.
-///
-/// Useful vs. wasted follows per-tier round trips over each page's actual
-/// move history ([`crate::provenance::classify_round_trips`]): a copy is
-/// wasted iff a later copy returns the page to a tier it had already
-/// visited — net displacement along the tier chain decides. With two
-/// tiers, consecutive completed moves of one page necessarily alternate
-/// direction, so this degenerates to the historical rule `useful = c % 2`
-/// (odd count ⇒ the page ended on the other tier).
-pub fn migration_accounting(events: &[Event]) -> MigrationAccounting {
-    let mut acc = MigrationAccounting::default();
-    // Per page: source tier of the first completed copy, then every
-    // destination in completion order.
-    let mut completes: HashMap<Vpn, (u8, Vec<u8>)> = HashMap::new();
-    for ev in events {
-        match &ev.kind {
-            EventKind::MigrationStart { .. } => acc.started += 1,
-            EventKind::MigrationComplete { vpn, src, dst, .. } => {
-                acc.completed += 1;
-                completes
-                    .entry(*vpn)
-                    .or_insert((*src, Vec::new()))
-                    .1
-                    .push(*dst);
-            }
-            EventKind::MigrationFail { .. } => acc.failed += 1,
-            EventKind::MigrationRetry { .. } => acc.retried += 1,
-            EventKind::RetryExhausted { .. } => acc.exhausted += 1,
-            _ => {}
-        }
-    }
-    for (_vpn, (first_src, dsts)) in completes {
-        let useful = crate::provenance::classify_round_trips(first_src, &dsts)
-            .iter()
-            .filter(|&&w| !w)
-            .count() as u64;
-        acc.useful += useful;
-        acc.wasted += dsts.len() as u64 - useful;
-    }
-    acc
 }
 
 /// Latency-inversion episode statistics: maximal runs of ticks where the
@@ -224,7 +146,6 @@ impl InversionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Source;
 
     fn metric(t_ms: f64, ops: f64) -> TickMetrics {
         TickMetrics {
@@ -278,82 +199,6 @@ mod tests {
                 .is_none(),
             "fewer than two post-shift windows"
         );
-    }
-
-    fn mig_event(kind: EventKind) -> Event {
-        Event {
-            t: SimTime::ZERO,
-            source: Source::Machine,
-            tenant: None,
-            kind,
-        }
-    }
-
-    #[test]
-    fn accounting_classifies_ping_pong() {
-        // Page 1 moves once (useful). Page 2 moves twice (there and back:
-        // both wasted). Page 3 moves three times (net one move: 1 useful,
-        // 2 wasted).
-        let mut events = Vec::new();
-        let moves: &[(Vpn, u8, u8)] = &[
-            (1, 0, 1),
-            (2, 0, 1),
-            (2, 1, 0),
-            (3, 0, 1),
-            (3, 1, 0),
-            (3, 0, 1),
-        ];
-        for &(vpn, src, dst) in moves {
-            events.push(mig_event(EventKind::MigrationStart { vpn, src, dst }));
-            events.push(mig_event(EventKind::MigrationComplete {
-                vpn,
-                src,
-                dst,
-                copy_ns: 1000.0,
-            }));
-        }
-        events.push(mig_event(EventKind::MigrationFail {
-            vpn: 4,
-            dst: 1,
-            reason: crate::event::FailReason::Transient,
-        }));
-        events.push(mig_event(EventKind::MigrationRetry { vpn: 4, dst: 1 }));
-        let acc = migration_accounting(&events);
-        assert_eq!(acc.started, 6);
-        assert_eq!(acc.completed, 6);
-        assert_eq!(acc.useful, 2);
-        assert_eq!(acc.wasted, 4);
-        assert_eq!(acc.failed, 1);
-        assert_eq!(acc.retried, 1);
-        assert!((acc.efficiency() - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accounting_empty_is_fully_efficient() {
-        let acc = migration_accounting(&[]);
-        assert_eq!(acc.efficiency(), 1.0);
-    }
-
-    #[test]
-    fn accounting_counts_net_displacement_across_three_tiers() {
-        // Page 1 marches down the chain 0 -> 1 -> 2: both copies are real
-        // displacement (the old two-tier rule would have called one of
-        // them wasted). Page 2 detours 0 -> 1 -> 2 -> 1: only the first
-        // hop survives the round trip through tier 2.
-        let moves: &[(Vpn, u8, u8)] = &[(1, 0, 1), (1, 1, 2), (2, 0, 1), (2, 1, 2), (2, 2, 1)];
-        let mut events = Vec::new();
-        for &(vpn, src, dst) in moves {
-            events.push(mig_event(EventKind::MigrationComplete {
-                vpn,
-                src,
-                dst,
-                copy_ns: 1000.0,
-            }));
-        }
-        let acc = migration_accounting(&events);
-        assert_eq!(acc.completed, 5);
-        assert_eq!(acc.useful, 3);
-        assert_eq!(acc.wasted, 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every layer of the reproduction — the [`memsim`-style machine, the
 //! Colloid controllers, the tiering systems, the supervisor, and the
 //! experiment runner — records into the same two channels, each flowing
-//! through a [`Sink`] handle into a [`Recorder`]:
+//! through a [`Sink`] handle into one [`RingRecorder`]:
 //!
 //! - a **typed event stream** ([`Event`]): migration start/complete/fail/
 //!   retry, Colloid watermark moves and `p` updates, supervisor mode
@@ -11,8 +11,8 @@
 //!   the simulated time it happened at;
 //! - a **span stream** (see *Causal tracing* below).
 //!
-//! Two recorders ship: the bounded, drop-oldest [`RingRecorder`] and the
-//! do-nothing [`NoopRecorder`].
+//! The recorder is bounded and drop-oldest, and counts every drop; a
+//! zero-capacity ring keeps nothing.
 //!
 //! The **per-quantum metric record** ([`TickMetrics`]: per-tier loaded
 //! latency, Little's-Law estimate and ground truth, occupancy, arrival
@@ -29,15 +29,14 @@
 //! happens when telemetry is off. Recording itself is *passive* — it reads
 //! simulation state but never mutates it and never draws randomness — so
 //! runs are bit-identical with telemetry disabled, enabled with a
-//! [`NoopRecorder`], or enabled with a [`RingRecorder`] (the golden
+//! zero-capacity [`RingRecorder`], or enabled with a full one (the golden
 //! bit-identity tests in `crates/experiments` pin this).
 //!
 //! On top of the raw streams sit [`export`] (NDJSON event logs, CSV metric
 //! series, and an offline NDJSON schema validator), [`analytics`]
-//! (time-to-equilibrium after a workload shift, migration-efficiency
-//! accounting, latency-inversion episode histograms), and [`render`]
-//! (plain-text series and run-timeline views, used by the `timeline`
-//! binary in `crates/experiments`).
+//! (time-to-equilibrium after a workload shift and latency-inversion
+//! episode histograms), and [`render`] (plain-text series and run-timeline
+//! views, used by `grid timeline` in `crates/experiments`).
 //!
 //! # Causal tracing
 //!
@@ -46,13 +45,13 @@
 //! page copy, crossing tick boundaries), and instant *decision spans*
 //! whose ids flow as `cause` links — so a completed migration resolves
 //! back to the controller decision that issued it. On top of the spans
-//! sit [`provenance`](mod@provenance) (per-page move histories,
-//! ping-pong detection, and a blame report attributing wasted
-//! migrations to their issuing decision) and [`trace`] (a
-//! chrome-`trace_event`/Perfetto JSON exporter with an offline format
-//! checker, plus folded stacks for flamegraph tooling). The same
-//! overhead contract applies: span APIs on a disabled sink return
-//! [`SpanId::NONE`] and touch nothing.
+//! sit [`provenance`](mod@provenance) (per-page histories of the copies
+//! that landed, the useful/wasted split, ping-pong detection, and a blame
+//! report attributing wasted migrations to their issuing decision) and
+//! [`trace`] (a chrome-`trace_event`/Perfetto JSON exporter with an
+//! offline format checker, plus folded stacks for flamegraph tooling).
+//! The same overhead contract applies: span APIs on a disabled sink
+//! return [`SpanId::NONE`] and touch nothing.
 
 pub mod analytics;
 pub mod event;
@@ -66,14 +65,12 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
-pub use analytics::{
-    migration_accounting, time_to_equilibrium, InversionStats, MigrationAccounting,
-};
+pub use analytics::{time_to_equilibrium, InversionStats};
 pub use event::{Event, EventKind, FailReason, Source, TenantId};
 pub use export::{events_to_ndjson, metrics_to_csv, validate_ndjson};
 pub use metrics::TickMetrics;
 pub use provenance::{provenance, BlameEntry, PageHistory, ProvenanceReport};
-pub use recorder::{NoopRecorder, Recorder, RingRecorder, Sink};
+pub use recorder::{RingRecorder, Sink};
 pub use registry::{
     prometheus_exposition, validate_prometheus, Counter, Gauge, Histogram, HistogramHandle,
     MetricKind, MetricSample, MetricValue, MetricsHub,

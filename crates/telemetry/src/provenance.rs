@@ -1,18 +1,22 @@
-//! Per-page provenance: fold the migration span stream into per-page move
-//! histories, detect churn (ping-pong: a page migrated again within a
-//! short window), and attribute wasted copies to the controller decision
-//! that issued them (the "blame" report).
+//! Per-page provenance: fold the copies that landed into per-page move
+//! histories, split them into useful and wasted work, detect churn
+//! (ping-pong: a page migrated again within a short window), and attribute
+//! wasted copies to the controller decision that issued them (the "blame"
+//! report). This is the one fold of a run's copy history; the counts of
+//! started, completed and aborted copies are the migration engine's books.
 //!
-//! The input is the recorded span stream: every completed page copy is one
-//! async `migration` span carrying `{vpn, src, dst}` and a `cause` link to
-//! the decision span in force when the migration was enqueued (see
-//! [`crate::span`]). The useful/wasted split follows the same rule as
-//! [`crate::analytics::migration_accounting`] — per-tier round trips over
-//! the page's actual move history (see [`classify_round_trips`]): a copy
-//! is wasted iff a later copy returns the page to a tier it had already
-//! visited, which for two tiers degenerates to the old `c % 2` rule. The
-//! blame report's wasted total always reconciles with the accounting (the
-//! `trace --smoke` binary asserts this).
+//! The input is the recorded span and event streams. Every page copy is
+//! one async `migration` span carrying `{vpn, src, dst}` and a `cause`
+//! link to the decision span in force when the migration was enqueued
+//! (see [`crate::span`]). An aborted transactional copy closes its span
+//! too, so a span counts as a landed copy only when a `MigrationComplete`
+//! event of the same page carries its close time. The useful/wasted split
+//! follows per-tier round trips over the page's landed copies (see
+//! [`classify_round_trips`]): a copy is wasted iff a later copy returns
+//! the page to a tier it had already visited, which for two tiers
+//! degenerates to the old `c % 2` rule. The `--smoke` gates of `grid
+//! timeline`, `gauntlet` and `policy` check that the fold's `completed`
+//! equals the engine's completed count.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -22,7 +26,7 @@ use simkit::SimTime;
 use crate::event::{Event, EventKind, TenantId};
 use crate::span::{SpanId, SpanIndex, SpanKind, SpanPayload, SpanRecord};
 
-/// One completed copy of a page.
+/// One landed copy of a page.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageMove {
     /// When the copy completed.
@@ -35,11 +39,11 @@ pub struct PageMove {
     pub span: SpanId,
     /// The decision span the copy was attributed to (`NONE` if untracked).
     pub cause: SpanId,
-    /// Whether the accounting counts this copy as wasted.
+    /// Whether a later round trip undid this copy.
     pub wasted: bool,
 }
 
-/// Splits a page's completed copies into useful and wasted by per-tier
+/// Splits a page's landed copies into useful and wasted by per-tier
 /// round trips: walking the move history with a stack of visited tiers
 /// (seeded with `first_src`), a copy into an unvisited tier extends the
 /// page's net displacement and is tentatively useful; a copy back into a
@@ -82,7 +86,7 @@ pub struct PageHistory {
     /// Tenant owning the page (from tenant-tagged events; `None` in
     /// single-workload runs).
     pub tenant: Option<TenantId>,
-    /// Completed copies, oldest first.
+    /// Landed copies, oldest first.
     pub moves: Vec<PageMove>,
     /// Ping-pong incidents: a move followed by another within the window.
     pub ping_pongs: u64,
@@ -94,13 +98,13 @@ impl PageHistory {
         self.moves.last().map_or(u8::MAX, |m| m.dst)
     }
 
-    /// Copies the accounting considers useful (net displacement along the
-    /// tier chain; see [`classify_round_trips`]).
+    /// Useful copies (net displacement along the tier chain; see
+    /// [`classify_round_trips`]).
     pub fn useful(&self) -> u64 {
         self.moves.iter().filter(|m| !m.wasted).count() as u64
     }
 
-    /// Copies the accounting considers wasted (undone by a round trip).
+    /// Wasted copies (undone by a round trip).
     pub fn wasted(&self) -> u64 {
         self.moves.iter().filter(|m| m.wasted).count() as u64
     }
@@ -111,9 +115,9 @@ impl PageHistory {
 pub struct BlameEntry {
     /// Decision label, `name(mode)` (e.g. `colloid.decide(demote)`).
     pub site: String,
-    /// Completed copies attributed to this site.
+    /// Landed copies attributed to this site.
     pub issued: u64,
-    /// Of those, copies the accounting counts as wasted.
+    /// Of those, copies a later round trip undid.
     pub wasted: u64,
 }
 
@@ -122,7 +126,8 @@ pub struct BlameEntry {
 pub struct ProvenanceReport {
     /// Per-page histories, ascending vpn.
     pub pages: Vec<PageHistory>,
-    /// Total completed copies (sum of history lengths).
+    /// Copies that landed (sum of history lengths). Equals the engine's
+    /// completed count when neither ring dropped a record.
     pub completed: u64,
     /// Copies contributing net displacement along each page's tier path
     /// (for two tiers this is the historical `Σ c_i % 2`).
@@ -137,15 +142,22 @@ pub struct ProvenanceReport {
     pub ping_pong_incidents: u64,
     /// Blame rows, most wasted first (ties by site name).
     pub blame: Vec<BlameEntry>,
-    /// Completed copies whose cause chain did not reach a decision span
+    /// Landed copies whose cause chain did not reach a decision span
     /// (dropped spans, or migrations issued outside any decision).
     pub unattributed: u64,
-    /// `MigrationComplete` events in the event stream — should equal
-    /// `completed` when neither ring overflowed.
-    pub completed_events: u64,
 }
 
 impl ProvenanceReport {
+    /// Fraction of landed copies that were useful (1.0 when none landed —
+    /// nothing was wasted).
+    pub fn efficiency(&self) -> f64 {
+        if self.completed == 0 {
+            1.0
+        } else {
+            self.useful as f64 / self.completed as f64
+        }
+    }
+
     /// Plain-text rendering (blame table, churn summary).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -192,17 +204,24 @@ fn site_of(chain: &[&SpanRecord]) -> String {
     }
 }
 
-/// Folds migration spans (plus the event stream for cross-checking) into
-/// per-page histories, churn statistics, and the blame report. `window`
-/// is the ping-pong horizon: a page moved again within `window` of its
-/// previous copy counts as one ping-pong incident.
+/// Folds the migration spans of landed copies into per-page histories,
+/// churn statistics, and the blame report. A span is a landed copy when a
+/// `MigrationComplete` event in `events` names its page at its close time;
+/// the spans of aborted copies have none and are skipped. `window` is the
+/// ping-pong horizon: a page moved again within `window` of its previous
+/// copy counts as one ping-pong incident.
 pub fn provenance(events: &[Event], spans: &[SpanRecord], window: SimTime) -> ProvenanceReport {
     // Page ownership from tenant-tagged events (colocation runs): any
-    // page-addressed event carrying a tenant claims the page.
+    // page-addressed event carrying a tenant claims the page. Completions
+    // are counted per (page, time), one per landed copy.
     let mut page_tenant: HashMap<u64, TenantId> = HashMap::new();
+    let mut landed: HashMap<(u64, SimTime), u32> = HashMap::new();
     for ev in events {
         if let (Some(vpn), Some(tenant)) = (ev.kind.vpn(), ev.tenant) {
             page_tenant.entry(vpn).or_insert(tenant);
+        }
+        if let EventKind::MigrationComplete { vpn, .. } = ev.kind {
+            *landed.entry((vpn, ev.t)).or_default() += 1;
         }
     }
 
@@ -214,6 +233,10 @@ pub fn provenance(events: &[Event], spans: &[SpanRecord], window: SimTime) -> Pr
         let SpanPayload::Migration { vpn, src, dst } = sp.payload else {
             continue;
         };
+        match landed.get_mut(&(vpn, sp.t_end)) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => continue,
+        }
         by_page.entry(vpn).or_default().push(PageMove {
             t: sp.t_end,
             src,
@@ -278,11 +301,6 @@ pub fn provenance(events: &[Event], spans: &[SpanRecord], window: SimTime) -> Pr
     let mut blame: Vec<BlameEntry> = blame.into_values().collect();
     blame.sort_by(|a, b| b.wasted.cmp(&a.wasted).then(a.site.cmp(&b.site)));
 
-    let completed_events = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::MigrationComplete { .. }))
-        .count() as u64;
-
     ProvenanceReport {
         pages,
         completed,
@@ -293,7 +311,6 @@ pub fn provenance(events: &[Event], spans: &[SpanRecord], window: SimTime) -> Pr
         ping_pong_incidents,
         blame,
         unattributed,
-        completed_events,
     }
 }
 
@@ -330,8 +347,28 @@ mod tests {
         }
     }
 
+    /// One `MigrationComplete` per migration span, at its close: every
+    /// copy in `spans` landed.
+    fn landed(spans: &[SpanRecord]) -> Vec<Event> {
+        let complete = |sp: &SpanRecord| match sp.payload {
+            SpanPayload::Migration { vpn, src, dst } => Some(Event {
+                t: sp.t_end,
+                source: Source::Machine,
+                tenant: None,
+                kind: EventKind::MigrationComplete {
+                    vpn,
+                    src,
+                    dst,
+                    copy_ns: 1000.0,
+                },
+            }),
+            _ => None,
+        };
+        spans.iter().filter_map(complete).collect()
+    }
+
     #[test]
-    fn histories_split_useful_and_wasted_like_the_accounting() {
+    fn two_tier_histories_split_useful_and_wasted() {
         // Page 1: three copies (1 useful, 2 wasted); page 2: two (both
         // wasted); page 3: one (useful).
         let spans = vec![
@@ -343,10 +380,11 @@ mod tests {
             migration(14, 1, 2, 1, 0, 800.0),
             migration(15, 1, 3, 0, 1, 30.0),
         ];
-        let r = provenance(&[], &spans, SimTime::from_us(50.0));
+        let r = provenance(&landed(&spans), &spans, SimTime::from_us(50.0));
         assert_eq!(r.completed, 6);
         assert_eq!(r.useful, 2);
         assert_eq!(r.wasted, 4);
+        assert!((r.efficiency() - 2.0 / 6.0).abs() < 1e-12);
         assert_eq!(r.pages.len(), 3);
         let p1 = &r.pages[0];
         assert_eq!(p1.vpn, 1);
@@ -365,6 +403,13 @@ mod tests {
     }
 
     #[test]
+    fn empty_run_is_fully_efficient() {
+        let r = provenance(&[], &[], SimTime::from_us(1.0));
+        assert_eq!((r.completed, r.useful, r.wasted), (0, 0, 0));
+        assert_eq!(r.efficiency(), 1.0);
+    }
+
+    #[test]
     fn ping_pong_detected_within_window_only() {
         let spans = vec![
             decision(1, "tick"),
@@ -375,7 +420,7 @@ mod tests {
             migration(12, 1, 6, 0, 1, 100.0),
             migration(13, 1, 6, 1, 0, 500.0),
         ];
-        let r = provenance(&[], &spans, SimTime::from_us(50.0));
+        let r = provenance(&landed(&spans), &spans, SimTime::from_us(50.0));
         assert_eq!(r.ping_pong_pages, 1);
         assert_eq!(r.ping_pong_incidents, 1);
         assert_eq!(r.pages[0].ping_pongs, 1);
@@ -388,49 +433,42 @@ mod tests {
             migration(10, 99, 1, 0, 1, 10.0), // cause id never recorded
             migration(11, 0, 2, 0, 1, 20.0),  // no cause at all
         ];
-        let r = provenance(&[], &spans, SimTime::from_us(1.0));
+        let r = provenance(&landed(&spans), &spans, SimTime::from_us(1.0));
         assert_eq!(r.unattributed, 2);
         assert!(r.blame.is_empty());
         assert!(r.render().contains("unattributed copies: 2"));
     }
 
     #[test]
-    fn event_stream_cross_check_counts_completions() {
-        let events = vec![Event {
-            t: SimTime::from_us(10.0),
-            source: Source::Machine,
-            tenant: None,
-            kind: EventKind::MigrationComplete {
-                vpn: 1,
-                src: 0,
-                dst: 1,
-                copy_ns: 1000.0,
-            },
-        }];
-        let spans = vec![decision(1, "tick"), migration(10, 1, 1, 0, 1, 10.0)];
-        let r = provenance(&events, &spans, SimTime::from_us(1.0));
-        assert_eq!(r.completed, 1);
-        assert_eq!(r.completed_events, 1);
+    fn aborted_copies_are_not_folded() {
+        // Page 1's first copy aborts at 5us (its span closes with no
+        // completion event), then the retry lands at 10us. Page 2's only
+        // recorded span closes at 20us, but the page completed at 30us
+        // from a span the ring never kept: nothing of page 2 is folded.
+        let spans = vec![
+            decision(1, "tick"),
+            migration(10, 1, 1, 0, 1, 5.0),
+            migration(11, 1, 1, 0, 1, 10.0),
+            migration(12, 1, 2, 0, 1, 20.0),
+        ];
+        let mut events = landed(&spans[2..3]);
+        events.extend(landed(&[migration(13, 1, 2, 0, 1, 30.0)]));
+        let r = provenance(&events, &spans, SimTime::from_us(50.0));
+        assert_eq!((r.completed, r.useful, r.wasted), (1, 1, 0));
+        assert_eq!(r.pages.len(), 1);
+        assert_eq!(r.pages[0].moves[0].span, SpanId(11));
+        assert_eq!(r.blame[0].issued, 1);
     }
 
     #[test]
     fn tenant_tagged_events_claim_page_histories() {
-        let events = vec![Event {
-            t: SimTime::from_us(10.0),
-            source: Source::Machine,
-            tenant: Some(TenantId(2)),
-            kind: EventKind::MigrationComplete {
-                vpn: 1,
-                src: 0,
-                dst: 1,
-                copy_ns: 1000.0,
-            },
-        }];
         let spans = vec![
             decision(1, "tick"),
             migration(10, 1, 1, 0, 1, 10.0),
             migration(11, 1, 7, 0, 1, 20.0), // page 7 never tagged
         ];
+        let mut events = landed(&spans);
+        events[0].tenant = Some(TenantId(2));
         let r = provenance(&events, &spans, SimTime::from_us(1.0));
         assert_eq!(r.pages[0].tenant, Some(TenantId(2)));
         assert_eq!(r.pages[1].tenant, None);
@@ -439,7 +477,7 @@ mod tests {
     #[test]
     fn round_trip_rule_degenerates_to_c_mod_2_on_two_tiers() {
         // Pin: for any alternating two-tier history the generalized rule
-        // reproduces the old accounting exactly — `c % 2` useful copies,
+        // reproduces the historical rule exactly — `c % 2` useful copies,
         // and only the last copy of an odd count survives.
         for c in 0..8usize {
             let dsts: Vec<u8> = (0..c).map(|i| ((i + 1) % 2) as u8).collect();
@@ -477,7 +515,7 @@ mod tests {
             migration(13, 1, 2, 1, 2, 600.0),
             migration(14, 1, 2, 2, 1, 900.0),
         ];
-        let r = provenance(&[], &spans, SimTime::from_us(50.0));
+        let r = provenance(&landed(&spans), &spans, SimTime::from_us(50.0));
         assert_eq!(r.completed, 5);
         assert_eq!(r.useful, 3);
         assert_eq!(r.wasted, 2);

@@ -1,11 +1,11 @@
-//! Recorders and the `Sink` handle the instrumented layers hold.
+//! The event recorder and the `Sink` handle the instrumented layers hold.
 //!
 //! The [`Sink`] is the cheap, clonable handle threaded through the machine,
 //! controllers, and tiering systems. Disabled (the default) it is a `None`
 //! and every emit is a branch on that option — the payload-building closure
 //! is never called, so the hot path does no allocation or formatting.
-//! Enabled, it shares one [`Recorder`] plus a "current sim time" cell the
-//! machine refreshes each tick so layers without their own clock (the
+//! Enabled, it shares one [`RingRecorder`] plus a "current sim time" cell
+//! the machine refreshes each tick so layers without their own clock (the
 //! Colloid controller, the retry queue) can stamp events.
 
 use std::cell::{Cell, RefCell};
@@ -17,49 +17,12 @@ use simkit::SimTime;
 use crate::event::{Event, EventKind, Source, TenantId};
 use crate::span::{SpanId, SpanKind, SpanPayload, SpanRecord};
 
-/// Destination for events and spans.
-///
-/// Implementations must be passive: recording must not mutate simulation
-/// state or draw randomness, so enabling a recorder never changes a run.
-/// The span methods default to no-ops so pre-span recorders keep working.
-pub trait Recorder {
-    /// Record one event (may drop it, e.g. when a ring is full).
-    fn record_event(&mut self, ev: Event);
-    /// Snapshot of retained events, oldest first.
-    fn events(&self) -> Vec<Event>;
-    /// How many events were discarded to stay within bounds.
-    fn dropped_events(&self) -> u64 {
-        0
-    }
-    /// Record one completed span (spans arrive in close order).
-    fn record_span(&mut self, sp: SpanRecord) {
-        let _ = sp;
-    }
-    /// Snapshot of retained spans, in close order.
-    fn spans(&self) -> Vec<SpanRecord> {
-        Vec::new()
-    }
-    /// How many spans were discarded to stay within bounds.
-    fn dropped_spans(&self) -> u64 {
-        0
-    }
-}
-
-/// Discards everything. Used by the bit-identity tests to prove that an
-/// *enabled* sink still changes nothing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    fn record_event(&mut self, _ev: Event) {}
-    fn events(&self) -> Vec<Event> {
-        Vec::new()
-    }
-}
-
 /// Bounded in-memory recorder: keeps the most recent `event_cap` events and
 /// `span_cap` spans, dropping the oldest on overflow. Memory use is
 /// proportional to the caps, never to run length.
+///
+/// Recording is passive: it never mutates simulation state or draws
+/// randomness, so attaching a recorder never changes a run.
 ///
 /// Timestamps are clamped monotone **per source**: a source whose event
 /// arrives stamped earlier than its previous event is recorded at the
@@ -98,10 +61,9 @@ impl RingRecorder {
         self.span_cap = span_cap;
         self
     }
-}
 
-impl Recorder for RingRecorder {
-    fn record_event(&mut self, mut ev: Event) {
+    /// Records one event, dropping the oldest retained one when full.
+    pub fn record_event(&mut self, mut ev: Event) {
         if self.event_cap == 0 {
             self.dropped_events += 1;
             return;
@@ -119,15 +81,19 @@ impl Recorder for RingRecorder {
         self.events.push_back(ev);
     }
 
-    fn events(&self) -> Vec<Event> {
+    /// Snapshot of retained events, oldest first.
+    pub fn events(&self) -> Vec<Event> {
         self.events.iter().cloned().collect()
     }
 
-    fn dropped_events(&self) -> u64 {
+    /// How many events were discarded to stay within bounds.
+    pub fn dropped_events(&self) -> u64 {
         self.dropped_events
     }
 
-    fn record_span(&mut self, sp: SpanRecord) {
+    /// Records one completed span (spans arrive in close order), dropping
+    /// the oldest retained one when full.
+    pub fn record_span(&mut self, sp: SpanRecord) {
         if self.span_cap == 0 {
             self.dropped_spans += 1;
             return;
@@ -139,11 +105,13 @@ impl Recorder for RingRecorder {
         self.spans.push_back(sp);
     }
 
-    fn spans(&self) -> Vec<SpanRecord> {
+    /// Snapshot of retained spans, in close order.
+    pub fn spans(&self) -> Vec<SpanRecord> {
         self.spans.iter().cloned().collect()
     }
 
-    fn dropped_spans(&self) -> u64 {
+    /// How many spans were discarded to stay within bounds.
+    pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
     }
 }
@@ -193,7 +161,7 @@ impl SpanState {
 }
 
 struct SinkShared {
-    rec: RefCell<Box<dyn Recorder>>,
+    rec: RefCell<RingRecorder>,
     now: Cell<SimTime>,
     spans: RefCell<SpanState>,
     cause: Cell<SpanId>,
@@ -222,7 +190,7 @@ impl SinkShared {
     }
 }
 
-/// Clonable handle to a shared [`Recorder`], or nothing at all.
+/// Clonable handle to a shared [`RingRecorder`], or nothing at all.
 ///
 /// All clones of one enabled sink share the recorder and the current-time
 /// cell, so the machine (which knows the time) and the controllers (which
@@ -248,7 +216,7 @@ impl Sink {
     }
 
     /// An enabled sink writing into `rec`.
-    pub fn new(rec: Box<dyn Recorder>) -> Self {
+    pub fn new(rec: RingRecorder) -> Self {
         Sink {
             inner: Some(Rc::new(SinkShared {
                 rec: RefCell::new(rec),
@@ -265,7 +233,7 @@ impl Sink {
     /// holding `event_cap` events. The second parameter is ignored: the
     /// recorder keeps no metric rows.
     pub fn ring(event_cap: usize, _metric_cap: usize) -> Self {
-        Sink::new(Box::new(RingRecorder::new(event_cap)))
+        Sink::new(RingRecorder::new(event_cap))
     }
 
     /// Whether emits go anywhere.
@@ -342,10 +310,8 @@ impl Sink {
 
     /// Run `f` against the recorder (e.g. to snapshot events at run end).
     /// Returns `None` when the sink is disabled.
-    pub fn with<R>(&self, f: impl FnOnce(&dyn Recorder) -> R) -> Option<R> {
-        self.inner
-            .as_ref()
-            .map(|sh| f(sh.rec.borrow().as_ref() as &dyn Recorder))
+    pub fn with<R>(&self, f: impl FnOnce(&RingRecorder) -> R) -> Option<R> {
+        self.inner.as_ref().map(|sh| f(&sh.rec.borrow()))
     }
 
     // ---- Spans -----------------------------------------------------------
@@ -582,6 +548,17 @@ mod tests {
         r.record_event(ev(1, Source::Machine));
         assert!(r.events().is_empty());
         assert_eq!(r.dropped_events(), 1);
+        // Attached, a zero-cap ring keeps the sink enabled and swallows
+        // every emit and span, counting each as dropped.
+        let sink = Sink::new(RingRecorder::new(0));
+        assert!(sink.is_enabled());
+        sink.emit(Source::Machine, || EventKind::EquilibriumReset);
+        let d = sink.span_decision(Source::Colloid, "decide", "promote");
+        assert!(d.is_some());
+        let kept = sink.with(|r| (r.events().len(), r.spans().len()));
+        assert_eq!(kept, Some((0, 0)));
+        let dropped = sink.with(|r| (r.dropped_events(), r.dropped_spans()));
+        assert_eq!(dropped, Some((1, 1)));
     }
 
     #[test]
@@ -746,13 +723,5 @@ mod tests {
         assert_eq!(r.dropped_spans(), 3);
         let ids: Vec<u64> = r.spans().iter().map(|s| s.id.0).collect();
         assert_eq!(ids, vec![4, 5]);
-    }
-
-    #[test]
-    fn noop_recorder_swallows_everything() {
-        let sink = Sink::new(Box::new(NoopRecorder));
-        assert!(sink.is_enabled());
-        sink.emit(Source::Machine, || EventKind::EquilibriumReset);
-        assert_eq!(sink.with(|r| r.events().len()).unwrap(), 0);
     }
 }

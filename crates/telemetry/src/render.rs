@@ -3,7 +3,7 @@
 //! [`series`] is the canonical ASCII series renderer (the figure drivers in
 //! `crates/experiments` delegate here — its output is pinned byte-for-byte
 //! by the golden tests). [`event_log`] renders a typed event stream as a
-//! one-line-per-event timeline for the `timeline` binary.
+//! one-line-per-event timeline for `grid timeline`.
 
 use std::fmt::Write as _;
 

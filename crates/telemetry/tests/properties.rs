@@ -6,13 +6,13 @@
 //! the layers interleave their emits; scoped spans nest correctly under
 //! arbitrary enter/exit sequences (children close before their parent,
 //! extents contained, stamps monotone); and per-page provenance conserves
-//! pages per tier (the `c % 2` useful rule is exactly tier conservation).
+//! pages per tier (the `c % 2` useful rule is exactly tier conservation)
+//! and folds only the copies that landed.
 
 use proptest::prelude::*;
 use simkit::SimTime;
 use telemetry::{
-    Event, EventKind, Recorder, RingRecorder, Sink, Source, SpanId, SpanKind, SpanPayload,
-    SpanRecord,
+    Event, EventKind, RingRecorder, Sink, Source, SpanId, SpanKind, SpanPayload, SpanRecord,
 };
 
 fn source() -> impl Strategy<Value = Source> {
@@ -115,7 +115,7 @@ proptest! {
         ops in prop::collection::vec((0u64..1_000, 0usize..3, 0usize..4), 0..200)
     ) {
         const NAMES: [&str; 4] = ["a", "b", "c", "d"];
-        let sink = Sink::new(Box::new(RingRecorder::new(1 << 12).with_span_cap(1 << 12)));
+        let sink = Sink::new(RingRecorder::new(1 << 12).with_span_cap(1 << 12));
         let mut now = 0u64;
         let mut stack: Vec<SpanId> = Vec::new();
         let mut expected_closed = 0usize;
@@ -168,10 +168,12 @@ proptest! {
     /// Provenance conserves pages per tier: with every page starting in
     /// tier 0 and copies alternating 0→1→0→…, a page ends in tier 1 iff
     /// its move count is odd — exactly the `c % 2` useful rule — and the
-    /// blame tallies account for every completed copy.
+    /// blame tallies account for every landed copy. Aborted copies (spans
+    /// closed with no `MigrationComplete`) interleave with the landed ones
+    /// and leave the page where it was; none of them enters a history.
     #[test]
     fn provenance_conserves_pages_per_tier(
-        move_counts in prop::collection::vec(0usize..6, 1..40)
+        pages in prop::collection::vec((0usize..6, 0usize..3), 1..40)
     ) {
         let decision = SpanRecord {
             id: SpanId(1),
@@ -184,32 +186,53 @@ proptest! {
             t_end: SimTime::ZERO,
             kind: SpanKind::Scoped,
         };
+        let move_counts: Vec<usize> = pages.iter().map(|&(c, _)| c).collect();
         let mut spans = vec![decision];
+        let mut events = Vec::new();
+        let mut aborted = Vec::new();
         let mut next_id = 2u64;
         let mut t_us = 1.0f64;
-        for (vpn, &c) in move_counts.iter().enumerate() {
-            for k in 0..c {
-                let dst = u8::from(k % 2 == 0); // 0 -> 1 -> 0 -> ...
+        for (vpn, &(mut landed_left, mut aborted_left)) in pages.iter().enumerate() {
+            let mut tier = 0u8;
+            while landed_left + aborted_left > 0 {
+                let abort = aborted_left > 0
+                    && (landed_left == 0 || (landed_left + aborted_left) % 2 == 0);
+                let (src, dst) = (tier, 1 - tier); // 0 -> 1 -> 0 -> ...
+                let t_end = SimTime::from_us(t_us + 0.5);
                 spans.push(SpanRecord {
                     id: SpanId(next_id),
                     parent: SpanId::NONE,
                     cause: SpanId(1),
                     source: Source::Machine,
                     name: "migration",
-                    payload: SpanPayload::Migration {
-                        vpn: vpn as u64,
-                        src: 1 - dst,
-                        dst,
-                    },
+                    payload: SpanPayload::Migration { vpn: vpn as u64, src, dst },
                     t_start: SimTime::from_us(t_us),
-                    t_end: SimTime::from_us(t_us + 0.5),
+                    t_end,
                     kind: SpanKind::Async,
                 });
+                if abort {
+                    aborted_left -= 1;
+                    aborted.push(SpanId(next_id));
+                } else {
+                    landed_left -= 1;
+                    tier = dst;
+                    events.push(Event {
+                        t: t_end,
+                        source: Source::Machine,
+                        tenant: None,
+                        kind: EventKind::MigrationComplete {
+                            vpn: vpn as u64,
+                            src,
+                            dst,
+                            copy_ns: 500.0,
+                        },
+                    });
+                }
                 next_id += 1;
                 t_us += 100.0;
             }
         }
-        let r = telemetry::provenance(&[], &spans, SimTime::from_us(1.0));
+        let r = telemetry::provenance(&events, &spans, SimTime::from_us(1.0));
         let total: usize = move_counts.iter().sum();
         let odd = move_counts.iter().filter(|&&c| c % 2 == 1).count();
         prop_assert_eq!(r.completed as usize, total);
@@ -223,6 +246,11 @@ proptest! {
             "every migrated page (and only those) gets a history"
         );
         for p in &r.pages {
+            prop_assert!(
+                p.moves.iter().all(|m| !aborted.contains(&m.span)),
+                "an aborted copy entered page {}'s history",
+                p.vpn
+            );
             prop_assert_eq!((p.useful() + p.wasted()) as usize, p.moves.len());
             prop_assert_eq!(
                 p.moves.iter().filter(|m| m.wasted).count() as u64,
